@@ -87,7 +87,7 @@ def _parse_levels(text: str) -> tuple[int, int]:
         lo, hi = text.split("..")
         return int(lo), int(hi)
     except ValueError as exc:
-        raise SystemExit(3) if False else argparse.ArgumentTypeError(
+        raise argparse.ArgumentTypeError(
             f"levels must look like M0..N (got {text!r})"
         ) from exc
 

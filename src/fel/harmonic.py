@@ -139,13 +139,10 @@ class HarmonicStructure:
     matrix: ConductivityMatrix
     rho: float
     extension_matrix: np.ndarray      # (#V_1 - #V_0) x #V_0, interior ids ascending
+    interior_ids: np.ndarray          # V_1 ids off V_0, ascending: the extension rows
     iteration_trace: list[tuple[float, float]] = field(default_factory=list)
     orbit_classes: list[list[tuple[int, int]]] = field(default_factory=list)
     class_values: np.ndarray | None = None
-
-    @property
-    def interior_ids(self) -> np.ndarray:
-        return self._interior_ids
 
     def residual(self, system: FractalSystem) -> float:
         """Entrywise infinity-norm of rho * (De o R)(A) - A."""
@@ -275,11 +272,10 @@ def solve_ndhs(system: FractalSystem) -> HarmonicStructure:
     rho = 1.0 / _class_values_of(back.entries, classes)[nn_class]
     if rho <= 1.0:
         raise NoConvergence(f"fixed point has rho = {rho} <= 1", trace=trace)
-    hs = HarmonicStructure(matrix=matrix, rho=float(rho), extension_matrix=extension,
-                           iteration_trace=trace, orbit_classes=classes,
-                           class_values=values)
-    interior = np.setdiff1d(np.arange(system.vertex_count(1)), boundary)
-    hs._interior_ids = interior
     if not matrix.is_irreducible():
         raise NoConvergence("fixed point is not irreducible", trace=trace)
-    return hs
+    return HarmonicStructure(
+        matrix=matrix, rho=float(rho), extension_matrix=extension,
+        interior_ids=np.setdiff1d(np.arange(system.vertex_count(1)), boundary),
+        iteration_trace=trace, orbit_classes=classes, class_values=values,
+    )

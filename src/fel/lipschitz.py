@@ -1,25 +1,32 @@
 """Discrete Lipschitz coefficients and the norm-equivalence experiment.
 
 The coefficient at scale m integrates squared increments over pairs closer
-than a cutoff c0 / base^m against the normalized counting measure of V_n,
+than a cutoff r = c0 / base^m against the normalized counting measure of V_n,
 with base L (the fractal's natural scale) for b_m and base 2 for a_m.
 
-Pair enumeration never scans all pairs.  At cutoffs c0/L^m' with m' >= 2 it
-runs per level-m' symplex S over a candidate neighborhood of symplices within
-bounding-ball reach of S (a strict superset of the vertex-sharing S_*, which
-by itself would drop pairs straddling non-touching symplices).  Each
-unordered pair is counted exactly once, owned by the lexicographically
-smallest symplex containing its smaller-id endpoint, so chunked or parallel
-enumeration is deterministic and double-count free.  Coarser cutoffs (where
-symplex blocks would overlap almost totally) use one spatially hashed pass
-with exact distance filtering instead; both paths produce the pair set of an
-all-pairs scan exactly.
+A pair {x, y} counts when sqrt(d2) < r (1 - TIE_BAND), with d2 summed axis by
+axis: the strict |x - y| < r of exact arithmetic.  Lattice fractals put
+thousands of pairs at exactly the cutoff distance; the band puts them all
+outside, so float rounding decides none of them and the coefficients are
+invariant under rigid motions and uniform rescaling of the whole IFS.
+
+Pair sums never visit the pairs one by one.  Each V_n point is owned by the
+lexicographically smallest level-n symplex containing it, and its level-k
+owner is that index // M^(n-k), so the owned sets form a tree.  Each cell
+keeps the count, mean and centred sum of squares of its owned values, and the
+pairs between cells A and B sum to n_B SS_A + n_A SS_B + n_A n_B (mu_A-mu_B)^2,
+a formula without cancellation (Chan, Golub & LeVeque 1983).  A dual-tree
+walk over cell pairs (Gray & Moore 2000) bounds each pair's distances by the
+cells' bounding balls: a pair wholly inside the cutoff is summed from its
+moments, one wholly outside is dropped, and a straddling one is refined into
+its child pairs.  Straddling pairs of level-n cells enumerate their points.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,7 +38,11 @@ from .harmonic import HarmonicStructure
 from .ifs import FractalSystem
 
 STABILITY_LIMIT = 0.10
-_DIRECT_BLOCK_LIMIT = 1 << 26
+# Pairs within TIE_BAND * r of the cutoff sphere are ties; they count as outside.
+TIE_BAND = 1e-9
+# Bound on the slots of one temporary: cell pairs of a frontier chunk, point
+# pairs of a leaf chunk, or pairs x functions of a moment sum.
+PAIR_CHUNK = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -58,121 +69,177 @@ def default_params(system: FractalSystem, hs: HarmonicStructure,
     return LipschitzParams(alpha=dims.d_w / 2.0, d=dims.d_f, c0=system.c0, base=base_val)
 
 
-# -- pair enumeration ---------------------------------------------------------
+# -- pair sums ----------------------------------------------------------------
 
 
-def _owners(system: FractalSystem, m: int, n: int) -> np.ndarray:
-    """Lexicographically smallest level-m symplex containing each V_n point."""
-    span = system.M ** (n - m)
+def _owners(system: FractalSystem, n: int) -> np.ndarray:
+    """Lexicographically smallest level-n symplex containing each V_n point.
+
+    Its index // M^(n-k) is the smallest level-k symplex containing the point,
+    since the level-k ancestor of a level-n row is that row // M^(n-k).
+    """
     owner = np.full(system.vertex_count(n), np.iinfo(np.int64).max, dtype=np.int64)
-    prefix = np.repeat(np.arange(system.M**m, dtype=np.int64), span * system.M0)
-    np.minimum.at(owner, system.cells[n].ravel(), prefix)
+    cell = np.repeat(np.arange(system.M**n, dtype=np.int64), system.M0)
+    np.minimum.at(owner, system.cells[n].ravel(), cell)
     return owner
 
 
-def _reach_neighborhoods(system: FractalSystem, m: int, radius: float) -> list[np.ndarray]:
-    """Level-m symplices that can contain partners within ``radius`` of S.
-
-    Every symplex lies in the convex hull of its vertices, so a bounding-ball
-    test |c_S - c_T| < radius + R_S + R_T is a complete candidate filter.  It
-    strictly contains the vertex-sharing neighborhood S_*: pairs slightly
-    closer than c0/L^m can straddle symplices that touch nowhere (on the
-    gasket this already happens at m = 2), so S_* alone would drop pairs.
-    """
-    verts = system.points[m][system.cells[m]]
-    centers = verts.mean(axis=1)
-    radii = np.linalg.norm(verts - centers[:, None, :], axis=2).max(axis=1)
-    gap = np.linalg.norm(centers[:, None, :] - centers[None, :, :], axis=2)
-    ok = gap < radius + radii[:, None] + radii[None, :]
-    return [np.flatnonzero(row) for row in ok]
-
-
 def iter_radius_pairs(system: FractalSystem, n: int, radius: float, chunk: int = 1 << 22):
-    """Yield (i, j, dist) chunks over unordered V_n pairs with dist < radius.
+    """Yield (i, j, dist) chunks over unordered V_n pairs with d2 < radius^2.
 
     Indices satisfy i < j; each pair appears exactly once; chunk boundaries
-    and ordering are deterministic.
+    and ordering are deterministic.  Float rounding decides pairs at exactly
+    the radius; the pair sums use the ties-out cutoff instead.
     """
     if radius > system.c0:
         raise ValueError("cutoff radius above c0 is not supported")
-    pts = system.points[n]
-    m_enum = int(math.floor(math.log(system.c0 / radius) / math.log(system.L) + 1e-9))
-    m_enum = min(m_enum, n - 1)
-    if m_enum < 2:
-        # At level 1 and below the symplex blocks overlap almost totally, so
-        # one spatially hashed pass beats per-symplex enumeration; the pair
-        # set is identical either way.
-        yield from near_pairs(pts, radius, max_chunk=chunk)
-        return
+    yield from near_pairs(system.points[n], radius, max_chunk=chunk)
 
-    owner = _owners(system, m_enum, n)
-    hood = _reach_neighborhoods(system, m_enum, radius)
-    span = system.M ** (n - m_enum)
-    cells_n = system.cells[n]
-    descendants = [
-        np.unique(cells_n[c * span : (c + 1) * span])
-        for c in range(system.M**m_enum)
-    ]
-    r2 = radius * radius
-    for s in range(system.M**m_enum):
-        block = np.unique(np.concatenate([descendants[t] for t in hood[s]]))
-        owned = owner[block] == s
-        n_owned = int(owned.sum())
-        if n_owned == 0:
-            continue
-        if n_owned * len(block) <= _DIRECT_BLOCK_LIMIT:
-            x_ids = block[owned]
-            px, py = pts[x_ids], pts[block]
-            step = max(1, chunk // max(len(block), 1))
-            for a0 in range(0, len(x_ids), step):
-                d2 = (px[a0 : a0 + step, None, 0] - py[None, :, 0]) ** 2
-                for axis in range(1, pts.shape[1]):
-                    d2 += (px[a0 : a0 + step, None, axis] - py[None, :, axis]) ** 2
-                ii, jj = np.nonzero(d2 < r2)
-                gi, gj = x_ids[a0 + ii], block[jj]
-                keep = gi < gj
-                if keep.any():
-                    yield gi[keep], gj[keep], np.sqrt(d2[ii[keep], jj[keep]])
-        else:
-            # Large coarse-scale block: grid-prune inside, keep pairs whose
-            # smaller endpoint is owned by this symplex.
-            for li, lj, dist in near_pairs(pts[block], radius, max_chunk=chunk):
-                gi, gj = block[li], block[lj]
-                lo = np.minimum(gi, gj)
-                hi = np.maximum(gi, gj)
-                keep = owner[lo] == s
-                if keep.any():
-                    yield lo[keep], hi[keep], dist[keep]
+
+class _Level(NamedTuple):
+    """Moments and bounding balls of the V_n points owned by each level-k cell."""
+
+    count: np.ndarray       # (cells,) owned points
+    mean: np.ndarray        # (F, cells) mean of the owned values, rounded
+    fix: np.ndarray         # (F, cells) correction of the rounded mean
+    ss: np.ndarray          # (F, cells) centred sum of squares
+    center: np.ndarray      # (cells, N) mean of the owned points
+    radius: np.ndarray      # (cells,) distance from center to the farthest owned point
+
+
+class _CellTree:
+    """Per-level moments and bounding balls of the points each cell owns.
+
+    Points are sorted by their level-n owner, so every cell at every level
+    owns a contiguous run.  The balls enclose the owned points themselves,
+    so the walk assumes nothing about the shape of a cell.  The mean is kept
+    as a rounded value plus its correction (the corrected two-pass algorithm
+    of Chan, Golub & LeVeque), so mu_A - mu_B keeps its relative accuracy
+    when two close cells have nearly equal means.  Moments are
+    function-major, (F, cells), and are gathered with ``take``, which keeps
+    the pair axis contiguous: numpy sums pairwise only along that axis.
+    """
+
+    def __init__(self, system: FractalSystem, n: int, values: np.ndarray):
+        owner = _owners(system, n)
+        order = np.argsort(owner, kind="stable")
+        owner = owner[order]
+        self.M, self.n = system.M, n
+        self.points = system.points[n][order]
+        self.values = np.ascontiguousarray(values[order].T)
+        self.levels: list[_Level] = []
+        for k in range(n + 1):
+            key = owner // system.M ** (n - k)
+            starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+            held = key[starts]
+            count = np.bincount(key, minlength=system.M**k)
+            mean, fix, ss = (np.zeros((len(self.values), system.M**k)) for _ in range(3))
+            mean[:, held] = np.add.reduceat(self.values, starts, axis=1) / count[held]
+            dev = self.values - mean[:, key]
+            resid = np.add.reduceat(dev, starts, axis=1)
+            fix[:, held] = resid / count[held]
+            sq = np.add.reduceat(dev * dev, starts, axis=1) - resid * resid / count[held]
+            ss[:, held] = np.maximum(sq, 0.0)
+            center = np.zeros((system.M**k, system.dim))
+            center[held] = np.add.reduceat(self.points, starts) / count[held, None]
+            dist = np.sqrt(((self.points - center[key]) ** 2).sum(axis=1))
+            radius = np.zeros(system.M**k)
+            radius[held] = np.maximum.reduceat(dist, starts)
+            self.levels.append(_Level(count, mean, fix, ss, center, radius))
+        # A level-n cell owns at most its #V_0 vertices: its points by slot,
+        # padded with -1, and their coordinates axis by axis, padded with NaN.
+        slot = np.arange(len(owner)) - np.searchsorted(owner, owner)
+        self.owned = np.full((system.M**n, system.M0), -1, dtype=np.int64)
+        self.owned[owner, slot] = np.arange(len(owner))
+        self.owned_xyz = np.full((system.dim, system.M**n, system.M0), np.nan)
+        self.owned_xyz[:, owner, slot] = self.points.T
+
+    def pair_sum(self, radius: float) -> np.ndarray:
+        """Sum of (f(x)-f(y))^2 over unordered pairs with sqrt(d2) < radius (1 - TIE_BAND)."""
+        inner, outer = radius * (1.0 - TIE_BAND), radius * (1.0 + TIE_BAND)
+        parts = [np.zeros(len(self.values))]
+        stack: list[tuple[int, np.ndarray, np.ndarray]] = []
+        group = max(1, PAIR_CHUNK // self.M**2)
+
+        def settle(k: int, a: np.ndarray, b: np.ndarray) -> None:
+            # Cell pairs a <= b at level k: sum the inside ones, drop the
+            # outside ones, refine or enumerate the ones straddling the cutoff.
+            level = self.levels[k]
+            na, nb = level.count[a], level.count[b]
+            gap = np.sqrt(((level.center[a] - level.center[b]) ** 2).sum(axis=1))
+            reach = level.radius[a] + level.radius[b]
+            live = (na > 0) & (nb > 0)
+            inside = live & (gap + reach < inner)
+            if inside.any():
+                parts.append(self._block_sum(k, a[inside], b[inside]))
+            cross = live & ~inside & (gap - reach < outer)
+            a, b = a[cross], b[cross]
+            if k == self.n:
+                parts.append(self._leaf_sum(a, b, inner))
+                return
+            for s in range(0, len(a), group):
+                stack.append((k, a[s : s + group], b[s : s + group]))
+
+        root = np.zeros(1, dtype=np.int64)
+        settle(0, root, root)
+        child = np.arange(self.M)
+        while stack:
+            k, a, b = stack.pop()
+            ca = (a[:, None, None] * self.M + child[None, :, None]).repeat(self.M, axis=2)
+            cb = (b[:, None, None] * self.M + child[None, None, :]).repeat(self.M, axis=1)
+            keep = ca <= cb      # a self pair refines into its unordered child pairs
+            settle(k + 1, ca[keep], cb[keep])
+        return np.stack(parts, axis=1).sum(axis=1)
+
+    def _block_sum(self, k: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Sum over whole cell pairs: n_b SS_a + n_a SS_b + n_a n_b (mu_a - mu_b)^2
+        for a < b, and n_a SS_a over the pairs inside one cell (a = b)."""
+        level = self.levels[k]
+        out = np.zeros(len(self.values))
+        step = max(1, PAIR_CHUNK // len(out))
+        for s in range(0, len(a), step):
+            ia, ib = a[s : s + step], b[s : s + step]
+            na, nb = level.count[ia].astype(float), level.count[ib].astype(float)
+            half = np.where(ia == ib, 0.5, 1.0)
+            diff = (level.mean.take(ia, axis=1) - level.mean.take(ib, axis=1)) \
+                + (level.fix.take(ia, axis=1) - level.fix.take(ib, axis=1))
+            out += (half * (nb * level.ss.take(ia, axis=1) + na * level.ss.take(ib, axis=1)
+                            + na * nb * diff * diff)).sum(axis=1)
+        return out
+
+    def _leaf_sum(self, a: np.ndarray, b: np.ndarray, inner: float) -> np.ndarray:
+        """Enumerate the owned points of straddling level-n cell pairs."""
+        out = np.zeros(len(self.values))
+        m0 = self.owned.shape[1]
+        upper = np.triu(np.ones((m0, m0), dtype=bool), 1)
+        step = max(1, PAIR_CHUNK // m0**2)
+        for s in range(0, len(a), step):
+            ia, ib = a[s : s + step], b[s : s + step]
+            d2 = np.zeros((len(ia), m0, m0))
+            for xyz in self.owned_xyz:
+                d2 += (xyz[ia][:, :, None] - xyz[ib][:, None, :]) ** 2
+            near = np.sqrt(d2) < inner          # NaN padding compares False
+            near &= (ia != ib)[:, None, None] | upper
+            p, u, v = np.nonzero(near)
+            x, y = self.owned[ia[p], u], self.owned[ib[p], v]
+            rows = max(1, PAIR_CHUNK // len(out))
+            for t in range(0, len(x), rows):
+                diff = self.values.take(x[t : t + rows], axis=1) \
+                    - self.values.take(y[t : t + rows], axis=1)
+                out += (diff * diff).sum(axis=1)
+        return out
 
 
 def pair_power_sums(system: FractalSystem, n: int, radii: np.ndarray,
                     values: np.ndarray) -> np.ndarray:
-    """For each radius r: sum of (f(x)-f(y))^2 over unordered pairs with dist < r.
+    """For each radius r: sum of (f(x)-f(y))^2 over unordered V_n pairs closer than r.
 
+    A pair counts when sqrt(d2) < r (1 - TIE_BAND), d2 summed axis by axis.
     ``values`` is (#V_n,) or (#V_n, F); the result is (len(radii), F).
-    Radii must be ascending; one enumeration pass at the largest radius feeds
-    every cutoff.
     """
-    radii = np.asarray(radii, dtype=float)
-    single = values.ndim == 1
-    vals = values[:, None] if single else values
-    partials: list[list[np.ndarray]] = [[] for _ in radii]
-    for i, j, dist in iter_radius_pairs(system, n, float(radii[-1])):
-        bins = np.searchsorted(radii, dist, side="right")
-        diff2 = (vals[i] - vals[j]) ** 2
-        for b in np.unique(bins):
-            if b < len(radii):
-                partials[b].append(diff2[bins == b].sum(axis=0))
-    out = np.zeros((len(radii), vals.shape[1]))
-    acc = [
-        [math.fsum(float(p[f]) for p in partials[b]) for f in range(vals.shape[1])]
-        for b in range(len(radii))
-    ]
-    running = np.zeros(vals.shape[1])
-    for b in range(len(radii)):
-        running = running + np.array(acc[b])
-        out[b] = running
-    return out
+    vals = values[:, None] if values.ndim == 1 else values
+    tree = _CellTree(system, n, vals)
+    return np.array([tree.pair_sum(float(r)) for r in np.asarray(radii, dtype=float)])
 
 
 def _coefficient_from_sum(params: LipschitzParams, m: int, n_points: int,
@@ -184,15 +251,13 @@ def _coefficient_from_sum(params: LipschitzParams, m: int, n_points: int,
 def coefficient_table(system: FractalSystem, values: np.ndarray, n: int,
                       ms: list[int], params: LipschitzParams) -> np.ndarray:
     """Coefficients for several scales m at once; values as in pair_power_sums."""
+    if not ms:
+        raise ValueError("need at least one scale m")
     if any(m >= n for m in ms) or any(m < 0 for m in ms):
         raise ResolutionTooCoarse(f"need n > m for every m in {ms} (n = {n})")
-    order = np.argsort([-m for m in ms], kind="stable")
-    radii = np.array([params.cutoff(ms[k]) for k in order])
-    sums = pair_power_sums(system, n, radii, values)
-    width = 1 if values.ndim == 1 else values.shape[1]
-    table = np.empty((len(ms), width))
-    for row, k in enumerate(order):
-        table[k] = _coefficient_from_sum(params, ms[k], system.vertex_count(n), sums[row])
+    sums = pair_power_sums(system, n, [params.cutoff(m) for m in ms], values)
+    table = np.array([_coefficient_from_sum(params, m, system.vertex_count(n), row)
+                      for m, row in zip(ms, sums)])
     return table[:, 0] if values.ndim == 1 else table
 
 

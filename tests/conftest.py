@@ -1,10 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from fel.harmonic import solve_ndhs
 from fel.ifs import Similitude, build
 
 from helpers import make_system
+
+# Property tests draw the same few examples on every run and keep no example
+# database, so tier-1 stays deterministic and bounded in time.
+settings.register_profile("fel", derandomize=True, deadline=None, max_examples=8,
+                          database=None)
+settings.load_profile("fel")
 
 
 @pytest.fixture(scope="session")

@@ -40,14 +40,15 @@ def overlapping_interval_maps():
 
 
 def brute_force_coefficient(system, f, m, params):
-    """All-pairs oracle: same strict-< cutoff convention on true distances."""
+    """All-pairs oracle with the ties-out cutoff: a pair counts iff its
+    distance is below r (1 - 1e-9), the strict < of exact arithmetic."""
     pts = system.points[f.level]
     v = f.values
     r = params.cutoff(m)
     total = 0.0
     for i in range(len(pts)):
         d = np.linalg.norm(pts - pts[i], axis=1)
-        mask = d < r
+        mask = d < r * (1 - 1e-9)
         mask[i] = False
         total += ((v[i] - v[mask]) ** 2).sum()
     n = len(pts)

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import fel
 from fel.cli import main
 from fel.presets import load_maps, write_definition
 from fel.ifs import build, validate
@@ -138,6 +143,22 @@ def test_exit_code_bad_args(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["describe"])  # missing fractal argument
     assert exc.value.code == 3
+
+
+@pytest.mark.parametrize("mmax", ["0", "-2"])
+def test_exit_code_empty_scale_list(mmax):
+    # A fresh interpreter, so an escaping exception would show its traceback.
+    src = str(Path(fel.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run(
+        [sys.executable, "-m", "fel.cli", "lipschitz", "gasket2", "--function", "coord:0",
+         "--mmax", mmax, "--level", "3"],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 3
+    assert "Traceback" not in proc.stderr
+    assert "error: need at least one scale m" in proc.stderr
 
 
 def test_point_cap_env(capsys, monkeypatch):

@@ -1,8 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from fel.energy import VertexFunction, harmonic_extension
 from fel.errors import SingularInterior
-from fel.harmonic import (ConductivityMatrix, decimate, energy0,
+from fel.harmonic import (ConductivityMatrix, HarmonicStructure, decimate, energy0,
                           from_off_diagonal, pair_orbit_classes, reproduce,
                           solve_ndhs, unit_matrix)
 
@@ -225,3 +228,19 @@ class TestSolveNdhs:
         assert len(snowflake_hs.iteration_trace) >= 2
         gaps = [g for g, _ in snowflake_hs.iteration_trace]
         assert gaps[-1] < 1e-12
+
+    def test_interior_ids_survive_copy_and_direct_construction(self, gasket2_l8,
+                                                                gasket2_hs):
+        interior = np.setdiff1d(np.arange(gasket2_l8.vertex_count(1)),
+                                gasket2_l8.promote[0])
+        np.testing.assert_array_equal(gasket2_hs.interior_ids, interior)
+        copy = dataclasses.replace(gasket2_hs)
+        np.testing.assert_array_equal(copy.interior_ids, interior)
+        direct = HarmonicStructure(matrix=gasket2_hs.matrix, rho=gasket2_hs.rho,
+                                   extension_matrix=gasket2_hs.extension_matrix,
+                                   interior_ids=interior)
+        f0 = VertexFunction(0, np.array([1.0, 0.0, 0.0]))
+        np.testing.assert_array_equal(
+            harmonic_extension(gasket2_l8, direct, f0, 3).values,
+            harmonic_extension(gasket2_l8, gasket2_hs, f0, 3).values,
+        )

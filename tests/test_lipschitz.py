@@ -78,6 +78,12 @@ class TestCoefficients:
         with pytest.raises(ResolutionTooCoarse):
             b_coefficient(gasket2_l8, f, 2, params)
 
+    def test_empty_scale_list_rejected(self, gasket2_l8, gasket2_hs):
+        params = default_params(gasket2_l8, gasket2_hs)
+        values = np.zeros(gasket2_l8.vertex_count(3))
+        with pytest.raises(ValueError):
+            coefficient_table(gasket2_l8, values, 3, [], params)
+
     def test_snowflake_base_change_bound(self, snowflake_l5, snowflake_hs):
         # Lemma-style comparison at modest size; acceptance runs the full one.
         params_l = default_params(snowflake_l5, snowflake_hs, base="L")
