@@ -9,13 +9,12 @@ from .errors import (ConditionViolation, DegenerateStructure, FelError,
                      SingularInterior, UnsupportedDimension)
 from .harmonic import (ConductivityMatrix, HarmonicStructure, decimate, energy0,
                        from_off_diagonal, reproduce, solve_ndhs, unit_matrix)
-from .ifs import (FractalSystem, Similitude, SymplexNeighborhood,
-                  ValidationReport, apply_similitude, build,
-                  essential_fixed_points, fixed_point, validate)
+from .ifs import (FractalSystem, Similitude, ValidationReport, build,
+                  essential_fixed_points, validate)
 from .lipschitz import (ExperimentSummary, LipschitzParams, NormReport,
                         a_coefficient, b_coefficient, default_params,
                         equivalence_experiment, hoelder_estimate, norm_report)
-from .presets import load_definition, load_maps, preset_definition
+from .presets import load_definition, load_maps
 
 __version__ = "0.1.0"
 
@@ -24,13 +23,11 @@ __all__ = [
     "DimensionReport", "EnergySequence", "ExperimentSummary", "FelError",
     "FractalSystem", "FunctionSpec", "HarmonicStructure", "LipschitzParams",
     "NoConvergence", "NormReport", "PointCapExceeded", "ResolutionTooCoarse",
-    "Similitude", "SingularInterior", "SymplexNeighborhood",
-    "UnsupportedDimension", "ValidationReport", "VertexFunction",
-    "a_coefficient", "apply_similitude", "b_coefficient", "build", "decimate",
-    "default_params", "dimensions", "energy0", "energy_m", "energy_sequence",
-    "equivalence_experiment", "essential_fixed_points", "fixed_point",
+    "Similitude", "SingularInterior", "UnsupportedDimension",
+    "ValidationReport", "VertexFunction", "a_coefficient", "b_coefficient",
+    "build", "decimate", "default_params", "dimensions", "energy0", "energy_m",
+    "energy_sequence", "equivalence_experiment", "essential_fixed_points",
     "from_off_diagonal", "harmonic_extension", "hoelder_estimate",
     "load_definition", "load_maps", "norm_report", "parse_function_spec",
-    "preset_definition", "random_corpus", "reproduce", "solve_ndhs",
-    "unit_matrix", "validate",
+    "random_corpus", "reproduce", "solve_ndhs", "unit_matrix", "validate",
 ]

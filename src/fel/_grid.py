@@ -1,4 +1,4 @@
-"""Spatial-hash helpers: tolerance-based point merging and fixed-radius pair search.
+"""Spatial-hash helpers: tolerance-based point merging.
 
 Vertex coordinates are irrational in general, so canonical point identity is
 decided by a grid hash with cell size equal to the merge tolerance.  Distinct
@@ -180,66 +180,3 @@ class MergeTable:
         self.sorted_ids = remap[self.sorted_ids]
         return remap
 
-
-def near_pairs(points: np.ndarray, radius: float, max_chunk: int = 1 << 22):
-    """Yield (i, j, dist) arrays over unordered pairs with 0 < dist < radius.
-
-    Grid-bucketed with exact distance filtering, so the result is identical
-    to an all-pairs scan.  Indices satisfy i < j.
-    """
-    n, dim = points.shape
-    r2 = radius * radius
-    if n <= 1500:
-        for i0 in range(0, n, 1024):
-            block = points[i0 : i0 + 1024]
-            d2 = ((block[:, None, :] - points[None, :, :]) ** 2).sum(axis=2)
-            ii, jj = np.nonzero(d2 < r2)
-            keep = (ii + i0) < jj
-            yield ii[keep] + i0, jj[keep], np.sqrt(d2[ii[keep], jj[keep]])
-        return
-
-    cell = np.floor(points / radius).astype(np.int64)
-    lo = cell.min(axis=0)
-    cell -= lo
-    spans = np.maximum(cell.max(axis=0) + 1, 3)
-    mult = np.ones(dim, dtype=np.int64)
-    for i in range(dim - 2, -1, -1):
-        mult[i] = mult[i + 1] * spans[i + 1]
-    keys = cell @ mult
-    order = np.argsort(keys, kind="stable")
-    sorted_keys = keys[order]
-    ukeys, starts = np.unique(sorted_keys, return_index=True)
-    ends = np.append(starts[1:], n)
-    bucket_of = {int(k): b for b, k in enumerate(ukeys)}
-    # Packed offsets can collide for small spans; the set keeps each bucket
-    # visited once, and exact distance filtering absorbs false neighbors.
-    nonneg = sorted(
-        {
-            int(np.dot(delta, mult))
-            for delta in itertools.product((-1, 0, 1), repeat=dim)
-            if np.dot(delta, mult) > 0
-        }
-    )
-
-    def cross(idx_a, idx_b, same):
-        pa, pb = points[idx_a], points[idx_b]
-        step = max(1, max_chunk // max(len(idx_b), 1))
-        for a0 in range(0, len(idx_a), step):
-            sub = slice(a0, a0 + step)
-            d2 = ((pa[sub, None, :] - pb[None, :, :]) ** 2).sum(axis=2)
-            ii, jj = np.nonzero(d2 < r2)
-            gi, gj = idx_a[sub][ii], idx_b[jj]
-            if same:
-                keep = gi < gj
-                gi, gj, ii, jj = gi[keep], gj[keep], ii[keep], jj[keep]
-            if len(gi):
-                yield gi, gj, np.sqrt(d2[ii, jj])
-
-    for b, k in enumerate(ukeys):
-        idx = order[starts[b] : ends[b]]
-        yield from cross(idx, idx, same=True)
-        for off in nonneg:
-            nb = bucket_of.get(int(k + off))
-            if nb is not None:
-                jdx = order[starts[nb] : ends[nb]]
-                yield from cross(idx, jdx, same=False)

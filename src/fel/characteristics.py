@@ -35,7 +35,4 @@ def dimensions(system: FractalSystem, hs: HarmonicStructure) -> DimensionReport:
     d_f = math.log(M) / math.log(L)
     d_w = math.log(M * rho) / math.log(L)
     d_s = 2.0 * d_f / d_w
-    assert abs(rho - L ** (d_w - d_f)) <= 1e-12 * rho
-    assert d_s < 2.0 and d_w > d_f
-    assert rho * M > 2.0
     return DimensionReport(M=M, L=L, rho=rho, d_f=d_f, d_w=d_w, d_s=d_s)

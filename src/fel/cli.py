@@ -14,7 +14,6 @@ import csv
 import json
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import energy as energy_mod
@@ -32,26 +31,12 @@ from .render import render_svg
 _FMT = "%.17g"
 
 
-@dataclass
-class RunConfig:
-    """Parsed invocation: fractal source, command, levels, corpus, cap, seed."""
-
-    fractal: str
-    command: str
-    m_max: int | None = None
-    level: int | None = None
-    corpus: str | None = None
-    out: str | None = None
-    max_points: int | None = None
-    seed: int = 0
-
-    def warn_levels(self) -> None:
-        # The recommended margin for measure approximation; informational only.
-        if self.m_max is not None and self.level is not None \
-                and self.level < self.m_max + 3:
-            print(f"note: level {self.level} is below m_max + 3 = {self.m_max + 3}; "
-                  "coefficients at the deepest scales are coarsely resolved",
-                  file=sys.stderr)
+def _warn_levels(m_max: int, level: int) -> None:
+    # The recommended margin for measure approximation; informational only.
+    if level < m_max + 3:
+        print(f"note: level {level} is below m_max + 3 = {m_max + 3}; "
+              "coefficients at the deepest scales are coarsely resolved",
+              file=sys.stderr)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -173,9 +158,7 @@ def _cmd_energy(args) -> int:
 
 
 def _cmd_lipschitz(args) -> int:
-    cfg = RunConfig(fractal=args.fractal, command="lipschitz", m_max=args.mmax,
-                    level=args.level, out=args.out)
-    cfg.warn_levels()
+    _warn_levels(args.mmax, args.level)
     system = _build_system(args.fractal, args.level, _max_points(args))
     hs = solve_ndhs(system)
     spec = energy_mod.parse_function_spec(args.function)
@@ -200,9 +183,7 @@ def _cmd_lipschitz(args) -> int:
 
 
 def _cmd_equivalence(args) -> int:
-    cfg = RunConfig(fractal=args.fractal, command="equivalence", m_max=args.mmax,
-                    level=args.level, corpus=args.corpus, seed=args.seed)
-    cfg.warn_levels()
+    _warn_levels(args.mmax, args.level)
     system = _build_system(args.fractal, args.level, _max_points(args))
     hs = solve_ndhs(system)
     if args.generate_corpus:

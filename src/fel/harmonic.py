@@ -148,9 +148,8 @@ class HarmonicStructure:
         """Entrywise infinity-norm of rho * (De o R)(A) - A."""
         lifted = reproduce(system, self.matrix)
         back, _ = decimate(lifted, system.promote[0])
-        perm = _v0_order(system)
-        return float(np.abs(self.rho * back.entries[np.ix_(perm, perm)]
-                            - self.matrix.entries).max())
+        # decimate keeps the boundary rows in the order given: row p is V_0 point p.
+        return float(np.abs(self.rho * back.entries - self.matrix.entries).max())
 
 
 def pair_orbit_classes(system: FractalSystem) -> list[list[tuple[int, int]]]:
@@ -184,13 +183,6 @@ def pair_orbit_classes(system: FractalSystem) -> list[list[tuple[int, int]]]:
     for p, k in index.items():
         groups.setdefault(find(k), []).append(p)
     return [groups[r] for r in sorted(groups)]
-
-
-def _v0_order(system: FractalSystem) -> np.ndarray:
-    """Positions of the V_0 ids inside the boundary list promote[0] (sorted use)."""
-    # decimate() keeps boundary rows in the order given; we pass promote[0]
-    # directly, so row p of the result corresponds to V_0 point p already.
-    return np.arange(system.M0)
 
 
 def _class_matrix(system, classes, values) -> np.ndarray:

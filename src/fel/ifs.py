@@ -48,6 +48,8 @@ class Similitude:
             raise ValueError("rotation must be N x N and translation length N")
         if not self.scale > 1.0:
             raise ValueError("scaling factor must exceed 1")
+        if not (np.isfinite(self.scale) and np.isfinite(u).all() and np.isfinite(v).all()):
+            raise ValueError("scale, rotation and translation must be finite")
         if np.abs(u.T @ u - np.eye(u.shape[0])).max() > _ORTHO_TOL:
             raise ValueError("rotation matrix is not orthogonal within 1e-12")
         object.__setattr__(self, "rotation", u)
@@ -64,21 +66,8 @@ class Similitude:
         return x @ (self.rotation / self.scale).T + self.translation
 
     def fixed_point(self) -> np.ndarray:
-        n = self.dim
-        x = np.linalg.solve(np.eye(n) - self.rotation / self.scale, self.translation)
-        residual = np.linalg.norm(self.apply(x) - x)
-        assert residual <= 1e-10 * (1.0 + np.linalg.norm(x))
-        return x
-
-
-def apply_similitude(psi: Similitude, x) -> np.ndarray:
-    """Evaluate psi at a single point or an array of points."""
-    return psi.apply(x)
-
-
-def fixed_point(psi: Similitude) -> np.ndarray:
-    """The unique solution of psi(x) = x."""
-    return psi.fixed_point()
+        """The unique solution of psi(x) = x."""
+        return np.linalg.solve(np.eye(self.dim) - self.rotation / self.scale, self.translation)
 
 
 def essential_fixed_points(maps: list[Similitude], tol: float | None = None) -> np.ndarray:
@@ -216,11 +205,6 @@ class FractalSystem:
             index //= self.M
         return tuple(reversed(digits))
 
-    def point_addresses(self, m: int, point_id: int) -> list[tuple[int, ...]]:
-        """All level-m addresses of one canonical point (they are not unique)."""
-        rows, slots = np.nonzero(self.cells[m] == point_id)
-        return [self.cell_address(m, int(r)) + (int(s),) for r, s in zip(rows, slots)]
-
     # -- id plumbing -------------------------------------------------------
 
     def lift(self, m: int, n: int) -> np.ndarray:
@@ -256,30 +240,6 @@ class FractalSystem:
         self._neighbor_cache[m] = pairs
         return pairs
 
-    def symplex_neighborhoods(self, m: int) -> "SymplexNeighborhood":
-        """For each level-m symplex S, the symplices sharing a vertex with S."""
-        cells = self.cells[m]
-        n_cells = cells.shape[0]
-        incident: dict[int, list[int]] = {}
-        for c in range(n_cells):
-            for v in cells[c]:
-                incident.setdefault(int(v), []).append(c)
-        members = []
-        for c in range(n_cells):
-            near: set[int] = set()
-            for v in cells[c]:
-                near.update(incident[int(v)])
-            members.append(np.array(sorted(near), dtype=np.int64))
-        return SymplexNeighborhood(level=m, members=members)
-
-    def points_in_symplex(self, m: int, index: int, n: int) -> np.ndarray:
-        """Ids of V_n points lying in the level-m symplex with the given index."""
-        if n < m:
-            raise ValueError("need n >= m")
-        span = self.M ** (n - m)
-        rows = self.cells[n][index * span : (index + 1) * span]
-        return np.unique(rows)
-
     # -- vertex counting beyond stored levels --------------------------------
 
     def count_vertices(self, up_to: int, max_points: int | None = None) -> list[int]:
@@ -294,17 +254,6 @@ class FractalSystem:
             counts.append(table.count)
             pts = table.point_array()
         return counts
-
-
-@dataclass
-class SymplexNeighborhood:
-    """S_* structure: for each symplex, every symplex touching it (itself included)."""
-
-    level: int
-    members: list[np.ndarray]
-
-    def of(self, index: int) -> np.ndarray:
-        return self.members[index]
 
 
 def _check_cap(M: int, m: int, M0: int, cap: int) -> None:

@@ -30,7 +30,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._grid import near_pairs
 from .characteristics import dimensions
 from .energy import FunctionSpec, VertexFunction, energy_sequence
 from .errors import ResolutionTooCoarse
@@ -82,18 +81,6 @@ def _owners(system: FractalSystem, n: int) -> np.ndarray:
     cell = np.repeat(np.arange(system.M**n, dtype=np.int64), system.M0)
     np.minimum.at(owner, system.cells[n].ravel(), cell)
     return owner
-
-
-def iter_radius_pairs(system: FractalSystem, n: int, radius: float, chunk: int = 1 << 22):
-    """Yield (i, j, dist) chunks over unordered V_n pairs with d2 < radius^2.
-
-    Indices satisfy i < j; each pair appears exactly once; chunk boundaries
-    and ordering are deterministic.  Float rounding decides pairs at exactly
-    the radius; the pair sums use the ties-out cutoff instead.
-    """
-    if radius > system.c0:
-        raise ValueError("cutoff radius above c0 is not supported")
-    yield from near_pairs(system.points[n], radius, max_chunk=chunk)
 
 
 class _Level(NamedTuple):

@@ -17,7 +17,6 @@ verifies it for arbitrary input.
 from __future__ import annotations
 
 import json
-import math
 from importlib import resources
 from pathlib import Path
 
@@ -26,41 +25,6 @@ import numpy as np
 from .ifs import Similitude
 
 PRESET_NAMES = ("gasket2", "gasket3", "snowflake")
-
-
-def _gasket_maps(corners: np.ndarray) -> list[dict]:
-    dim = corners.shape[1]
-    eye = np.eye(dim)
-    return [
-        {"rotation": eye.ravel().tolist(), "translation": (c / 2.0).tolist()}
-        for c in corners
-    ]
-
-
-def preset_definition(name: str) -> dict:
-    if name == "gasket2":
-        corners = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, math.sqrt(3.0) / 2.0]])
-        return {"name": name, "dimension": 2, "scale": 2.0, "maps": _gasket_maps(corners)}
-    if name == "gasket3":
-        corners = np.array(
-            [
-                [0.0, 0.0, 0.0],
-                [1.0, 0.0, 0.0],
-                [0.5, math.sqrt(3.0) / 2.0, 0.0],
-                [0.5, math.sqrt(3.0) / 6.0, math.sqrt(6.0) / 3.0],
-            ]
-        )
-        return {"name": name, "dimension": 3, "scale": 2.0, "maps": _gasket_maps(corners)}
-    if name == "snowflake":
-        eye = np.eye(2)
-        maps = []
-        for k in range(6):
-            h = np.array([math.cos(k * math.pi / 3.0), math.sin(k * math.pi / 3.0)])
-            maps.append({"rotation": eye.ravel().tolist(),
-                         "translation": (2.0 * h / 3.0).tolist()})
-        maps.append({"rotation": eye.ravel().tolist(), "translation": [0.0, 0.0]})
-        return {"name": name, "dimension": 2, "scale": 3.0, "maps": maps}
-    raise KeyError(f"unknown preset {name!r}")
 
 
 def maps_from_definition(definition: dict) -> tuple[list[Similitude], str | None]:
@@ -95,13 +59,9 @@ def definition_from_maps(maps: list[Similitude], name: str | None) -> dict:
 
 def load_definition(source: str | Path) -> dict:
     """Read a definition from a preset name or a JSON file path."""
-    text = None
     if isinstance(source, str) and source in PRESET_NAMES:
-        try:
-            text = (resources.files("fel") / "presets" / f"{source}.json").read_text("utf-8")
-        except FileNotFoundError:
-            return preset_definition(source)
-    if text is None:
+        text = (resources.files("fel") / "presets" / f"{source}.json").read_text("utf-8")
+    else:
         text = Path(source).read_text("utf-8")
     return json.loads(text)
 
@@ -113,10 +73,3 @@ def load_maps(source: str | Path) -> tuple[list[Similitude], str | None]:
 def write_definition(definition: dict, path: str | Path) -> None:
     Path(path).write_text(json.dumps(definition, indent=2) + "\n", "utf-8")
 
-
-def write_presets(directory: str | Path) -> None:
-    """Materialize the shipped presets as JSON files (used at package build time)."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    for name in PRESET_NAMES:
-        write_definition(preset_definition(name), directory / f"{name}.json")

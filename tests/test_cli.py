@@ -145,20 +145,40 @@ def test_exit_code_bad_args(capsys):
     assert exc.value.code == 3
 
 
-@pytest.mark.parametrize("mmax", ["0", "-2"])
-def test_exit_code_empty_scale_list(mmax):
-    # A fresh interpreter, so an escaping exception would show its traceback.
+def run_fresh(*argv):
+    """Run the CLI in a fresh interpreter, so an escaping exception would show
+    its traceback on stderr."""
     src = str(Path(fel.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    proc = subprocess.run(
-        [sys.executable, "-m", "fel.cli", "lipschitz", "gasket2", "--function", "coord:0",
-         "--mmax", mmax, "--level", "3"],
-        capture_output=True, text=True, env=env, timeout=300,
-    )
+    return subprocess.run([sys.executable, "-m", "fel.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=300)
+
+
+@pytest.mark.parametrize("mmax", ["0", "-2"])
+def test_exit_code_empty_scale_list(mmax):
+    proc = run_fresh("lipschitz", "gasket2", "--function", "coord:0",
+                     "--mmax", mmax, "--level", "3")
     assert proc.returncode == 3
     assert "Traceback" not in proc.stderr
     assert "error: need at least one scale m" in proc.stderr
+
+
+@pytest.mark.parametrize("field, index, text", [
+    ("translation", 0, "NaN"), ("translation", 1, "1e400"), ("rotation", 0, "NaN"),
+])
+def test_exit_code_non_finite_definition(tmp_path, field, index, text):
+    # Three halving maps of the plane, one entry of the third replaced by `text`.
+    definition = {"name": "bad", "dimension": 2, "scale": 2.0,
+                  "maps": [{"rotation": [1.0, 0.0, 0.0, 1.0], "translation": t}
+                           for t in ([0.0, 0.0], [0.5, 0.0], [0.25, 0.5])]}
+    definition["maps"][2][field][index] = "@"
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(definition).replace('"@"', text), encoding="utf-8")
+    proc = run_fresh("describe", str(path))
+    assert proc.returncode == 3
+    assert "Traceback" not in proc.stderr
+    assert "must be finite" in proc.stderr
 
 
 def test_point_cap_env(capsys, monkeypatch):

@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 
 from fel.errors import ConditionViolation, PointCapExceeded
-from fel.ifs import (Similitude, apply_similitude, build, essential_fixed_points,
-                     fixed_point, validate)
+from fel.ifs import Similitude, build, essential_fixed_points, validate
 from fel.presets import load_maps
 
-from helpers import (make_system, overlapping_interval_maps,
-                     perturbed_gasket_maps, rotated_gasket_maps)
+from helpers import (make_system, overlapping_interval_maps, perturbed_gasket_maps,
+                     points_in_symplex, rotated_gasket_maps, symplex_neighborhoods)
 
 SQ3 = math.sqrt(3.0)
 
@@ -25,23 +24,23 @@ def closed_form_counts(system, up_to):
 class TestSimilitude:
     def test_apply_examples(self):
         maps, _ = load_maps("gasket2")
-        assert np.allclose(apply_similitude(maps[1], [0.0, 0.0]), [0.5, 0.0])
-        assert np.allclose(apply_similitude(maps[2], [1.0, 0.0]), [0.75, SQ3 / 4])
+        assert np.allclose(maps[1].apply([0.0, 0.0]), [0.5, 0.0])
+        assert np.allclose(maps[2].apply([1.0, 0.0]), [0.75, SQ3 / 4])
 
     def test_apply_fixed_point_is_fixed(self):
         maps, _ = load_maps("snowflake")
         for s in maps:
-            x = fixed_point(s)
+            x = s.fixed_point()
             assert np.linalg.norm(s.apply(x) - x) <= 1e-10 * (1 + np.linalg.norm(x))
 
     def test_fixed_points_gasket(self):
         maps, _ = load_maps("gasket2")
-        assert np.allclose(fixed_point(maps[0]), [0.0, 0.0])
-        assert np.allclose(fixed_point(maps[2]), [0.5, SQ3 / 2])
+        assert np.allclose(maps[0].fixed_point(), [0.0, 0.0])
+        assert np.allclose(maps[2].fixed_point(), [0.5, SQ3 / 2])
 
     def test_fixed_point_linear_map_origin(self):
         maps, _ = load_maps("snowflake")
-        assert np.allclose(fixed_point(maps[6]), [0.0, 0.0])
+        assert np.allclose(maps[6].fixed_point(), [0.0, 0.0])
 
     def test_contraction_exact_ratio(self):
         rng = np.random.default_rng(3)
@@ -58,6 +57,18 @@ class TestSimilitude:
         with pytest.raises(ValueError):
             Similitude(scale=2.0, rotation=np.array([[1.0, 0.5], [0.0, 1.0]]),
                        translation=np.zeros(2))
+
+    @pytest.mark.parametrize("scale, rotation, translation", [
+        (2.0, [[1.0, 0.0], [0.0, 1.0]], [np.nan, 0.0]),
+        (2.0, [[1.0, 0.0], [0.0, 1.0]], [np.inf, 0.0]),
+        (2.0, [[np.nan, 0.0], [0.0, 1.0]], [0.0, 0.0]),
+        (np.inf, [[1.0, 0.0], [0.0, 1.0]], [0.0, 0.0]),
+    ], ids=["nan-translation", "inf-translation", "nan-rotation", "inf-scale"])
+    def test_rejects_non_finite(self, scale, rotation, translation):
+        # A NaN rotation passes the orthogonality check (nan > tol is False).
+        with pytest.raises(ValueError, match="finite"):
+            Similitude(scale=scale, rotation=np.array(rotation),
+                       translation=np.array(translation))
         with pytest.raises(ValueError):
             Similitude(scale=0.5, rotation=np.eye(2), translation=np.zeros(2))
 
@@ -128,7 +139,7 @@ class TestBuild:
         for m in (1, 2):
             for n in (3, 4):
                 for s in (0, snowflake_l5.M**m - 1):
-                    got = len(snowflake_l5.points_in_symplex(m, s, n))
+                    got = len(points_in_symplex(snowflake_l5, m, s, n))
                     assert got == snowflake_l5.vertex_count(n - m)
 
     def test_counting_measure_weight(self, gasket2_l8):
@@ -164,27 +175,27 @@ class TestBuild:
 
 class TestNeighborhoods:
     def test_self_membership_and_symmetry(self, gasket2_l8):
-        hood = gasket2_l8.symplex_neighborhoods(2)
+        hood = symplex_neighborhoods(gasket2_l8, 2)
         for s, members in enumerate(hood.members):
             assert s in members
             for t in members:
                 assert s in hood.of(t)
 
     def test_gasket_level1_all_touch(self, gasket2_l8):
-        hood = gasket2_l8.symplex_neighborhoods(1)
+        hood = symplex_neighborhoods(gasket2_l8, 1)
         for s in range(3):
             assert list(hood.of(s)) == [0, 1, 2]
 
     def test_snowflake_center_touches_all(self, snowflake_l5):
-        hood = snowflake_l5.symplex_neighborhoods(1)
+        hood = symplex_neighborhoods(snowflake_l5, 1)
         # the 7th map is the center cell
         assert len(hood.of(6)) == 7
 
     def test_sstar_guarantee_holds_at_m1(self, gasket2_l8, snowflake_l5):
         # Brute-force all-pairs check of the S_* localization at m = 1.
         for system, n in ((gasket2_l8, 4), (snowflake_l5, 3)):
-            hood = system.symplex_neighborhoods(1)
-            members = {s: set(system.points_in_symplex(1, s, n).tolist())
+            hood = symplex_neighborhoods(system, 1)
+            members = {s: set(points_in_symplex(system, 1, s, n).tolist())
                        for s in range(system.M)}
             pts = system.points[n]
             d = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
@@ -198,8 +209,8 @@ class TestNeighborhoods:
 
     @staticmethod
     def _sstar_violations(system, m, n):
-        hood = system.symplex_neighborhoods(m)
-        members = {s: set(system.points_in_symplex(m, s, n).tolist())
+        hood = symplex_neighborhoods(system, m)
+        members = {s: set(points_in_symplex(system, m, s, n).tolist())
                    for s in range(system.M**m)}
         pts = system.points[n]
         d = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
@@ -224,8 +235,8 @@ class TestNeighborhoods:
     def test_sstar_guarantee_fails_at_m2_n5(self, gasket2_l8):
         # Known defect of the vertex-sharing neighborhood: 2-cells that touch
         # nowhere carry point pairs closer than c0/L^2 once both endpoints are
-        # edge-interior (first at n = 5).  Pins the geometry that forced the
-        # reach-based candidate filter in the pair enumeration.
+        # edge-interior (first at n = 5).  Pins the geometry that rules out
+        # vertex-sharing neighborhoods as a filter for cutoff pairs.
         bad = self._sstar_violations(gasket2_l8, 2, 5)
         assert bad
         pts = gasket2_l8.points[5]

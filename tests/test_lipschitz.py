@@ -8,37 +8,34 @@ from fel.errors import ResolutionTooCoarse
 from fel.lipschitz import (a_coefficient, b_coefficient,
                            coefficient_table, default_params,
                            equivalence_experiment, hoelder_estimate,
-                           iter_radius_pairs, norm_report)
+                           norm_report)
 
-from helpers import brute_force_coefficient, brute_force_pairs, enumerated_pairs
+from helpers import (brute_force_coefficient, brute_force_degrees, degrees_match,
+                     walk_degrees)
 
 
 class TestPairEnumeration:
+    """The pair set the coefficients sum over, read back from the walk as the
+    degree of each V_n point in the cutoff graph, against an all-pairs scan."""
+
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_gasket_pair_sets_match_brute_force(self, gasket2_l8, m):
         radius = gasket2_l8.c0 / gasket2_l8.L**m
         for n in (4, 5):
-            assert enumerated_pairs(gasket2_l8, n, radius) == \
-                brute_force_pairs(gasket2_l8, n, radius)
+            assert degrees_match(walk_degrees(gasket2_l8, n, radius),
+                                 brute_force_degrees(gasket2_l8, n, radius))
 
-    def test_snowflake_grid_fallback_matches(self, snowflake_l5):
-        # base-2 cutoff at m=1 exceeds c0/L on an L=3 fractal: grid path
-        radius = snowflake_l5.c0 / 2.0
-        assert enumerated_pairs(snowflake_l5, 3, radius) == \
-            brute_force_pairs(snowflake_l5, 3, radius)
+    @pytest.mark.parametrize("base", [2, 3])
+    def test_snowflake_pair_sets_match_brute_force(self, snowflake_l5, base):
+        radius = snowflake_l5.c0 / base
+        assert degrees_match(walk_degrees(snowflake_l5, 3, radius),
+                             brute_force_degrees(snowflake_l5, 3, radius))
 
-    def test_snowflake_sstar_path_matches(self, snowflake_l5):
-        radius = snowflake_l5.c0 / 3.0
-        assert enumerated_pairs(snowflake_l5, 3, radius) == \
-            brute_force_pairs(snowflake_l5, 3, radius)
-
-    def test_no_duplicates(self, gasket2_l8):
-        seen = 0
-        uniq = set()
-        for i, j, _ in iter_radius_pairs(gasket2_l8, 5, 0.25):
-            seen += len(i)
-            uniq.update(zip(i.tolist(), j.tolist()))
-        assert seen == len(uniq)
+    @pytest.mark.parametrize("base", [2, 4])
+    def test_gasket3_pair_sets_match_brute_force(self, gasket3_l8, base):
+        radius = gasket3_l8.c0 / base
+        assert degrees_match(walk_degrees(gasket3_l8, 4, radius),
+                             brute_force_degrees(gasket3_l8, 4, radius))
 
 
 class TestCoefficients:
