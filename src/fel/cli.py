@@ -19,9 +19,9 @@ from pathlib import Path
 from . import energy as energy_mod
 from . import lipschitz as lip_mod
 from .characteristics import dimensions
-from .errors import (ConditionViolation, DegenerateStructure, NoConvergence,
-                     PointCapExceeded, ResolutionTooCoarse, SingularInterior,
-                     UnsupportedDimension)
+from .errors import (ConditionViolation, DegenerateStructure, InvariantViolation,
+                     NoConvergence, PointCapExceeded, ResolutionTooCoarse,
+                     SingularInterior, UnsupportedDimension)
 from .harmonic import solve_ndhs
 from .ifs import FractalSystem, build, validate
 from .presets import (PRESET_NAMES, definition_from_maps, load_maps,
@@ -299,6 +299,9 @@ def main(argv=None) -> int:
         return 1
     except (NoConvergence, SingularInterior, DegenerateStructure) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
+        return 2
+    except InvariantViolation as exc:
+        print(f"internal invariant violated: {exc}", file=sys.stderr)
         return 2
     except (OSError, ValueError, KeyError, json.JSONDecodeError, PointCapExceeded,
             ResolutionTooCoarse, UnsupportedDimension) as exc:

@@ -17,11 +17,13 @@ Functions are specified in a small mini-language shared with the CLI:
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import InvariantViolation
 from .harmonic import HarmonicStructure
 from .ifs import FractalSystem
 
@@ -53,13 +55,19 @@ def _check_level(system: FractalSystem, f: VertexFunction) -> None:
 def energy_m(system: FractalSystem, hs: HarmonicStructure, f: VertexFunction) -> float:
     """E^(m)(f,f) = rho^m * sum over m-symplices of the pulled-back base form.
 
-    Per-cell energies are combined with exact (fsum) accumulation so chunked
-    or parallel evaluation cannot change the result.
+    Each cell contributes the edge sum sum_{p<q} a_pq (f_p - f_q)^2 of the
+    base form.  Its terms are nonnegative, so nothing cancels, and a
+    near-constant function keeps full relative precision.  Per-cell energies
+    are combined with exact (fsum) accumulation, so the result does not
+    depend on the order of the cells.
     """
     _check_level(system, f)
     cells = system.cells[f.level]
-    vals = f.values[cells]
-    cell_energy = -np.einsum("cp,pq,cq->c", vals, hs.matrix.entries, vals)
+    a = hs.matrix.entries
+    cols = [f.values[cells[:, p]] for p in range(system.M0)]
+    cell_energy = np.zeros(cells.shape[0])
+    for p, q in itertools.combinations(range(system.M0), 2):
+        cell_energy += a[p, q] * (cols[p] - cols[q]) ** 2
     return float(hs.rho**f.level * math.fsum(cell_energy.tolist()))
 
 
@@ -67,9 +75,12 @@ def harmonic_extension(system: FractalSystem, hs: HarmonicStructure,
                        f: VertexFunction, n: int) -> VertexFunction:
     """Extend f from its level to level n with minimal-energy interior values.
 
-    Values at shared vertices are written independently by each parent cell
-    and asserted consistent (not averaged), so a non-invariant extension
-    matrix surfaces as an error instead of a silent smoothing.
+    Each level-k cell writes its interior values to the new vertices of level
+    k + 1, and the promoted level-k values keep their vertices.  A bincount of
+    the write targets checks that every vertex of level k + 1 is written.
+    A vertex written more than once must receive consistent values (they are
+    not averaged), so a non-invariant extension matrix or a broken vertex
+    table raises InvariantViolation instead of smoothing silently.
     """
     _check_level(system, f)
     if not f.level <= n <= system.max_level:
@@ -82,34 +93,38 @@ def harmonic_extension(system: FractalSystem, hs: HarmonicStructure,
 
 def _extend_one(system: FractalSystem, hs: HarmonicStructure,
                 values: np.ndarray, k: int) -> np.ndarray:
-    m_count = len(system.maps)
-    m0 = system.M0
     n_next = system.vertex_count(k + 1)
     n_cells = system.cells[k].shape[0]
-    children = system.cells[k + 1].reshape(n_cells, m_count, m0)
-    # Global ids of each abstract V_1 point inside every parent cell.
-    local_to_global = np.empty((n_cells, system.vertex_count(1)), dtype=np.int64)
-    local_to_global[:, system.cells[1].ravel()] = children.reshape(n_cells, m_count * m0)
-    interior = hs.interior_ids
+    # Each abstract V_1 point's last position among the children's vertices.
+    v1_slots = system.cells[1].ravel()
+    slot = np.empty(system.vertex_count(1), dtype=np.int64)
+    slot[v1_slots] = np.arange(v1_slots.size)
+    children = system.cells[k + 1].reshape(n_cells, v1_slots.size)
     interior_vals = values[system.cells[k]] @ hs.extension_matrix.T
 
-    targets = np.concatenate([local_to_global[:, interior].ravel(), system.promote[k]])
+    targets = np.concatenate([children[:, slot[hs.interior_ids]].ravel(), system.promote[k]])
     writes = np.concatenate([interior_vals.ravel(), values])
-    order = np.argsort(targets, kind="stable")
-    t_sorted, w_sorted = targets[order], writes[order]
-    starts = np.flatnonzero(np.r_[True, t_sorted[1:] != t_sorted[:-1]])
-    spread = (np.maximum.reduceat(w_sorted, starts)
-              - np.minimum.reduceat(w_sorted, starts))
-    tol = SHARED_VERTEX_TOL * max(1.0, float(np.abs(values).max(initial=0.0)))
-    if spread.max(initial=0.0) > tol:
-        raise AssertionError(
-            "conflicting values at a shared vertex during extension "
-            f"(spread {spread.max():g}); extension matrix is not symmetry-invariant"
-        )
-    if len(starts) != n_next:
-        raise AssertionError("extension did not cover every vertex of the next level")
-    out = np.empty(n_next)
-    out[t_sorted[starts]] = w_sorted[starts]
+    counts = np.bincount(targets, minlength=n_next)
+    out = np.empty(counts.size)
+    out[targets] = writes
+    # A new vertex lies in one level-k cell, so only a broken system writes
+    # a vertex twice; such groups must agree, and the first write is kept.
+    shared = np.flatnonzero(counts[targets] > 1)
+    if shared.size:
+        order = np.argsort(targets[shared], kind="stable")
+        t_sorted, w_sorted = targets[shared][order], writes[shared][order]
+        starts = np.flatnonzero(np.r_[True, t_sorted[1:] != t_sorted[:-1]])
+        spread = (np.maximum.reduceat(w_sorted, starts)
+                  - np.minimum.reduceat(w_sorted, starts))
+        tol = SHARED_VERTEX_TOL * max(1.0, float(np.abs(values).max(initial=0.0)))
+        if spread.max() > tol:
+            raise InvariantViolation(
+                "conflicting values at a shared vertex during extension "
+                f"(spread {spread.max():g}); extension matrix is not symmetry-invariant"
+            )
+        out[t_sorted[starts]] = w_sorted[starts]
+    if counts.size != n_next or not counts.all():
+        raise InvariantViolation("extension did not cover every vertex of the next level")
     return out
 
 

@@ -46,5 +46,10 @@ class DegenerateStructure(FelError):
     """A solved harmonic structure has rho <= 1 (solver failure)."""
 
 
+class InvariantViolation(FelError):
+    """An internal consistency check failed: the code or its input tables
+    broke an invariant that a valid nested fractal guarantees."""
+
+
 class UnsupportedDimension(FelError):
     """Operation only defined for planar (N = 2) systems."""

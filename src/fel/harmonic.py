@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NoConvergence, SingularInterior
+from .errors import InvariantViolation, NoConvergence, SingularInterior
 from .ifs import FractalSystem
 
 MAX_ITERATIONS = 10_000
@@ -199,7 +199,7 @@ def _class_values_of(entries: np.ndarray, classes, check_tol=1e-8) -> np.ndarray
         vals = np.array([entries[i, j] for i, j in cls])
         spread = vals.max() - vals.min()
         if spread > check_tol * max(np.abs(vals).max(), 1.0):
-            raise AssertionError(
+            raise InvariantViolation(
                 f"decimated matrix is not constant on orbit class {k} (spread {spread:g})"
             )
         values[k] = vals.mean()

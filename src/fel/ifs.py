@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._grid import MergeTable, Quantizer
-from .errors import ConditionViolation, PointCapExceeded
+from .errors import ConditionViolation, InvariantViolation, PointCapExceeded
 
 DEFAULT_MAX_POINTS = 2_000_000
 
@@ -352,7 +352,7 @@ def build(maps: list[Similitude], max_level: int, *, max_points: int | None = No
         )
         lifted = table.lookup(points[-1])
         if (lifted < 0).any():
-            raise AssertionError("a vertex failed to persist to the next level")
+            raise InvariantViolation("a vertex failed to persist to the next level")
         points.append(table.point_array())
         cells.append(cells_m)
         promote.append(lifted)

@@ -34,13 +34,18 @@ def maps_from_definition(definition: dict) -> tuple[list[Similitude], str | None
         raw_maps = definition["maps"]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed fractal definition: {exc}") from exc
+    if not isinstance(raw_maps, list):
+        raise ValueError(f"malformed fractal definition: maps must be a list, "
+                         f"not {type(raw_maps).__name__}")
     maps = []
     for k, entry in enumerate(raw_maps):
-        rot = np.array(entry["rotation"], dtype=float).reshape(dim, dim)
-        tr = np.array(entry["translation"], dtype=float)
+        if not (isinstance(entry, dict) and {"rotation", "translation"} <= entry.keys()):
+            raise ValueError(f"map {k + 1}: expected an object with rotation and translation")
         try:
+            rot = np.array(entry["rotation"], dtype=float).reshape(dim, dim)
+            tr = np.array(entry["translation"], dtype=float)
             maps.append(Similitude(scale=scale, rotation=rot, translation=tr))
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             raise ValueError(f"map {k + 1}: {exc}") from exc
     return maps, definition.get("name")
 

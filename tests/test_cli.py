@@ -181,6 +181,29 @@ def test_exit_code_non_finite_definition(tmp_path, field, index, text):
     assert "must be finite" in proc.stderr
 
 
+@pytest.mark.parametrize("maps", [
+    5, [[1, 2]], [{"rotation": [1.0, 0.0, 0.0, 1.0]}], [{"rotation": {}, "translation": [0, 0]}],
+])
+def test_exit_code_malformed_maps(tmp_path, maps):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"name": "bad", "dimension": 2, "scale": 2.0, "maps": maps}),
+                    encoding="utf-8")
+    proc = run_fresh("describe", str(path))
+    assert proc.returncode == 3
+    assert "Traceback" not in proc.stderr
+    assert "error: " in proc.stderr
+
+
+def test_exit_code_invariant_violation(capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise fel.InvariantViolation("a vertex failed to persist to the next level")
+
+    monkeypatch.setattr(fel.cli, "build", broken)
+    code, _, err = run(capsys, "describe", "gasket2")
+    assert code == 2
+    assert "invariant violated: a vertex failed to persist" in err
+
+
 def test_point_cap_env(capsys, monkeypatch):
     monkeypatch.setenv("FEL_MAX_POINTS", "10")
     code, _, err = run(capsys, "describe", "gasket2")

@@ -1,9 +1,15 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 
 from fel.energy import (VertexFunction, energy_m, energy_sequence,
                         harmonic_extension, parse_function_spec, random_corpus)
-from fel.harmonic import energy0, unit_matrix
+from fel.errors import InvariantViolation
+from fel.harmonic import energy0, solve_ndhs, unit_matrix
+
+from helpers import make_system
 
 
 class TestEnergyM:
@@ -53,6 +59,36 @@ class TestEnergyM:
         eminus = energy_m(gasket2_l8, gasket2_hs, VertexFunction(m, f - g))
         assert eplus + eminus == pytest.approx(2 * ef + 2 * eg, abs=1e-10 * (1 + ef + eg))
 
+    def test_independent_of_cell_order(self):
+        # Exact (fsum) accumulation: reordering the cells gives the same float.
+        system = make_system("gasket3", 5)
+        hs = solve_ndhs(system)
+        rng = np.random.default_rng(24)
+        n = 5
+        f = VertexFunction(n, rng.normal(size=system.vertex_count(n)))
+        before = energy_m(system, hs, f)
+        system.cells[n] = system.cells[n][rng.permutation(system.cells[n].shape[0])]
+        assert energy_m(system, hs, f) == before
+
+    @pytest.mark.parametrize("preset, level", [("gasket2", 6), ("gasket3", 4),
+                                               ("snowflake", 3)])
+    def test_near_constant_harmonic_energy_is_exact(self, preset, level):
+        # Data 1000 + 1e-3 p / #V_0 on V_0: every E_m of its harmonic extension
+        # equals the edge sum of the data.  The per-cell form -v'Av cancels
+        # here and missed it by up to 71 % (snowflake L3).
+        system = make_system(preset, level)
+        hs = solve_ndhs(system)
+        data = 1000.0 + 1e-3 * np.arange(system.M0) / system.M0
+        a = hs.matrix.entries
+        exact = math.fsum(a[p, q] * (data[p] - data[q]) ** 2
+                          for p, q in itertools.combinations(range(system.M0), 2))
+        f = harmonic_extension(system, hs, VertexFunction(0, data), level)
+        seq = energy_sequence(system, hs, f)
+        assert [m for m, _ in seq.entries] == list(range(level + 1))
+        for _, e in seq.entries:
+            assert abs(e - exact) <= 1e-12 * exact
+        assert seq.monotone_ok
+
 
 class TestHarmonicExtension:
     def test_midpoint_rule(self, gasket2_l8, gasket2_hs):
@@ -86,15 +122,24 @@ class TestHarmonicExtension:
             assert en == pytest.approx(e0, rel=1e-9)
 
     def test_conflicting_writes_detected(self, gasket2_hs):
-        # Shared-vertex values are asserted consistent, not averaged: glue two
+        # Shared-vertex values are checked consistent, not averaged: glue two
         # distinct boundary vertices onto one target and the guard must fire.
-        from helpers import make_system
         system = make_system("gasket2", 2)
         system.promote[0] = system.promote[0].copy()
         system.promote[0][1] = system.promote[0][0]
-        with pytest.raises(AssertionError, match="shared vertex|cover"):
+        with pytest.raises(InvariantViolation, match="shared vertex|cover"):
             harmonic_extension(system, gasket2_hs,
                                VertexFunction(0, np.array([1.0, 0.0, 0.0])), 1)
+
+    def test_uncovered_vertex_detected(self, gasket2_hs):
+        # Equal data on the two glued vertices passes the shared-vertex check,
+        # and the vertex that lost its writer must be reported.
+        system = make_system("gasket2", 2)
+        system.promote[0] = system.promote[0].copy()
+        system.promote[0][1] = system.promote[0][0]
+        with pytest.raises(InvariantViolation, match="cover"):
+            harmonic_extension(system, gasket2_hs,
+                               VertexFunction(0, np.array([1.0, 1.0, 0.0])), 1)
 
     def test_level_overflow(self, gasket2_l8, gasket2_hs):
         with pytest.raises(ValueError):

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from fel.energy import VertexFunction, harmonic_extension
-from fel.errors import SingularInterior
-from fel.harmonic import (ConductivityMatrix, HarmonicStructure, decimate, energy0,
-                          from_off_diagonal, pair_orbit_classes, reproduce,
-                          solve_ndhs, unit_matrix)
+from fel.errors import InvariantViolation, SingularInterior
+from fel.harmonic import (ConductivityMatrix, HarmonicStructure, _class_values_of,
+                          decimate, energy0, from_off_diagonal, pair_orbit_classes,
+                          reproduce, solve_ndhs, unit_matrix)
 
 
 def quadratic_form(entries, f):
@@ -176,6 +176,12 @@ class TestDecimate:
         b = from_off_diagonal(np.arange(4), off)
         with pytest.raises(SingularInterior):
             decimate(b, np.array([0, 1]))
+
+    def test_class_values_reject_a_non_constant_class(self):
+        # Pairs (0, 1) and (0, 2) in one orbit class must carry one value.
+        entries = np.array([[-3.0, 1.0, 2.0], [1.0, -2.0, 1.0], [2.0, 1.0, -3.0]])
+        with pytest.raises(InvariantViolation, match="not constant on orbit class 0"):
+            _class_values_of(entries, [[(0, 1), (0, 2)]])
 
 
 class TestSolveNdhs:
