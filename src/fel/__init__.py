@@ -12,8 +12,8 @@ from .harmonic import (ConductivityMatrix, HarmonicStructure, decimate, energy0,
 from .ifs import (FractalSystem, Similitude, ValidationReport, build,
                   essential_fixed_points, validate)
 from .lipschitz import (ExperimentSummary, LipschitzParams, NormReport,
-                        a_coefficient, b_coefficient, default_params,
-                        equivalence_experiment, hoelder_estimate, norm_report)
+                        b_coefficient, default_params, equivalence_experiment,
+                        hoelder_estimate, norm_report)
 from .presets import load_definition, load_maps
 
 __version__ = "0.1.0"
@@ -25,7 +25,7 @@ __all__ = [
     "LipschitzParams", "NoConvergence", "NormReport", "PointCapExceeded",
     "ResolutionTooCoarse", "Similitude", "SingularInterior",
     "UnsupportedDimension", "ValidationReport", "VertexFunction",
-    "a_coefficient", "b_coefficient", "build", "decimate", "default_params",
+    "b_coefficient", "build", "decimate", "default_params",
     "dimensions", "energy0", "energy_m", "energy_sequence",
     "equivalence_experiment", "essential_fixed_points", "from_off_diagonal",
     "harmonic_extension", "hoelder_estimate", "load_definition", "load_maps",

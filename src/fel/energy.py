@@ -29,6 +29,9 @@ from .ifs import FractalSystem
 
 MONOTONE_SLACK = 1e-9
 SHARED_VERTEX_TOL = 1e-10
+EXACT_SUM_CHUNK = 1 << 16
+EXACT_SUM_MAX_TERMS = 1 << 26
+_SUM_BINS = 2046  # one bin per scale 2^s, s = -1074 .. 971
 
 
 @dataclass(frozen=True)
@@ -52,23 +55,82 @@ def _check_level(system: FractalSystem, f: VertexFunction) -> None:
         )
 
 
+def exact_sum(terms) -> float:
+    """The correctly rounded sum of float64 terms: math.fsum(terms), bit for bit.
+
+    Each finite term is mant * 2^s exactly, with mant an integer, |mant| <
+    2^53, and s = max(e - 53, -1074) from its frexp exponent e.  The high 27
+    and low 26 bits of mant go into one bin per s, added by np.bincount over
+    chunks of EXACT_SUM_CHUNK terms.  Every bin total is an integer below
+    2^53, so exact, while the input holds at most EXACT_SUM_MAX_TERMS = 2^26
+    terms; longer input raises ValueError (the point cap keeps cells and
+    vertices far below it).  math.fsum of the scaled bin totals rounds the
+    exact sum once, which is also what math.fsum of the terms returns.
+
+    Non-finite terms follow fsum: nan gives nan, inf gives inf, and +inf
+    with -inf raises ValueError.  A finite sum beyond the float range raises
+    OverflowError.  fsum's overflow test also depends on the order of the
+    terms (1e308, 1e308, -1e308 overflows; 1e308, -1e308, 1e308 does not),
+    while this sum does not; on nonnegative terms, such as energies, both
+    raise exactly when the sum leaves the float range.
+    """
+    x = np.asarray(terms, dtype=float)
+    if x.size > EXACT_SUM_MAX_TERMS:
+        raise ValueError(f"exact_sum takes at most {EXACT_SUM_MAX_TERMS} terms (got {x.size})")
+    x = x.reshape(-1)
+    hi_bins = np.zeros(_SUM_BINS)
+    lo_bins = np.zeros(_SUM_BINS)
+    special = []
+    for start in range(0, x.size, EXACT_SUM_CHUNK):
+        chunk = x[start:start + EXACT_SUM_CHUNK]
+        finite = np.isfinite(chunk)
+        if not finite.all():
+            special.append(chunk[~finite])
+            chunk = chunk[finite]
+        scale = np.maximum(np.frexp(chunk)[1] - 53, -1074)
+        mant = np.ldexp(chunk, -scale)
+        hi = np.floor(mant * 2.0**-26)
+        bins = scale + 1074
+        hi_bins += np.bincount(bins, weights=hi, minlength=_SUM_BINS)
+        lo_bins += np.bincount(bins, weights=mant - hi * 2.0**26, minlength=_SUM_BINS)
+    scaled = [math.ldexp(float(bins[b]), int(b) + shift)
+              for bins, shift in ((hi_bins, 26 - 1074), (lo_bins, -1074))
+              for b in np.flatnonzero(bins)]
+    if special:
+        scaled.extend(np.unique(np.concatenate(special)).tolist())
+    return math.fsum(scaled)
+
+
+def _fixing_maps(system: FractalSystem) -> np.ndarray:
+    """For each V_0 point p, a map k_p with psi_{k_p}(p) = p."""
+    fixes = system.cells[1] == system.promote[0]
+    if not fixes.any(axis=0).all():
+        raise InvariantViolation("a V_0 point is the fixed point of no map")
+    return fixes.argmax(axis=0)
+
+
+def _cells_energy(hs: HarmonicStructure, cols: list[np.ndarray], level: int) -> float:
+    """rho^level times the exact sum of the cells' edge sums; cols[p] holds
+    the values at corner p of every cell."""
+    a = hs.matrix.entries
+    cell_energy = np.zeros(cols[0].shape[0])
+    for p, q in itertools.combinations(range(len(cols)), 2):
+        cell_energy += a[p, q] * (cols[p] - cols[q]) ** 2
+    return float(hs.rho**level * exact_sum(cell_energy))
+
+
 def energy_m(system: FractalSystem, hs: HarmonicStructure, f: VertexFunction) -> float:
     """E^(m)(f,f) = rho^m * sum over m-symplices of the pulled-back base form.
 
     Each cell contributes the edge sum sum_{p<q} a_pq (f_p - f_q)^2 of the
     base form.  Its terms are nonnegative, so nothing cancels, and a
     near-constant function keeps full relative precision.  Per-cell energies
-    are combined with exact (fsum) accumulation, so the result does not
-    depend on the order of the cells.
+    are combined by exact_sum, a binned exact accumulation equal to
+    math.fsum, so the result does not depend on the order of the cells.
     """
     _check_level(system, f)
     cells = system.cells[f.level]
-    a = hs.matrix.entries
-    cols = [f.values[cells[:, p]] for p in range(system.M0)]
-    cell_energy = np.zeros(cells.shape[0])
-    for p, q in itertools.combinations(range(system.M0), 2):
-        cell_energy += a[p, q] * (cols[p] - cols[q]) ** 2
-    return float(hs.rho**f.level * math.fsum(cell_energy.tolist()))
+    return _cells_energy(hs, [f.values[cells[:, p]] for p in range(system.M0)], f.level)
 
 
 def harmonic_extension(system: FractalSystem, hs: HarmonicStructure,
@@ -142,14 +204,25 @@ def energy_sequence(system: FractalSystem, hs: HarmonicStructure, f: VertexFunct
                     m0: int = 0, tag: str = "") -> EnergySequence:
     """Evaluate E^(m) for m0 <= m <= f.level on the restrictions of f.
 
-    The function is materialized at its top level; lower levels use the
-    restriction through the vertex inclusion V_m in V_{m+1}.
+    The corner values of every top-level cell are gathered once.  Each lower
+    level restricts them through child rows: level-m cell w has the children
+    w*M + k in cells[m+1], and if map k_p fixes V_0 point p, corner p of w
+    is corner p of child w*M + k_p.  The column of corner p one level down
+    is thus the strided view col[k_p::M], and no level copies values.  Each
+    level's energy is the same edge sum as energy_m, combined by the same
+    exact_sum, so every entry equals energy_m of the restriction of f to V_m
+    bit for bit.
     """
     _check_level(system, f)
+    fixing = _fixing_maps(system)
+    cells = system.cells[f.level]
+    cols = [f.values[cells[:, p]] for p in range(system.M0)]
     entries = []
-    for m in range(m0, f.level + 1):
-        fm = VertexFunction(m, f.values[system.lift(m, f.level)])
-        entries.append((m, energy_m(system, hs, fm)))
+    for m in range(f.level, m0 - 1, -1):
+        if m < f.level:
+            cols = [col[k::system.M] for col, k in zip(cols, fixing)]
+        entries.append((m, _cells_energy(hs, cols, m)))
+    entries.reverse()
     monotone_ok = all(
         e2 >= e1 - MONOTONE_SLACK * max(1.0, abs(e1))
         for (_, e1), (_, e2) in zip(entries, entries[1:])

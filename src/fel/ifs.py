@@ -189,21 +189,8 @@ class FractalSystem:
     def vertex_count(self, m: int) -> int:
         return self.points[m].shape[0]
 
-    def counting_measure_weight(self, n: int) -> float:
-        """Weight 1/#V_n of each vertex under the normalized counting measure."""
-        if not 0 <= n <= self.max_level:
-            raise ValueError(f"level {n} not built (max level {self.max_level})")
-        return 1.0 / self.vertex_count(n)
-
     def merge_tolerance(self, m: int) -> float:
         return self.c0 / (MERGE_BAND * self.L**m)
-
-    def cell_address(self, m: int, index: int) -> tuple[int, ...]:
-        digits = []
-        for _ in range(m):
-            digits.append(index % self.M + 1)
-            index //= self.M
-        return tuple(reversed(digits))
 
     # -- id plumbing -------------------------------------------------------
 

@@ -31,7 +31,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .characteristics import dimensions
-from .energy import FunctionSpec, VertexFunction, energy_sequence
+from .energy import FunctionSpec, VertexFunction, energy_sequence, exact_sum
 from .errors import ResolutionTooCoarse
 from .harmonic import HarmonicStructure
 from .ifs import FractalSystem
@@ -237,10 +237,17 @@ def _coefficient_from_sum(params: LipschitzParams, m: int, n_points: int,
 
 def coefficient_table(system: FractalSystem, values: np.ndarray, n: int,
                       ms: list[int], params: LipschitzParams) -> np.ndarray:
-    """Coefficients for several scales m at once; values as in pair_power_sums."""
+    """Coefficients for several scales m at once; values as in pair_power_sums.
+
+    Every m must be an integer (not a bool) with m >= 1, else ValueError;
+    m >= n raises ResolutionTooCoarse.
+    """
     if not ms:
         raise ValueError("need at least one scale m")
-    if any(m >= n for m in ms) or any(m < 0 for m in ms):
+    for m in ms:
+        if isinstance(m, bool) or not isinstance(m, (int, np.integer)) or m < 1:
+            raise ValueError(f"scale m must be an integer >= 1 (got {m!r})")
+    if any(m >= n for m in ms):
         raise ResolutionTooCoarse(f"need n > m for every m in {ms} (n = {n})")
     sums = pair_power_sums(system, n, [params.cutoff(m) for m in ms], values)
     table = np.array([_coefficient_from_sum(params, m, system.vertex_count(n), row)
@@ -250,17 +257,9 @@ def coefficient_table(system: FractalSystem, values: np.ndarray, n: int,
 
 def b_coefficient(system: FractalSystem, f: VertexFunction, m: int,
                   params: LipschitzParams) -> float:
-    """Base-``params.base`` Lipschitz coefficient of f at scale m against mu_n."""
-    if m >= f.level:
-        raise ResolutionTooCoarse(f"coefficient at m = {m} needs data at level > m")
+    """Base-``params.base`` Lipschitz coefficient of f at scale m against mu_n,
+    with m checked as in coefficient_table against n = f.level."""
     return float(coefficient_table(system, f.values, f.level, [m], params)[0])
-
-
-def a_coefficient(system: FractalSystem, f: VertexFunction, m: int,
-                  params: LipschitzParams) -> float:
-    """Dyadic (base-2) Lipschitz coefficient of f at scale m against mu_n."""
-    dyadic = LipschitzParams(alpha=params.alpha, d=params.d, c0=params.c0, base=2.0)
-    return b_coefficient(system, f, m, dyadic)
 
 
 # -- norm reports -------------------------------------------------------------
@@ -324,7 +323,7 @@ def batch_norm_reports(system: FractalSystem, hs: HarmonicStructure,
     reports = []
     for col, spec in enumerate(specs):
         f_vals = values[:, col]
-        l2 = math.sqrt(math.fsum((f_vals * f_vals * weight).tolist()))
+        l2 = math.sqrt(exact_sum(f_vals * f_vals * weight))
         seq = energy_sequence(system, hs, VertexFunction(n, f_vals), m0=0, tag=spec.tag)
         energy = seq.entries[m_max][1]
         b_col, a_col = b_table[:, col], a_table[:, col]

@@ -115,6 +115,15 @@ def symplex_neighborhoods(system, m):
     return SymplexNeighborhood(level=m, members=members)
 
 
+def cell_address(system, m, index):
+    """Map digits (1-based, outermost first) of the level-m cell at row index."""
+    digits = []
+    for _ in range(m):
+        digits.append(index % system.M + 1)
+        index //= system.M
+    return tuple(reversed(digits))
+
+
 def points_in_symplex(system, m, index, n):
     """Ids of V_n points lying in the level-m symplex with the given index."""
     if n < m:

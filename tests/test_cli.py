@@ -60,6 +60,16 @@ def test_energy_csv(capsys):
         assert mono == "true"
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("data, energy", [("nan,0,0", "nan"), ("1e200,0,0", "inf")])
+def test_energy_csv_non_finite(capsys, data, energy):
+    # nan and overflowing data give nan and inf energies, not numbers.
+    code, out, _ = run(capsys, "energy", "gasket2", "--function", f"harmonic:{data}",
+                       "--levels", "0..2")
+    assert code == 0
+    assert out == "m,E_m,monotone_ok\n" + "".join(f"{m},{energy},false\n" for m in range(3))
+
+
 def test_lipschitz_csv_and_base_flag(capsys):
     code, out, _ = run(capsys, "lipschitz", "gasket2", "--function", "coord:0",
                        "--mmax", "2", "--level", "5")

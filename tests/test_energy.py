@@ -1,11 +1,16 @@
 import itertools
 import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from fel.energy import (VertexFunction, energy_m, energy_sequence,
-                        harmonic_extension, parse_function_spec, random_corpus)
+from fel.energy import (EXACT_SUM_CHUNK, EXACT_SUM_MAX_TERMS, VertexFunction, energy_m,
+                        energy_sequence, exact_sum, harmonic_extension,
+                        parse_function_spec, random_corpus)
 from fel.errors import InvariantViolation
 from fel.harmonic import energy0, solve_ndhs, unit_matrix
 
@@ -60,7 +65,7 @@ class TestEnergyM:
         assert eplus + eminus == pytest.approx(2 * ef + 2 * eg, abs=1e-10 * (1 + ef + eg))
 
     def test_independent_of_cell_order(self):
-        # Exact (fsum) accumulation: reordering the cells gives the same float.
+        # Exact accumulation: reordering the cells gives the same float.
         system = make_system("gasket3", 5)
         hs = solve_ndhs(system)
         rng = np.random.default_rng(24)
@@ -202,6 +207,88 @@ class TestEnergySequence:
             f = spec.sample(gasket2_l8, gasket2_hs, 5)
             seq = energy_sequence(gasket2_l8, gasket2_hs, f, tag=spec.tag)
             assert seq.monotone_ok, spec.tag
+
+    @pytest.mark.parametrize("fixture", ["gasket2_l8", "gasket3_l8", "snowflake_l5"])
+    def test_matches_per_level_energies(self, fixture, request):
+        # energy_sequence restricts through child rows; energy_m of the
+        # restriction through lift is the reference, equal to the last bit.
+        system = request.getfixturevalue(fixture)
+        hs = request.getfixturevalue(fixture.split("_")[0] + "_hs")
+        M, n = system.M, system.max_level
+        fixing = [int(np.flatnonzero(system.cells[1][:, p] == system.promote[0][p])[0])
+                  for p in range(system.M0)]
+        for m in range(n):
+            cells, children = system.cells[m], system.cells[m + 1]
+            w = np.arange(cells.shape[0])
+            for p, k in enumerate(fixing):
+                assert np.array_equal(system.promote[m][cells[:, p]],
+                                      children[w * M + k, p])
+        f = VertexFunction(n, np.random.default_rng(25).normal(size=system.vertex_count(n)))
+        for m0 in (0, 2):
+            seq = energy_sequence(system, hs, f, m0=m0)
+            expected = [(m, energy_m(system, hs, VertexFunction(m, f.values[system.lift(m, n)])))
+                        for m in range(m0, n + 1)]
+            assert seq.entries == expected
+
+    def test_v0_point_without_fixing_map_rejected(self, gasket2_hs):
+        system = make_system("gasket2", 2)
+        system.promote[0] = np.roll(system.promote[0], 1)
+        f = VertexFunction(2, np.zeros(system.vertex_count(2)))
+        with pytest.raises(InvariantViolation, match="fixed point of no map"):
+            energy_sequence(system, gasket2_hs, f)
+
+
+def fsum_outcome(total, terms):
+    """The float's bits, "nan", or the exception type a sum yields."""
+    try:
+        value = total(terms)
+    except (ValueError, OverflowError) as exc:
+        return type(exc)
+    return "nan" if math.isnan(value) else struct.pack("<d", value)
+
+
+def same_as_fsum(terms):
+    return fsum_outcome(exact_sum, terms) == fsum_outcome(math.fsum, terms.tolist())
+
+
+class TestExactSum:
+    @given(arrays(np.float64, st.integers(0, 40),
+                  elements=st.floats(-1e300, 1e300) | st.sampled_from(
+                      [0.0, -0.0, 5e-324, -2.5e-310, math.nan, math.inf, -math.inf])))
+    def test_small_arrays_match_fsum(self, terms):
+        assert same_as_fsum(terms)
+
+    @given(st.integers(0, 2**32 - 1),
+           st.sampled_from([0, 1, 7, EXACT_SUM_CHUNK - 1, EXACT_SUM_CHUNK + 1,
+                            3 * EXACT_SUM_CHUNK + 11]),
+           st.sampled_from([(-310.0, 300.0), (-3.0, 3.0), (-320.0, -308.0)]),
+           st.booleans())
+    def test_large_arrays_match_fsum(self, seed, size, decades, signed):
+        rng = np.random.default_rng(seed)
+        terms = 10.0 ** rng.uniform(*decades, size=size)
+        terms[rng.random(size) < 0.05] = 0.0
+        if signed:
+            terms *= rng.choice([-1.0, 1.0], size=size)
+        assert same_as_fsum(terms)
+
+    @pytest.mark.parametrize("terms", [
+        [], [0.0], [-0.0, -0.0], [5e-324, 5e-324], [1.0, -1.0],
+        [math.nan], [1.0, math.nan, 2.0], [math.inf, 1.0], [-math.inf, -1.0],
+        [math.inf, -math.inf], [math.inf, math.nan, -math.inf],
+        [1.7e308, 1.7e308], [1e308, 1e308, math.nan], [1.7e308, 1e292],
+        [2.0**1023, 2.0**1023 - 2.0**970],
+    ])
+    def test_edge_cases_match_fsum(self, terms):
+        assert same_as_fsum(np.array(terms, dtype=float))
+
+    def test_two_dimensional_input_is_flattened(self):
+        terms = np.random.default_rng(26).normal(size=(300, 7))
+        assert exact_sum(terms) == math.fsum(terms.ravel().tolist())
+
+    def test_too_many_terms_rejected(self):
+        # A zero-stride view: the count is checked before any term is read.
+        with pytest.raises(ValueError, match="at most"):
+            exact_sum(np.broadcast_to(1.0, (EXACT_SUM_MAX_TERMS + 1,)))
 
 
 class TestFunctionSpecs:

@@ -7,8 +7,9 @@ from fel.errors import ConditionViolation, PointCapExceeded
 from fel.ifs import Similitude, build, essential_fixed_points, validate
 from fel.presets import load_maps
 
-from helpers import (make_system, overlapping_interval_maps, perturbed_gasket_maps,
-                     points_in_symplex, rotated_gasket_maps, symplex_neighborhoods)
+from helpers import (cell_address, make_system, overlapping_interval_maps,
+                     perturbed_gasket_maps, points_in_symplex, rotated_gasket_maps,
+                     symplex_neighborhoods)
 
 SQ3 = math.sqrt(3.0)
 
@@ -121,7 +122,7 @@ class TestBuild:
     def test_symplex_count_and_addresses(self, gasket2_l8):
         for m in (1, 2, 3):
             assert gasket2_l8.cells[m].shape == (3**m, 3)
-        addr = [gasket2_l8.cell_address(2, k) for k in range(9)]
+        addr = [cell_address(gasket2_l8, 2, k) for k in range(9)]
         assert len(set(addr)) == 9
         assert addr[0] == (1, 1) and addr[-1] == (3, 3)
 
@@ -141,13 +142,6 @@ class TestBuild:
                 for s in (0, snowflake_l5.M**m - 1):
                     got = len(points_in_symplex(snowflake_l5, m, s, n))
                     assert got == snowflake_l5.vertex_count(n - m)
-
-    def test_counting_measure_weight(self, gasket2_l8):
-        assert gasket2_l8.counting_measure_weight(1) == pytest.approx(1 / 6)
-        assert gasket2_l8.counting_measure_weight(2) == pytest.approx(1 / 15)
-        assert gasket2_l8.counting_measure_weight(0) == pytest.approx(1 / 3)
-        with pytest.raises(ValueError):
-            gasket2_l8.counting_measure_weight(99)
 
     def test_point_cap(self):
         maps, _ = load_maps("gasket2")

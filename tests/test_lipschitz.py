@@ -5,8 +5,7 @@ import pytest
 
 from fel.energy import VertexFunction, harmonic_extension, parse_function_spec, random_corpus
 from fel.errors import ResolutionTooCoarse
-from fel.lipschitz import (a_coefficient, b_coefficient,
-                           coefficient_table, default_params,
+from fel.lipschitz import (b_coefficient, coefficient_table, default_params,
                            equivalence_experiment, hoelder_estimate,
                            norm_report)
 
@@ -55,9 +54,10 @@ class TestCoefficients:
 
     def test_dyadic_equals_natural_when_l_is_2(self, gasket2_l8, gasket2_hs):
         params = default_params(gasket2_l8, gasket2_hs)
+        dyadic = default_params(gasket2_l8, gasket2_hs, base=2.0)
         f = parse_function_spec("harmonic:1,0,0").sample(gasket2_l8, gasket2_hs, 5)
         for m in (1, 2):
-            assert a_coefficient(gasket2_l8, f, m, params) == \
+            assert b_coefficient(gasket2_l8, f, m, dyadic) == \
                 b_coefficient(gasket2_l8, f, m, params)
 
     def test_homogeneity(self, gasket2_l8, gasket2_hs):
@@ -73,6 +73,30 @@ class TestCoefficients:
         params = default_params(gasket2_l8, gasket2_hs)
         f = VertexFunction(2, np.zeros(gasket2_l8.vertex_count(2)))
         with pytest.raises(ResolutionTooCoarse):
+            b_coefficient(gasket2_l8, f, 2, params)
+
+    @pytest.mark.parametrize("m", [0, -1, 2.5, 2.0, True, np.float64(1.0), "1", None])
+    def test_malformed_scale_rejected(self, gasket2_l8, gasket2_hs, m):
+        params = default_params(gasket2_l8, gasket2_hs)
+        f = VertexFunction(3, np.zeros(gasket2_l8.vertex_count(3)))
+        with pytest.raises(ValueError, match="integer >= 1"):
+            b_coefficient(gasket2_l8, f, m, params)
+        with pytest.raises(ValueError, match="integer >= 1"):
+            coefficient_table(gasket2_l8, f.values, 3, [1, m], params)
+
+    @pytest.mark.parametrize("m", [3, 4, np.int64(3)])
+    def test_scale_at_or_above_level_too_coarse(self, gasket2_l8, gasket2_hs, m):
+        params = default_params(gasket2_l8, gasket2_hs)
+        f = VertexFunction(3, np.zeros(gasket2_l8.vertex_count(3)))
+        with pytest.raises(ResolutionTooCoarse):
+            b_coefficient(gasket2_l8, f, m, params)
+        with pytest.raises(ResolutionTooCoarse):
+            coefficient_table(gasket2_l8, f.values, 3, [m, 1], params)
+
+    def test_numpy_integer_scale_accepted(self, gasket2_l8, gasket2_hs):
+        params = default_params(gasket2_l8, gasket2_hs)
+        f = parse_function_spec("coord:0").sample(gasket2_l8, gasket2_hs, 4)
+        assert b_coefficient(gasket2_l8, f, np.int64(2), params) == \
             b_coefficient(gasket2_l8, f, 2, params)
 
     def test_empty_scale_list_rejected(self, gasket2_l8, gasket2_hs):

@@ -1,4 +1,5 @@
-"""Package-level checks: the public namespace and the absence of bare asserts."""
+"""Package-level checks: the public namespace, the absence of bare asserts and
+the single exact-sum path."""
 
 import ast
 from pathlib import Path
@@ -34,4 +35,22 @@ def test_no_assertion_error_raised_in_package():
              for node in ast.walk(tree)
              if isinstance(node, ast.Raise) and node.exc is not None
              and raised_name(node) == "AssertionError"]
+    assert not found
+
+
+def test_fsum_only_in_exact_sum():
+    # Every exact accumulation goes through fel.energy.exact_sum, whose
+    # final step is the package's only math.fsum call.
+    def fsum_lines(node):
+        return {call.lineno for call in ast.walk(node) if isinstance(call, ast.Call)
+                and getattr(call.func, "attr", getattr(call.func, "id", None)) == "fsum"}
+
+    found = []
+    for path, tree in package_trees():
+        allowed = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and node.name == "exact_sum" \
+                    and path.name == "energy.py":
+                allowed |= fsum_lines(node)
+        found += [f"{path.name}:{line}" for line in sorted(fsum_lines(tree) - allowed)]
     assert not found
