@@ -101,6 +101,15 @@ def exact_sum(terms) -> float:
     return math.fsum(scaled)
 
 
+def nonnegative_sum(terms) -> float:
+    """exact_sum of nonnegative terms, inf where the exact sum of finite
+    terms leaves the float range (exact_sum raises OverflowError there)."""
+    try:
+        return exact_sum(terms)
+    except OverflowError:
+        return math.inf
+
+
 def _fixing_maps(system: FractalSystem) -> np.ndarray:
     """For each V_0 point p, a map k_p with psi_{k_p}(p) = p."""
     fixes = system.cells[1] == system.promote[0]
@@ -110,13 +119,13 @@ def _fixing_maps(system: FractalSystem) -> np.ndarray:
 
 
 def _cells_energy(hs: HarmonicStructure, cols: list[np.ndarray], level: int) -> float:
-    """rho^level times the exact sum of the cells' edge sums; cols[p] holds
-    the values at corner p of every cell."""
+    """rho^level times the exact sum of the cells' edge sums (inf beyond the
+    float range); cols[p] holds the values at corner p of every cell."""
     a = hs.matrix.entries
     cell_energy = np.zeros(cols[0].shape[0])
     for p, q in itertools.combinations(range(len(cols)), 2):
         cell_energy += a[p, q] * (cols[p] - cols[q]) ** 2
-    return float(hs.rho**level * exact_sum(cell_energy))
+    return float(hs.rho**level * nonnegative_sum(cell_energy))
 
 
 def energy_m(system: FractalSystem, hs: HarmonicStructure, f: VertexFunction) -> float:

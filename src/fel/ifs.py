@@ -4,6 +4,11 @@ Builds indexed vertex sets V_m, symplex tables with addresses, neighbor
 structure and symmetry generators from a family of similitudes, and checks
 the simple-nested-fractal conditions at finite resolution.
 
+Geometry decides point identity only at level 1 and in the nesting check.
+Every level past 1 is built from the V_1 gluing table alone, which is exact
+for a nested fractal: psi_i(K) and psi_j(K) meet only in images of V_0, so
+two images of V_m points coincide iff they are the same V_1 point.
+
 Conventions used throughout the package:
 
 * Level-m vertex ids are dense integers assigned in first-encounter order
@@ -21,7 +26,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._grid import MergeTable, Quantizer
 from .errors import ConditionViolation, InvariantViolation, PointCapExceeded
 
 DEFAULT_MAX_POINTS = 2_000_000
@@ -146,11 +150,12 @@ class ValidationReport:
 class FractalSystem:
     """Validated similitude family with indexed vertex sets and symplex tables.
 
-    Immutable after build; all arrays are safe for shared concurrent reads.
+    Immutable after build apart from the neighbor-graph cache; all arrays are
+    safe for shared concurrent reads.
     """
 
     def __init__(self, maps, name, points, cells, promote, c0, diameter, reflections,
-                 bbox, validation=None):
+                 validation=None):
         self.maps: list[Similitude] = maps
         self.name = name
         self.points: list[np.ndarray] = points          # level -> (n_m, N) coords
@@ -159,9 +164,7 @@ class FractalSystem:
         self.c0 = c0
         self.diameter = diameter
         self.reflections: list[Reflection] = reflections
-        self._bbox = bbox
         self.validation = validation
-        self._locate_cache: dict[int, MergeTable] = {}
         self._neighbor_cache: dict[int, np.ndarray] = {}
 
     # -- basic attributes -------------------------------------------------
@@ -201,17 +204,6 @@ class FractalSystem:
             ids = self.promote[k][ids]
         return ids
 
-    def locate(self, pts: np.ndarray, level: int) -> np.ndarray:
-        """Ids of the given coordinates in V_level (-1 where absent)."""
-        table = self._locate_cache.get(level)
-        if table is None:
-            quant = Quantizer(self._bbox[0], self._bbox[1], self.merge_tolerance(level))
-            table = MergeTable(quant)
-            table.add_block(self.points[level])
-            table.resolve_flagged()
-            self._locate_cache[level] = table
-        return table.lookup(np.asarray(pts, dtype=float))
-
     # -- derived structure ---------------------------------------------------
 
     def neighbor_graph(self, m: int) -> np.ndarray:
@@ -227,21 +219,6 @@ class FractalSystem:
         self._neighbor_cache[m] = pairs
         return pairs
 
-    # -- vertex counting beyond stored levels --------------------------------
-
-    def count_vertices(self, up_to: int, max_points: int | None = None) -> list[int]:
-        """#V_m for m = 0..up_to, continuing past built levels without storing them."""
-        cap = DEFAULT_MAX_POINTS if max_points is None else max_points
-        counts = [self.vertex_count(m) for m in range(min(up_to, self.max_level) + 1)]
-        pts = self.points[self.max_level]
-        for m in range(self.max_level + 1, up_to + 1):
-            _check_cap(self.M, m, self.M0, cap)
-            table, _ = _level_step(self.maps, pts, self._bbox,
-                                   self.c0 / (MERGE_BAND * self.L**m))
-            counts.append(table.count)
-            pts = table.point_array()
-        return counts
-
 
 def _check_cap(M: int, m: int, M0: int, cap: int) -> None:
     if M**m * M0 > cap:
@@ -251,29 +228,20 @@ def _check_cap(M: int, m: int, M0: int, cap: int) -> None:
         )
 
 
-def _level_step(maps, prev_points, bbox, tau):
-    """One enumeration level: images of all maps merged under tolerance tau.
-
-    Returns (table, candidate ids) where candidate k*n_prev + p is map k
-    applied to previous point p.
-    """
-    cand = np.concatenate([s.apply(prev_points) for s in maps], axis=0)
-    table = MergeTable(Quantizer(bbox[0], bbox[1], tau))
-    ids = table.add_block(cand)
-    remap = table.resolve_flagged()
-    if remap is not None:
-        ids = remap[ids]
-    return table, ids
+def _match(a: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray:
+    """For each point of a, the first point of b within distance tol (-1 if none)."""
+    hit = np.linalg.norm(a[:, None, :] - b[None, :, :], axis=2) <= tol
+    return np.where(hit.any(axis=1), hit.argmax(axis=1), -1)
 
 
-def _invariant_bbox(maps, v0):
-    """Axis box around a ball that every similitude maps into itself."""
-    center = v0.mean(axis=0)
-    drift = max(np.linalg.norm(s.apply(center) - center) for s in maps)
-    L = maps[0].scale
-    radius = drift * L / (L - 1.0) + 1e-9
-    radius = max(radius, np.linalg.norm(v0 - center, axis=1).max() + 1e-9)
-    return center - 1.1 * radius, center + 1.1 * radius
+def _merge(cand, label, M, cells, points):
+    """Append the next level from its candidates, each labelled with the
+    first candidate of its point; return (first candidates, candidate ids)."""
+    is_first = label == np.arange(len(label))
+    ids = (np.cumsum(is_first) - 1)[label]
+    cells.append(ids.reshape(M, -1)[:, cells[-1]].reshape(-1, cells[0].shape[1]))
+    points.append(cand[is_first])
+    return np.flatnonzero(is_first), ids
 
 
 def _reflections_of(v0: np.ndarray, c0: float) -> list[Reflection]:
@@ -299,6 +267,14 @@ def build(maps: list[Similitude], max_level: int, *, max_points: int | None = No
           name: str | None = None, run_validation: bool = True) -> FractalSystem:
     """Enumerate V_m and symplex tables for m <= max_level and validate.
 
+    Candidate k*n + p of V_{m+1} is map k applied to point p of V_m; ids
+    follow the first candidate of each point, so they are dense and in
+    first-encounter order.  Level 1 merges its M*#V_0 candidates by distance
+    within c0 / (MERGE_BAND * L).  Every deeper level assumes nesting: only
+    the images of V_0 points can coincide, and (k, V_0 point a) coincides
+    with (j, b) iff cells[1][k, a] == cells[1][j, b].  The nesting check of
+    validate, geometric to depth 3, is the gate for that assumption.
+
     Validation failures raise ``ConditionViolation``; pass
     ``run_validation=False`` to inspect the report of an invalid system.
     """
@@ -323,26 +299,39 @@ def build(maps: list[Similitude], max_level: int, *, max_points: int | None = No
     diffs = v0[:, None, :] - v0[None, :, :]
     dists = np.linalg.norm(diffs, axis=2)
     c0 = dists[np.triu_indices(len(v0), k=1)].min()
-    bbox = _invariant_bbox(maps, v0)
-
-    points = [v0]
-    cells = [np.arange(len(v0), dtype=np.int64)[None, :]]
-    promote: list[np.ndarray] = []
     M, M0 = len(maps), len(v0)
     for m in range(1, max_level + 1):
         _check_cap(M, m, M0, cap)
-        tau = c0 / (MERGE_BAND * L**m)
-        table, ids = _level_step(maps, points[-1], bbox, tau)
-        n_prev = points[-1].shape[0]
-        cells_m = np.concatenate(
-            [ids[k * n_prev : (k + 1) * n_prev][cells[-1]] for k in range(M)], axis=0
-        )
-        lifted = table.lookup(points[-1])
-        if (lifted < 0).any():
-            raise InvariantViolation("a vertex failed to persist to the next level")
-        points.append(table.point_array())
-        cells.append(cells_m)
-        promote.append(lifted)
+
+    tau = c0 / (MERGE_BAND * L)
+    cand = np.concatenate([s.apply(v0) for s in maps], axis=0)
+    label = _match(cand, cand, tau)
+    if (label[label] != label).any():
+        raise InvariantViolation("a level-1 point is within the merge tolerance of two "
+                                 "distinct points")
+    points = [v0]
+    cells = [np.arange(M0, dtype=np.int64)[None, :]]
+    first, ids = _merge(cand, label, M, cells, points)
+    promote = [_match(v0, points[1], tau)]
+    if (promote[0] < 0).any():
+        raise InvariantViolation("a vertex failed to persist to the next level")
+
+    # Candidate k*n + v0_at[a] is map k applied to V_0 point a, which is V_1
+    # point glue[k*M0 + a]; each other candidate is a point of its own.
+    glue = cells[1].ravel()
+    v0_at = promote[0]
+    for m in range(1, max_level):
+        n = len(points[m])
+        glued = (np.arange(M)[:, None] * n + v0_at).ravel()
+        first_of = np.full(len(points[1]), M * n)
+        np.minimum.at(first_of, glue, glued)
+        label = np.arange(M * n)
+        label[glued] = first_of[glue]
+        cand = np.concatenate([s.apply(points[m]) for s in maps], axis=0)
+        k, y = np.divmod(first, len(points[m - 1]))
+        first, ids = _merge(cand, label, M, cells, points)
+        promote.append(ids[k * n + promote[m - 1][y]])
+        v0_at = promote[m][v0_at]
 
     top = min(3, max_level)
     p3 = points[top]
@@ -354,7 +343,7 @@ def build(maps: list[Similitude], max_level: int, *, max_points: int | None = No
 
     system = FractalSystem(maps=list(maps), name=name, points=points, cells=cells,
                            promote=promote, c0=float(c0), diameter=diameter,
-                           reflections=_reflections_of(v0, c0), bbox=bbox)
+                           reflections=_reflections_of(v0, c0))
     if run_validation:
         report = validate(system)
         system.validation = report
@@ -383,8 +372,8 @@ def validate(system: FractalSystem, depth: int | None = None) -> ValidationRepor
         images = [s.apply(vk) for s in system.maps]
         images0 = [s.apply(v0) for s in system.maps]
         for i, j in itertools.combinations(range(system.M), 2):
-            shared = _close_points(images[i], images[j], tol, system._bbox)
-            allowed = _close_points(images0[i], images0[j], tol, system._bbox)
+            shared = _close_points(images[i], images[j], tol)
+            allowed = _close_points(images0[i], images0[j], tol)
             if len(shared):
                 stray = shared if not len(allowed) else shared[
                     np.linalg.norm(shared[:, None, :] - allowed[None, :, :], axis=2).min(axis=1)
@@ -424,7 +413,7 @@ def validate(system: FractalSystem, depth: int | None = None) -> ValidationRepor
             continue
         for i in range(system.M):
             image = ref.apply(system.points[1][system.cells[1][i]])
-            ids = system.locate(image, 1)
+            ids = _match(image, system.points[1], system.merge_tolerance(1))
             if (ids < 0).any() or tuple(sorted(int(x) for x in ids)) not in cell_sets:
                 symmetry_ok = False
                 failures.append(
@@ -438,16 +427,19 @@ def validate(system: FractalSystem, depth: int | None = None) -> ValidationRepor
                             symmetry_ok=symmetry_ok, failures=failures)
 
 
-def _close_points(a: np.ndarray, b: np.ndarray, tol: float, bbox) -> np.ndarray:
+def _close_points(a: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray:
     """Points of `a` coinciding (within grid tolerance tol) with a point of `b`.
 
     Key matching on two half-cell-shifted grids: coincident copies differ by
-    float noise only, so they share a key on at least one of the grids.
+    float noise only, so they share a key on at least one of the grids.  The
+    grid origin is a multiple of tol, so points sitting exactly on grid
+    multiples stay at cell centers of the unshifted grid.
     """
+    both = np.concatenate([a, b])
     got = np.zeros(len(a), dtype=bool)
     for shift in (0.0, 0.5):
-        q = Quantizer(bbox[0], bbox[1], tol, shift=shift)
-        ka, _ = q.keys(a)
-        kb, _ = q.keys(b)
-        got |= np.isin(ka, kb)
+        origin = np.floor(both.min(axis=0) / tol) * tol - (2.0 + shift) * tol
+        keys = np.rint((both - origin) / tol).astype(np.int64)
+        packed = np.ravel_multi_index(keys.T, keys.max(axis=0) + 1)
+        got |= np.isin(packed[:len(a)], packed[len(a):])
     return a[got]

@@ -31,7 +31,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .characteristics import dimensions
-from .energy import FunctionSpec, VertexFunction, energy_sequence, exact_sum
+from .energy import FunctionSpec, VertexFunction, energy_sequence, nonnegative_sum
 from .errors import ResolutionTooCoarse
 from .harmonic import HarmonicStructure
 from .ifs import FractalSystem
@@ -235,6 +235,11 @@ def _coefficient_from_sum(params: LipschitzParams, m: int, n_points: int,
     return params.base ** (m * params.alpha) * np.sqrt(integral)
 
 
+def _check_scale(m, what: str) -> None:
+    if isinstance(m, bool) or not isinstance(m, (int, np.integer)) or m < 1:
+        raise ValueError(f"{what} must be an integer >= 1 (got {m!r})")
+
+
 def coefficient_table(system: FractalSystem, values: np.ndarray, n: int,
                       ms: list[int], params: LipschitzParams) -> np.ndarray:
     """Coefficients for several scales m at once; values as in pair_power_sums.
@@ -245,8 +250,7 @@ def coefficient_table(system: FractalSystem, values: np.ndarray, n: int,
     if not ms:
         raise ValueError("need at least one scale m")
     for m in ms:
-        if isinstance(m, bool) or not isinstance(m, (int, np.integer)) or m < 1:
-            raise ValueError(f"scale m must be an integer >= 1 (got {m!r})")
+        _check_scale(m, "scale m")
     if any(m >= n for m in ms):
         raise ResolutionTooCoarse(f"need n > m for every m in {ms} (n = {n})")
     sums = pair_power_sums(system, n, [params.cutoff(m) for m in ms], values)
@@ -291,8 +295,7 @@ def norm_report(system: FractalSystem, hs: HarmonicStructure, spec: FunctionSpec
 
 
 def _check_report_levels(system: FractalSystem, m_max: int, n: int) -> None:
-    if m_max < 1:
-        raise ValueError("m_max must be at least 1")
+    _check_scale(m_max, "m_max")
     if n <= m_max:
         raise ResolutionTooCoarse(
             f"norm report needs n > m_max (got m_max = {m_max}, n = {n})"
@@ -323,7 +326,7 @@ def batch_norm_reports(system: FractalSystem, hs: HarmonicStructure,
     reports = []
     for col, spec in enumerate(specs):
         f_vals = values[:, col]
-        l2 = math.sqrt(exact_sum(f_vals * f_vals * weight))
+        l2 = math.sqrt(nonnegative_sum(f_vals * f_vals * weight))
         seq = energy_sequence(system, hs, VertexFunction(n, f_vals), m0=0, tag=spec.tag)
         energy = seq.entries[m_max][1]
         b_col, a_col = b_table[:, col], a_table[:, col]

@@ -18,8 +18,8 @@ from fel.lipschitz import (b_coefficient, coefficient_table, default_params,
                            equivalence_experiment, hoelder_estimate)
 from fel.presets import load_maps
 
-from helpers import (brute_force_coefficient, brute_force_degrees, degrees_match,
-                     make_system, points_in_symplex, walk_degrees)
+from helpers import (brute_force_coefficient, brute_force_degrees, count_vertices,
+                     degrees_match, make_system, points_in_symplex, walk_degrees)
 
 
 def _report(number, ok, detail):
@@ -109,7 +109,7 @@ def test_criterion_4_vertex_combinatorics(gasket2_l8, gasket3_l8):
         M, v0, v1 = system.M, system.vertex_count(0), system.vertex_count(1)
         k0 = M * v0 - v1
         closed = [round(M**m * (v0 - k0 / (M - 1)) + k0 / (M - 1)) for m in range(9)]
-        counts = system.count_vertices(8, max_points=50_000_000)
+        counts = count_vertices(system.maps, 8)
         ok &= counts == closed
         for m in range(1, system.max_level + 1):
             ok &= system.cells[m].shape[0] == M**m

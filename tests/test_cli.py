@@ -8,10 +8,10 @@ import pytest
 
 import fel
 from fel.cli import main
-from fel.presets import load_maps, write_definition
+from fel.presets import definition_from_maps, load_maps, write_definition
 from fel.ifs import build, validate
 
-from helpers import perturbed_gasket_maps
+from helpers import locate, overlapping_interval_maps, perturbed_gasket_maps
 
 
 def run(capsys, *argv):
@@ -174,6 +174,26 @@ def test_exit_code_empty_scale_list(mmax):
     assert "error: need at least one scale m" in proc.stderr
 
 
+def test_energy_beyond_float_range_is_inf():
+    # Two level-1 cells of about 9.8e307 each: their exact sum leaves the
+    # float range, which gives inf, as overflowing data does.
+    proc = run_fresh("energy", "gasket2", "--function", "perturb:harmonic:0,0,0:4:7e153",
+                     "--levels", "1..1")
+    assert proc.returncode == 0
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == "m,E_m,monotone_ok\n1,inf,true\n"
+
+
+def test_describe_non_nested_exits_1(tmp_path, capsys):
+    path = tmp_path / "overlap.json"
+    write_definition(definition_from_maps(overlapping_interval_maps(), "overlap"), path)
+    code, out, err = run(capsys, "describe", str(path))
+    assert code == 1
+    assert "condition 3 (nesting, verified to depth 3): FAIL" in out
+    assert "nesting: cells 1 and 2 meet off-vertex near [0.375] at depth 1" in out
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("field, index, text", [
     ("translation", 0, "NaN"), ("translation", 1, "1e400"), ("rotation", 0, "NaN"),
 ])
@@ -230,7 +250,7 @@ def test_export_roundtrip(tmp_path, capsys):
     sys_a = build(maps_a, 3)
     sys_b = build(maps_b, 3)
     # identical V_3 point sets under the merge tolerance, same report
-    ids = sys_a.locate(sys_b.points[3], 3)
+    ids = locate(sys_a, sys_b.points[3], 3)
     assert (ids >= 0).all() and len(set(ids.tolist())) == sys_a.vertex_count(3)
     ra, rb = validate(sys_a), validate(sys_b)
     assert (ra.nesting_ok, ra.connectivity_ok, ra.symmetry_ok) == \

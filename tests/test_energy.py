@@ -10,11 +10,11 @@ from hypothesis.extra.numpy import arrays
 
 from fel.energy import (EXACT_SUM_CHUNK, EXACT_SUM_MAX_TERMS, VertexFunction, energy_m,
                         energy_sequence, exact_sum, harmonic_extension,
-                        parse_function_spec, random_corpus)
+                        nonnegative_sum, parse_function_spec, random_corpus)
 from fel.errors import InvariantViolation
 from fel.harmonic import energy0, solve_ndhs, unit_matrix
 
-from helpers import make_system
+from helpers import locate, make_system
 
 
 class TestEnergyM:
@@ -48,7 +48,7 @@ class TestEnergyM:
         f = rng.normal(size=gasket2_l8.vertex_count(m))
         base = energy_m(gasket2_l8, gasket2_hs, VertexFunction(m, f))
         for ref in gasket2_l8.reflections:
-            perm = gasket2_l8.locate(ref.apply(gasket2_l8.points[m]), m)
+            perm = locate(gasket2_l8, ref.apply(gasket2_l8.points[m]), m)
             assert (perm >= 0).all()
             rotated = energy_m(gasket2_l8, gasket2_hs, VertexFunction(m, f[perm]))
             assert rotated == pytest.approx(base, abs=1e-10 * max(1.0, base))
@@ -325,3 +325,12 @@ class TestFunctionSpecs:
         b = [s.tag for s in random_corpus(gasket2_l8, 5, seed=123)]
         assert a == b
         assert a[0] == "coord:0" and a[1] == "coord:1"
+
+
+def test_nonnegative_sum_beyond_float_range_is_inf():
+    # exact_sum stays fsum and raises; energies and L2 norms read inf.
+    big = np.array([1e308, 1e308])
+    with pytest.raises(OverflowError):
+        exact_sum(big)
+    assert nonnegative_sum(big) == math.inf
+    assert nonnegative_sum(np.array([1.5, 2.5, 0.0])) == 4.0

@@ -7,9 +7,9 @@ from fel.errors import ConditionViolation, PointCapExceeded
 from fel.ifs import Similitude, build, essential_fixed_points, validate
 from fel.presets import load_maps
 
-from helpers import (cell_address, make_system, overlapping_interval_maps,
-                     perturbed_gasket_maps, points_in_symplex, rotated_gasket_maps,
-                     symplex_neighborhoods)
+from helpers import (assert_matches_geometric, cell_address, count_vertices, locate,
+                     make_system, overlapping_interval_maps, perturbed_gasket_maps,
+                     points_in_symplex, rotated_gasket_maps, symplex_neighborhoods)
 
 SQ3 = math.sqrt(3.0)
 
@@ -155,16 +155,23 @@ class TestBuild:
             assert np.array_equal(a.points[m], b.points[m])
             assert np.array_equal(a.cells[m], b.cells[m])
 
-    def test_count_vertices_agrees_with_stored(self):
-        sys_small = make_system("gasket2", 3)
-        counts = sys_small.count_vertices(8)
-        full = make_system("gasket2", 8)
-        assert counts == [full.vertex_count(m) for m in range(9)]
+    def test_count_vertices_agrees_with_stored(self, gasket2_l8):
+        # The geometric oracle's counts equal the combinatorial build's.
+        counts = count_vertices(gasket2_l8.maps, 8)
+        assert counts == [gasket2_l8.vertex_count(m) for m in range(9)]
+
+
+class TestGeometricOracle:
+    @pytest.mark.parametrize("name", ["gasket2", "gasket3", "snowflake"])
+    def test_build_matches_oracle(self, name):
+        # Levels past 1 come from the V_1 gluing table; the oracle merges
+        # every candidate by distance and must give the same bits.
+        assert_matches_geometric(make_system(name, 6))
 
     def test_locate_roundtrip(self, gasket2_l8):
-        ids = gasket2_l8.locate(gasket2_l8.points[2], 2)
+        ids = locate(gasket2_l8, gasket2_l8.points[2], 2)
         assert np.array_equal(ids, np.arange(gasket2_l8.vertex_count(2)))
-        assert gasket2_l8.locate(np.array([[5.0, 5.0]]), 2)[0] == -1
+        assert locate(gasket2_l8, np.array([[5.0, 5.0]]), 2)[0] == -1
 
 
 class TestNeighborhoods:
@@ -261,6 +268,10 @@ class TestValidate:
         assert report.nesting_ok
         assert not report.symmetry_ok
         assert report.first_violation() == 5
+        assert report.failures == [
+            f"symmetry: reflection across pair {pair} does not permute V_0"
+            for pair in ((0, 1), (0, 2), (1, 2))
+        ]
 
     def test_overlapping_interval_fails_nesting(self):
         # The middle copy of [0,1] overlaps its neighbors on whole segments,
@@ -269,6 +280,15 @@ class TestValidate:
         report = validate(system)
         assert not report.nesting_ok
         assert report.first_violation() == 3
+        assert report.failures == [
+            "nesting: cells 1 and 2 meet off-vertex near [0.375] at depth 1",
+            "symmetry: reflection across pair (0, 1) does not permute V_0",
+            "symmetry: reflection across pair (1, 2) does not permute V_0",
+        ]
+        # Past level 1 the build assumes nesting, so coincident points that are
+        # not glued images of V_0 stay apart; the geometric merge finds 9, 17.
+        assert [system.vertex_count(m) for m in range(4)] == [3, 5, 11, 29]
+        assert count_vertices(system.maps, 3) == [3, 5, 9, 17]
         with pytest.raises(ConditionViolation) as err:
             build(overlapping_interval_maps(), 3)
         assert err.value.condition == 3
@@ -282,3 +302,7 @@ class TestValidate:
         assert report.nesting_ok
         assert not report.connectivity_ok
         assert report.first_violation() == 4
+        assert report.failures == [
+            "connectivity: the level-1 neighbor graph is disconnected",
+            "symmetry: reflection across pair (0, 1) does not map cell 3 onto a cell",
+        ]

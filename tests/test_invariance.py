@@ -24,6 +24,8 @@ from fel.ifs import Similitude, build
 from fel.lipschitz import coefficient_table, default_params
 from fel.presets import load_maps
 
+from helpers import assert_matches_geometric
+
 LEVELS = {"gasket2": 5, "gasket3": 4, "snowflake": 3}
 
 
@@ -81,3 +83,13 @@ def test_rigid_motion_and_rescaling_invariance(preset, data):
     s, q, t = data.draw(motions(maps[0].dim))
     moved = invariants(conjugate(maps, s, q, t), LEVELS[preset])
     np.testing.assert_allclose(moved, reference(preset), rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("preset", sorted(LEVELS))
+@given(data=st.data())
+def test_moved_build_matches_geometric_oracle(preset, data):
+    # The gluing table is taken from the level-1 geometry of the moved IFS;
+    # every deeper level must still equal the all-candidates merge.
+    maps, _ = load_maps(preset)
+    s, q, t = data.draw(motions(maps[0].dim))
+    assert_matches_geometric(build(conjugate(maps, s, q, t), LEVELS[preset]))

@@ -5,8 +5,8 @@ import pytest
 
 from fel.energy import VertexFunction, harmonic_extension, parse_function_spec, random_corpus
 from fel.errors import ResolutionTooCoarse
-from fel.lipschitz import (b_coefficient, coefficient_table, default_params,
-                           equivalence_experiment, hoelder_estimate,
+from fel.lipschitz import (b_coefficient, batch_norm_reports, coefficient_table,
+                           default_params, equivalence_experiment, hoelder_estimate,
                            norm_report)
 
 from helpers import (brute_force_coefficient, brute_force_degrees, degrees_match,
@@ -151,6 +151,19 @@ class TestNormReport:
                           parse_function_spec("harmonic:0,0,0"), 2, 5)
         assert rep.ratio is None
         assert rep.lip_norm == 0.0
+
+    @pytest.mark.parametrize("m_max", [2.5, True, 0, -1])
+    def test_malformed_m_max_rejected(self, gasket2_l8, gasket2_hs, m_max):
+        spec = parse_function_spec("harmonic:1,0,0")
+        with pytest.raises(ValueError, match="m_max must be an integer >= 1"):
+            norm_report(gasket2_l8, gasket2_hs, spec, m_max, 5)
+        with pytest.raises(ValueError, match="m_max must be an integer >= 1"):
+            batch_norm_reports(gasket2_l8, gasket2_hs, [spec], m_max, 5)
+
+    def test_numpy_integer_m_max_accepted(self, gasket2_l8, gasket2_hs):
+        spec = parse_function_spec("harmonic:1,0,0")
+        assert norm_report(gasket2_l8, gasket2_hs, spec, np.int64(3), 5) == \
+            norm_report(gasket2_l8, gasket2_hs, spec, 3, 5)
 
     def test_harmonic_energy_two(self, gasket2_l8, gasket2_hs):
         rep = norm_report(gasket2_l8, gasket2_hs,
