@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -150,11 +151,12 @@ class ValidationReport:
 class FractalSystem:
     """Validated similitude family with indexed vertex sets and symplex tables.
 
-    Immutable after build apart from the neighbor-graph cache; all arrays are
-    safe for shared concurrent reads.
+    Immutable after build apart from the neighbor-graph cache and the
+    diameter, computed on first access; all arrays are safe for shared
+    concurrent reads.
     """
 
-    def __init__(self, maps, name, points, cells, promote, c0, diameter, reflections,
+    def __init__(self, maps, name, points, cells, promote, c0, reflections,
                  validation=None):
         self.maps: list[Similitude] = maps
         self.name = name
@@ -162,7 +164,6 @@ class FractalSystem:
         self.cells: list[np.ndarray] = cells            # level -> (M**m, M0) vertex ids
         self.promote: list[np.ndarray] = promote        # level m ids -> level m+1 ids
         self.c0 = c0
-        self.diameter = diameter
         self.reflections: list[Reflection] = reflections
         self.validation = validation
         self._neighbor_cache: dict[int, np.ndarray] = {}
@@ -188,6 +189,17 @@ class FractalSystem:
     @property
     def max_level(self) -> int:
         return len(self.points) - 1
+
+    @cached_property
+    def diameter(self) -> float:
+        """Largest distance between two points of V_min(3, max_level)."""
+        pts = self.points[min(3, self.max_level)]
+        diameter = 0.0
+        for i0 in range(0, len(pts), 2048):
+            block = pts[i0 : i0 + 2048]
+            d = np.linalg.norm(block[:, None, :] - pts[None, :, :], axis=2)
+            diameter = max(diameter, float(d.max()))
+        return diameter
 
     def vertex_count(self, m: int) -> int:
         return self.points[m].shape[0]
@@ -333,17 +345,8 @@ def build(maps: list[Similitude], max_level: int, *, max_points: int | None = No
         promote.append(ids[k * n + promote[m - 1][y]])
         v0_at = promote[m][v0_at]
 
-    top = min(3, max_level)
-    p3 = points[top]
-    diameter = 0.0
-    for i0 in range(0, len(p3), 2048):
-        block = p3[i0 : i0 + 2048]
-        d = np.linalg.norm(block[:, None, :] - p3[None, :, :], axis=2)
-        diameter = max(diameter, float(d.max()))
-
     system = FractalSystem(maps=list(maps), name=name, points=points, cells=cells,
-                           promote=promote, c0=float(c0), diameter=diameter,
-                           reflections=_reflections_of(v0, c0))
+                           promote=promote, c0=float(c0), reflections=_reflections_of(v0, c0))
     if run_validation:
         report = validate(system)
         system.validation = report

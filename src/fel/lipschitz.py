@@ -19,7 +19,9 @@ a formula without cancellation (Chan, Golub & LeVeque 1983).  A dual-tree
 walk over cell pairs (Gray & Moore 2000) bounds each pair's distances by the
 cells' bounding balls: a pair wholly inside the cutoff is summed from its
 moments, one wholly outside is dropped, and a straddling one is refined into
-its child pairs.  Straddling pairs of level-n cells enumerate their points.
+its child pairs.  The walk's leaves are buckets: the coarsest level whose
+cells each own at most LEAF_POINTS points, or level n if none does.  Straddling
+pairs of leaf cells enumerate their owned points.
 """
 
 from __future__ import annotations
@@ -42,6 +44,11 @@ TIE_BAND = 1e-9
 # Bound on the slots of one temporary: cell pairs of a frontier chunk, point
 # pairs of a leaf chunk, or pairs x functions of a moment sum.
 PAIR_CHUNK = 1 << 18
+# Most points a leaf cell may own.  Buckets of 6-10 points (level n-1 of the
+# gaskets) walk faster than level-n cells of 3-4, which are mostly padding,
+# and than level n-2 at 15-34, whose straddling pairs enumerate mostly far
+# points; the snowflake's level n-1, at 30, gains nothing over level n.
+LEAF_POINTS = 12
 
 
 @dataclass(frozen=True)
@@ -97,21 +104,24 @@ class _Level(NamedTuple):
 class _CellTree:
     """Per-level moments and bounding balls of the points each cell owns.
 
-    Points are sorted by their level-n owner, so every cell at every level
-    owns a contiguous run.  The balls enclose the owned points themselves,
-    so the walk assumes nothing about the shape of a cell.  The mean is kept
-    as a rounded value plus its correction (the corrected two-pass algorithm
-    of Chan, Golub & LeVeque), so mu_A - mu_B keeps its relative accuracy
-    when two close cells have nearly equal means.  Moments are
-    function-major, (F, cells), and are gathered with ``take``, which keeps
-    the pair axis contiguous: numpy sums pairwise only along that axis.
+    Levels run from the root down to the leaf level, the first whose cells
+    each own at most LEAF_POINTS points (level n at the latest); the counts
+    only shrink with depth.  Points are sorted by their level-n owner, so
+    every cell at every level owns a contiguous run.  The balls enclose the
+    owned points themselves, so the walk assumes nothing about the shape of a
+    cell.  The mean is kept as a rounded value plus its correction (the
+    corrected two-pass algorithm of Chan, Golub & LeVeque), so mu_A - mu_B
+    keeps its relative accuracy when two close cells have nearly equal
+    means.  Moments are function-major, (F, cells), and are gathered with
+    ``take``, which keeps the pair axis contiguous: numpy sums pairwise only
+    along that axis.
     """
 
     def __init__(self, system: FractalSystem, n: int, values: np.ndarray):
         owner = _owners(system, n)
         order = np.argsort(owner, kind="stable")
         owner = owner[order]
-        self.M, self.n = system.M, n
+        self.M = system.M
         self.points = system.points[n][order]
         self.values = np.ascontiguousarray(values[order].T)
         self.levels: list[_Level] = []
@@ -133,13 +143,17 @@ class _CellTree:
             radius = np.zeros(system.M**k)
             radius[held] = np.maximum.reduceat(dist, starts)
             self.levels.append(_Level(count, mean, fix, ss, center, radius))
-        # A level-n cell owns at most its #V_0 vertices: its points by slot,
-        # padded with -1, and their coordinates axis by axis, padded with NaN.
-        slot = np.arange(len(owner)) - np.searchsorted(owner, owner)
-        self.owned = np.full((system.M**n, system.M0), -1, dtype=np.int64)
-        self.owned[owner, slot] = np.arange(len(owner))
-        self.owned_xyz = np.full((system.dim, system.M**n, system.M0), np.nan)
-        self.owned_xyz[:, owner, slot] = self.points.T
+            if count.max() <= LEAF_POINTS:
+                break
+        self.leaf = k
+        # Each leaf cell's points by slot, padded with -1 to the widest owned
+        # set, and their coordinates axis by axis, padded with NaN.
+        slot = np.arange(len(key)) - np.searchsorted(key, key)
+        width = int(count.max())
+        self.owned = np.full((system.M**k, width), -1, dtype=np.int64)
+        self.owned[key, slot] = np.arange(len(key))
+        self.owned_xyz = np.full((system.dim, system.M**k, width), np.nan)
+        self.owned_xyz[:, key, slot] = self.points.T
 
     def pair_sum(self, radius: float) -> np.ndarray:
         """Sum of (f(x)-f(y))^2 over unordered pairs with sqrt(d2) < radius (1 - TIE_BAND)."""
@@ -161,7 +175,7 @@ class _CellTree:
                 parts.append(self._block_sum(k, a[inside], b[inside]))
             cross = live & ~inside & (gap - reach < outer)
             a, b = a[cross], b[cross]
-            if k == self.n:
+            if k == self.leaf:
                 parts.append(self._leaf_sum(a, b, inner))
                 return
             for s in range(0, len(a), group):
@@ -195,14 +209,14 @@ class _CellTree:
         return out
 
     def _leaf_sum(self, a: np.ndarray, b: np.ndarray, inner: float) -> np.ndarray:
-        """Enumerate the owned points of straddling level-n cell pairs."""
+        """Enumerate the owned points of straddling leaf cell pairs."""
         out = np.zeros(len(self.values))
-        m0 = self.owned.shape[1]
-        upper = np.triu(np.ones((m0, m0), dtype=bool), 1)
-        step = max(1, PAIR_CHUNK // m0**2)
+        width = self.owned.shape[1]
+        upper = np.triu(np.ones((width, width), dtype=bool), 1)
+        step = max(1, PAIR_CHUNK // width**2)
         for s in range(0, len(a), step):
             ia, ib = a[s : s + step], b[s : s + step]
-            d2 = np.zeros((len(ia), m0, m0))
+            d2 = np.zeros((len(ia), width, width))
             for xyz in self.owned_xyz:
                 d2 += (xyz[ia][:, :, None] - xyz[ib][:, None, :]) ** 2
             near = np.sqrt(d2) < inner          # NaN padding compares False
@@ -245,7 +259,10 @@ def coefficient_table(system: FractalSystem, values: np.ndarray, n: int,
     """Coefficients for several scales m at once; values as in pair_power_sums.
 
     Every m must be an integer (not a bool) with m >= 1, else ValueError;
-    m >= n raises ResolutionTooCoarse.
+    m >= n raises ResolutionTooCoarse.  Each column is summed at a
+    power-of-two scale, which is exact: data whose squared increments would
+    overflow gets its finite coefficient, and data whose sums stay in the
+    float range gets the bits of an unscaled sum.
     """
     if not ms:
         raise ValueError("need at least one scale m")
@@ -253,9 +270,15 @@ def coefficient_table(system: FractalSystem, values: np.ndarray, n: int,
         _check_scale(m, "scale m")
     if any(m >= n for m in ms):
         raise ResolutionTooCoarse(f"need n > m for every m in {ms} (n = {n})")
-    sums = pair_power_sums(system, n, [params.cutoff(m) for m in ms], values)
-    table = np.array([_coefficient_from_sum(params, m, system.vertex_count(n), row)
-                      for m, row in zip(ms, sums)])
+    # Each column is summed as f 2^-e with max |f 2^-e| in [1/2, 1), so the
+    # squared increments cannot overflow; a power of two scales exactly, and
+    # the coefficient, homogeneous of degree 1, is multiplied back by 2^e.
+    vals = values[:, None] if values.ndim == 1 else values
+    peak = np.max(np.abs(vals), axis=0, initial=0.0)
+    _, e = np.frexp(np.where(np.isfinite(peak), peak, 0.0))
+    sums = pair_power_sums(system, n, [params.cutoff(m) for m in ms], np.ldexp(vals, -e))
+    table = np.ldexp(np.array([_coefficient_from_sum(params, m, system.vertex_count(n), row)
+                               for m, row in zip(ms, sums)]), e)
     return table[:, 0] if values.ndim == 1 else table
 
 

@@ -1,10 +1,15 @@
+import io
 import json
+import math
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fel
 from fel.cli import main
@@ -182,6 +187,58 @@ def test_energy_beyond_float_range_is_inf():
     assert proc.returncode == 0
     assert "Traceback" not in proc.stderr
     assert proc.stdout == "m,E_m,monotone_ok\n1,inf,true\n"
+
+
+def test_lipschitz_beyond_float_range_is_finite():
+    # Squared increments of about 4.9e307 overflow when summed unscaled; the
+    # coefficients themselves are near 1e153.
+    proc = run_fresh("lipschitz", "gasket2", "--function", "perturb:harmonic:0,0,0:4:7e153",
+                     "--mmax", "2", "--level", "5")
+    assert proc.returncode == 0
+    assert "overflow" not in proc.stderr
+    assert "Traceback" not in proc.stderr
+    rows = [line.split(",") for line in proc.stdout.splitlines()]
+    assert rows[0] == ["m", "a_m", "b_m"] and [r[0] for r in rows[1:]] == ["1", "2"]
+    assert all(math.isfinite(float(v)) for r in rows[1:] for v in r[1:])
+
+
+_SCALE_TOKENS = ["0", "-1", "2.5", "x", "99", "1", "2", "3", "4"]
+_LEVELS_TOKENS = ["0", "-1", "2.5", "x", "99", "3..1", "0..99", "-1..2", "0..2", "1..4"]
+_FUNCTION_SPECS = [
+    "coord:0", "coord:5", "coord:x", "harmonic:1,0,0", "harmonic:1,0", "harmonic:x,0,0",
+    "harmonic:", "harmonic:nan,0,0", "harmonic:1,0,0,0,0,0", "perturb:coord:0:999:1",
+    "perturb:coord:0:-1:1", "perturb:coord:0:1", "perturb:harmonic:0,0,0:4:7e153",
+    "bogus", "",
+]
+
+
+@st.composite
+def _malformed_argv(draw):
+    function = draw(st.sampled_from(_FUNCTION_SPECS))
+    if draw(st.booleans()):
+        return ["energy", "gasket2", "--function", function,
+                "--levels", draw(st.sampled_from(_LEVELS_TOKENS))]
+    return ["lipschitz", "gasket2", "--function", function,
+            "--mmax", draw(st.sampled_from(_SCALE_TOKENS)),
+            "--level", draw(st.sampled_from(_SCALE_TOKENS))]
+
+
+# More examples than the profile's default: the draw space has about 1,400
+# argv, and one example runs in milliseconds.
+@settings(max_examples=60)
+@given(_malformed_argv())
+def test_malformed_arguments_exit_cleanly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:   # argparse rejects a token with exit 3
+            code = exc.code
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()
+    # Exit 1 belongs to the ConditionViolation handler, and gasket2 meets
+    # every condition.
+    assert code != 1 or err.getvalue().startswith("error: condition ")
 
 
 def test_describe_non_nested_exits_1(tmp_path, capsys):

@@ -5,9 +5,9 @@ import pytest
 
 from fel.energy import VertexFunction, harmonic_extension, parse_function_spec, random_corpus
 from fel.errors import ResolutionTooCoarse
-from fel.lipschitz import (b_coefficient, batch_norm_reports, coefficient_table,
-                           default_params, equivalence_experiment, hoelder_estimate,
-                           norm_report)
+from fel.lipschitz import (_CellTree, b_coefficient, batch_norm_reports,
+                           coefficient_table, default_params, equivalence_experiment,
+                           hoelder_estimate, norm_report)
 
 from helpers import (brute_force_coefficient, brute_force_degrees, degrees_match,
                      walk_degrees)
@@ -35,6 +35,51 @@ class TestPairEnumeration:
         radius = gasket3_l8.c0 / base
         assert degrees_match(walk_degrees(gasket3_l8, 4, radius),
                              brute_force_degrees(gasket3_l8, 4, radius))
+
+    @pytest.mark.parametrize("n, leaf", [(1, 0), (2, 1)])
+    def test_gasket_buckets_near_the_root(self, gasket2_l8, n, leaf):
+        # The 6 points of V_1 fill one bucket, so at n = 1 every pair is a
+        # self pair of the root, each to be counted once; at n = 2 the 15
+        # points split into level-1 buckets.
+        assert _CellTree(gasket2_l8, n, np.zeros((gasket2_l8.vertex_count(n), 1))).leaf == leaf
+        for radius in np.array([0.25, 0.5, 0.75, 1.0, 2.0]) * gasket2_l8.c0:
+            assert degrees_match(walk_degrees(gasket2_l8, n, radius),
+                                 brute_force_degrees(gasket2_l8, n, radius))
+
+    def test_interval_leaf_climbs_three_levels(self, interval_l5):
+        # Level-k cells of the interval own 2^(5-k) points (one more in cell
+        # 0): level 2, with 9, is the first to fit a bucket.
+        assert _CellTree(interval_l5, 5, np.zeros((interval_l5.vertex_count(5), 1))).leaf == 2
+        for m in range(5):
+            radius = interval_l5.c0 / 2**m
+            assert degrees_match(walk_degrees(interval_l5, 5, radius),
+                                 brute_force_degrees(interval_l5, 5, radius))
+
+    def test_snowflake_keeps_level_n_leaves(self, snowflake_l5, snowflake_hs):
+        # Level-3 cells own up to 30 points, more than a bucket holds, so
+        # the walk ends at level-4 cells; the pinned bits are those of
+        # level-4 leaves.
+        specs = random_corpus(snowflake_l5, 2, seed=1)
+        cols = np.column_stack([s.sample(snowflake_l5, snowflake_hs, 4).values for s in specs])
+        assert _CellTree(snowflake_l5, 4, cols).leaf == 4
+        pinned = {
+            "L": [["0x1.07609895a9fc9p-1", "0x1.07609895a9fc8p-1",
+                   "0x1.726ac4dbfda5ap-2", "0x1.a78925770a81fp-1"],
+                  ["0x1.41fae42e84768p-1", "0x1.41fae42e84768p-1",
+                   "0x1.c59e76178ec00p-2", "0x1.0bcdaa068baeep+0"],
+                  ["0x1.6349b2e451dd3p-1", "0x1.6349b2e451dd3p-1",
+                   "0x1.fd75ac2b4457ep-2", "0x1.34e85d7c82447p+0"]],
+            2.0: [["0x1.de62e0dd585d8p-2", "0x1.de62e0dd585d5p-2",
+                   "0x1.4aff27173e2abp-2", "0x1.63f87eec074a1p-1"],
+                  ["0x1.167076569dc2cp-1", "0x1.167076569dc2cp-1",
+                   "0x1.8a4a29516b95bp-2", "0x1.c4747f4bdb8cdp-1"],
+                  ["0x1.36ebf1e281e82p-1", "0x1.36ebf1e281e82p-1",
+                   "0x1.b93447fe94e40p-2", "0x1.0300b559f8866p+0"]],
+        }
+        for base, table in pinned.items():
+            params = default_params(snowflake_l5, snowflake_hs, base=base)
+            got = coefficient_table(snowflake_l5, cols, 4, [1, 2, 3], params)
+            assert [[v.hex() for v in row] for row in got.tolist()] == table
 
 
 class TestCoefficients:
@@ -68,6 +113,21 @@ class TestCoefficients:
             assert b_coefficient(gasket2_l8, g, m, params) == pytest.approx(
                 2.0 * b_coefficient(gasket2_l8, f, m, params), rel=1e-12
             )
+
+    @pytest.mark.parametrize("preset, n", [("gasket2", 5), ("gasket3", 4)])
+    def test_power_of_two_scaling_is_exact(self, request, preset, n):
+        # Squared increments of 2^600 f leave the float range; the table
+        # must still be 2^600 times f's, bit for bit.
+        system = request.getfixturevalue(f"{preset}_l8")
+        hs = request.getfixturevalue(f"{preset}_hs")
+        params = default_params(system, hs)
+        cols = np.column_stack([s.sample(system, hs, n).values
+                                for s in random_corpus(system, 4, seed=3)])
+        ms = list(range(1, n))
+        table = coefficient_table(system, cols, n, ms, params)
+        big = coefficient_table(system, np.ldexp(cols, 600), n, ms, params)
+        assert np.isfinite(big).all()
+        assert np.array_equal(big, np.ldexp(table, 600))
 
     def test_resolution_guard(self, gasket2_l8, gasket2_hs):
         params = default_params(gasket2_l8, gasket2_hs)
