@@ -273,10 +273,9 @@ def coefficient_table(system: FractalSystem, values: np.ndarray, n: int,
     # Each column is summed as f 2^-e with max |f 2^-e| in [1/2, 1), so the
     # squared increments cannot overflow; a power of two scales exactly, and
     # the coefficient, homogeneous of degree 1, is multiplied back by 2^e.
-    vals = values[:, None] if values.ndim == 1 else values
-    peak = np.max(np.abs(vals), axis=0, initial=0.0)
+    peak = np.max(np.abs(values), axis=0, initial=0.0)
     _, e = np.frexp(np.where(np.isfinite(peak), peak, 0.0))
-    sums = pair_power_sums(system, n, [params.cutoff(m) for m in ms], np.ldexp(vals, -e))
+    sums = pair_power_sums(system, n, [params.cutoff(m) for m in ms], np.ldexp(values, -e))
     table = np.ldexp(np.array([_coefficient_from_sum(params, m, system.vertex_count(n), row)
                                for m, row in zip(ms, sums)]), e)
     return table[:, 0] if values.ndim == 1 else table
