@@ -16,6 +16,8 @@ import os
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import energy as energy_mod
 from . import lipschitz as lip_mod
 from .characteristics import dimensions
@@ -293,7 +295,10 @@ def main(argv=None) -> int:
     parser = _make_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        # Huge or non-finite data gives inf and nan in the output, which is
+        # the result; numpy's warnings about it would only show internals.
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.func(args)
     except ConditionViolation as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -23,12 +23,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvariantViolation
 from .harmonic import HarmonicStructure
 from .ifs import FractalSystem
 
 MONOTONE_SLACK = 1e-9
-SHARED_VERTEX_TOL = 1e-10
 EXACT_SUM_CHUNK = 1 << 16
 EXACT_SUM_MAX_TERMS = 1 << 26
 _SUM_BINS = 2046  # one bin per scale 2^s, s = -1074 .. 971
@@ -110,14 +108,6 @@ def nonnegative_sum(terms) -> float:
         return math.inf
 
 
-def _fixing_maps(system: FractalSystem) -> np.ndarray:
-    """For each V_0 point p, a map k_p with psi_{k_p}(p) = p."""
-    fixes = system.cells[1] == system.promote[0]
-    if not fixes.any(axis=0).all():
-        raise InvariantViolation("a V_0 point is the fixed point of no map")
-    return fixes.argmax(axis=0)
-
-
 def _cells_energy(hs: HarmonicStructure, cols: list[np.ndarray], level: int) -> float:
     """rho^level times the exact sum of the cells' edge sums (inf beyond the
     float range); cols[p] holds the values at corner p of every cell."""
@@ -146,12 +136,11 @@ def harmonic_extension(system: FractalSystem, hs: HarmonicStructure,
                        f: VertexFunction, n: int) -> VertexFunction:
     """Extend f from its level to level n with minimal-energy interior values.
 
-    Each level-k cell writes its interior values to the new vertices of level
-    k + 1, and the promoted level-k values keep their vertices.  A bincount of
-    the write targets checks that every vertex of level k + 1 is written.
-    A vertex written more than once must receive consistent values (they are
-    not averaged), so a non-invariant extension matrix or a broken vertex
-    table raises InvariantViolation instead of smoothing silently.
+    Each level-k step is two scatters: the promoted level-k values keep their
+    vertices, and each level-k cell writes its interior values, the
+    extension matrix applied to its corner values, to its new vertices
+    system.new_vertices(k).  FractalSystem checks at construction that the
+    two write every vertex of level k + 1 exactly once.
     """
     _check_level(system, f)
     if not f.level <= n <= system.max_level:
@@ -164,38 +153,9 @@ def harmonic_extension(system: FractalSystem, hs: HarmonicStructure,
 
 def _extend_one(system: FractalSystem, hs: HarmonicStructure,
                 values: np.ndarray, k: int) -> np.ndarray:
-    n_next = system.vertex_count(k + 1)
-    n_cells = system.cells[k].shape[0]
-    # Each abstract V_1 point's last position among the children's vertices.
-    v1_slots = system.cells[1].ravel()
-    slot = np.empty(system.vertex_count(1), dtype=np.int64)
-    slot[v1_slots] = np.arange(v1_slots.size)
-    children = system.cells[k + 1].reshape(n_cells, v1_slots.size)
-    interior_vals = values[system.cells[k]] @ hs.extension_matrix.T
-
-    targets = np.concatenate([children[:, slot[hs.interior_ids]].ravel(), system.promote[k]])
-    writes = np.concatenate([interior_vals.ravel(), values])
-    counts = np.bincount(targets, minlength=n_next)
-    out = np.empty(counts.size)
-    out[targets] = writes
-    # A new vertex lies in one level-k cell, so only a broken system writes
-    # a vertex twice; such groups must agree, and the first write is kept.
-    shared = np.flatnonzero(counts[targets] > 1)
-    if shared.size:
-        order = np.argsort(targets[shared], kind="stable")
-        t_sorted, w_sorted = targets[shared][order], writes[shared][order]
-        starts = np.flatnonzero(np.r_[True, t_sorted[1:] != t_sorted[:-1]])
-        spread = (np.maximum.reduceat(w_sorted, starts)
-                  - np.minimum.reduceat(w_sorted, starts))
-        tol = SHARED_VERTEX_TOL * max(1.0, float(np.abs(values).max(initial=0.0)))
-        if spread.max() > tol:
-            raise InvariantViolation(
-                "conflicting values at a shared vertex during extension "
-                f"(spread {spread.max():g}); extension matrix is not symmetry-invariant"
-            )
-        out[t_sorted[starts]] = w_sorted[starts]
-    if counts.size != n_next or not counts.all():
-        raise InvariantViolation("extension did not cover every vertex of the next level")
+    out = np.empty(system.vertex_count(k + 1))
+    out[system.promote[k]] = values
+    out[system.new_vertices(k)] = values[system.cells[k]] @ hs.extension_matrix.T
     return out
 
 
@@ -215,21 +175,20 @@ def energy_sequence(system: FractalSystem, hs: HarmonicStructure, f: VertexFunct
 
     The corner values of every top-level cell are gathered once.  Each lower
     level restricts them through child rows: level-m cell w has the children
-    w*M + k in cells[m+1], and if map k_p fixes V_0 point p, corner p of w
-    is corner p of child w*M + k_p.  The column of corner p one level down
-    is thus the strided view col[k_p::M], and no level copies values.  Each
-    level's energy is the same edge sum as energy_m, combined by the same
-    exact_sum, so every entry equals energy_m of the restriction of f to V_m
-    bit for bit.
+    w*M + k in cells[m+1], and map k_p = system.fixing_maps[p] fixes V_0
+    point p, so corner p of w is corner p of child w*M + k_p.  The column of
+    corner p one level down is thus the strided view col[k_p::M], and no
+    level copies values.  Each level's energy is the same edge sum as
+    energy_m, combined by the same exact_sum, so every entry equals energy_m
+    of the restriction of f to V_m bit for bit.
     """
     _check_level(system, f)
-    fixing = _fixing_maps(system)
     cells = system.cells[f.level]
     cols = [f.values[cells[:, p]] for p in range(system.M0)]
     entries = []
     for m in range(f.level, m0 - 1, -1):
         if m < f.level:
-            cols = [col[k::system.M] for col, k in zip(cols, fixing)]
+            cols = [col[k::system.M] for col, k in zip(cols, system.fixing_maps)]
         entries.append((m, _cells_energy(hs, cols, m)))
     entries.reverse()
     monotone_ok = all(

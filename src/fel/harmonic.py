@@ -139,7 +139,6 @@ class HarmonicStructure:
     matrix: ConductivityMatrix
     rho: float
     extension_matrix: np.ndarray      # (#V_1 - #V_0) x #V_0, interior ids ascending
-    interior_ids: np.ndarray          # V_1 ids off V_0, ascending: the extension rows
     iteration_trace: list[tuple[float, float]] = field(default_factory=list)
     orbit_classes: list[list[tuple[int, int]]] = field(default_factory=list)
     class_values: np.ndarray | None = None
@@ -268,6 +267,5 @@ def solve_ndhs(system: FractalSystem) -> HarmonicStructure:
         raise NoConvergence("fixed point is not irreducible", trace=trace)
     return HarmonicStructure(
         matrix=matrix, rho=float(rho), extension_matrix=extension,
-        interior_ids=np.setdiff1d(np.arange(system.vertex_count(1)), boundary),
         iteration_trace=trace, orbit_classes=classes, class_values=values,
     )

@@ -37,6 +37,13 @@ MERGE_BAND = 100.0
 
 _ORTHO_TOL = 1e-12
 
+# Fixed points and their images coincide within FIXED_POINT_RTOL times the
+# largest fixed-point norm (at least 1).
+FIXED_POINT_RTOL = 1e-9
+
+# Nesting is checked geometrically through V_min(NESTING_DEPTH, max_level).
+NESTING_DEPTH = 3
+
 
 @dataclass(frozen=True)
 class Similitude:
@@ -75,16 +82,14 @@ class Similitude:
         return np.linalg.solve(np.eye(self.dim) - self.rotation / self.scale, self.translation)
 
 
-def essential_fixed_points(maps: list[Similitude], tol: float | None = None) -> np.ndarray:
+def essential_fixed_points(maps: list[Similitude]) -> np.ndarray:
     """Fixed points x for which psi_i(x) = psi_j(y) for some fixed point y, i != j.
 
     Points are returned in first-encounter order over map index.  Raises
     ``ConditionViolation(1)`` when fewer than two points qualify.
     """
     fps = [m.fixed_point() for m in maps]
-    scale = max(max(np.linalg.norm(p) for p in fps), 1.0)
-    if tol is None:
-        tol = 1e-9 * scale
+    tol = FIXED_POINT_RTOL * max(max(np.linalg.norm(p) for p in fps), 1.0)
     # Fixed points of different maps may coincide; keep unique points only.
     unique: list[np.ndarray] = []
     for p in fps:
@@ -151,9 +156,18 @@ class ValidationReport:
 class FractalSystem:
     """Validated similitude family with indexed vertex sets and symplex tables.
 
-    Immutable after build apart from the neighbor-graph cache and the
-    diameter, computed on first access; all arrays are safe for shared
-    concurrent reads.
+    Construction derives and checks two tables, raising InvariantViolation
+    if a check fails:
+
+    * ``new_slots``: for each V_1 point off V_0, in ascending id order (the
+      order of decimate's extension rows), its first slot in
+      ``cells[1].ravel()``.  ``new_vertices(k)`` reads these slots from the
+      children of every level-k cell, and for every k, ``promote[k]`` and
+      ``new_vertices(k)`` together name each V_{k+1} id exactly once.
+    * ``fixing_maps``: for each V_0 point p, a map k_p with psi_{k_p}(p) = p.
+
+    Immutable after build apart from the diameter, computed on first access;
+    all arrays are safe for shared concurrent reads.
     """
 
     def __init__(self, maps, name, points, cells, promote, c0, reflections,
@@ -166,7 +180,24 @@ class FractalSystem:
         self.c0 = c0
         self.reflections: list[Reflection] = reflections
         self.validation = validation
-        self._neighbor_cache: dict[int, np.ndarray] = {}
+
+        ids, first = np.unique(cells[1].ravel(), return_index=True)
+        self.new_slots = first[~np.isin(ids, promote[0])]
+        for k in range(self.max_level):
+            n = self.vertex_count(k + 1)
+            targets = np.concatenate([promote[k], self.new_vertices(k).ravel()])
+            if targets.min() < 0 or targets.max() >= n:
+                raise InvariantViolation(f"level {k} tables name ids outside V_{k + 1}")
+            counts = np.bincount(targets, minlength=n)
+            if (counts != 1).any():
+                raise InvariantViolation(
+                    f"level {k} tables write {(counts > 1).sum()} vertices of V_{k + 1} "
+                    f"more than once and leave {(counts == 0).sum()} unwritten"
+                )
+        fixes = cells[1] == promote[0]
+        if not fixes.any(axis=0).all():
+            raise InvariantViolation("a V_0 point is the fixed point of no map")
+        self.fixing_maps = fixes.argmax(axis=0)
 
     # -- basic attributes -------------------------------------------------
 
@@ -218,18 +249,16 @@ class FractalSystem:
 
     # -- derived structure ---------------------------------------------------
 
+    def new_vertices(self, k: int) -> np.ndarray:
+        """(M**k, #new_slots) ids of the V_{k+1} points off V_k, per level-k cell."""
+        return self.cells[k + 1].reshape(self.M**k, -1)[:, self.new_slots]
+
     def neighbor_graph(self, m: int) -> np.ndarray:
         """Unordered m-neighbor pairs: vertices sharing a level-m symplex."""
-        cached = self._neighbor_cache.get(m)
-        if cached is not None:
-            return cached
         cells = self.cells[m]
         cols = list(itertools.combinations(range(self.M0), 2))
         pairs = np.concatenate([cells[:, c] for c in cols], axis=0)
-        pairs = np.sort(pairs, axis=1)
-        pairs = np.unique(pairs, axis=0)
-        self._neighbor_cache[m] = pairs
-        return pairs
+        return np.unique(np.sort(pairs, axis=1), axis=0)
 
 
 def _check_cap(M: int, m: int, M0: int, cap: int) -> None:
@@ -356,15 +385,16 @@ def build(maps: list[Similitude], max_level: int, *, max_points: int | None = No
     return system
 
 
-def validate(system: FractalSystem, depth: int | None = None) -> ValidationReport:
+def validate(system: FractalSystem) -> ValidationReport:
     """Check conditions 1, 3, 4, 5 at finite resolution.
 
     Nesting is checked through the equivalent pairwise form
     psi_i(K) ∩ psi_j(K) = psi_i(V_0) ∩ psi_j(V_0), approximated by comparing
-    psi_i(V_k) ∩ psi_j(V_k) against psi_i(V_0) ∩ psi_j(V_0) for k <= depth.
+    psi_i(V_k) ∩ psi_j(V_k) against psi_i(V_0) ∩ psi_j(V_0) for
+    k <= min(NESTING_DEPTH, max_level).
     """
     failures: list[str] = []
-    depth = min(3, system.max_level) if depth is None else min(depth, system.max_level)
+    depth = min(NESTING_DEPTH, system.max_level)
     essential_ok = system.M0 >= 2
 
     nesting_ok = True

@@ -298,15 +298,13 @@ class NormReport:
     tag: str
     level: int
     b_values: list[tuple[int, float]]
-    a_values: list[tuple[int, float]]
     sup_b: float
-    sup_a: float
     l2_norm: float
     lip_norm: float
     energy_entries: list[tuple[int, float]]
     dirichlet_energy: float
     dirichlet_norm: float
-    ratio: float | None
+    ratio: float | None               # None if the Dirichlet norm is 0 or the ratio not finite
     monotone_ok: bool
 
 
@@ -339,11 +337,6 @@ def batch_norm_reports(system: FractalSystem, hs: HarmonicStructure,
     values = np.column_stack([s.sample(system, hs, n).values for s in specs])
     ms = list(range(1, m_max + 1))
     b_table = coefficient_table(system, values, n, ms, params)
-    dyadic = LipschitzParams(alpha=params.alpha, d=params.d, c0=params.c0, base=2.0)
-    if abs(params.base - 2.0) < 1e-12:
-        a_table = b_table
-    else:
-        a_table = coefficient_table(system, values, n, ms, dyadic)
     weight = 1.0 / system.vertex_count(n)
     reports = []
     for col, spec in enumerate(specs):
@@ -351,19 +344,18 @@ def batch_norm_reports(system: FractalSystem, hs: HarmonicStructure,
         l2 = math.sqrt(nonnegative_sum(f_vals * f_vals * weight))
         seq = energy_sequence(system, hs, VertexFunction(n, f_vals), m0=0, tag=spec.tag)
         energy = seq.entries[m_max][1]
-        b_col, a_col = b_table[:, col], a_table[:, col]
-        sup_b, sup_a = float(np.max(b_col)), float(np.max(a_col))
+        b_col = b_table[:, col]
+        sup_b = float(np.max(b_col))
         lip = l2 + sup_b
         dirichlet = math.sqrt(max(energy, 0.0) + l2 * l2)
-        ratio = lip / dirichlet if dirichlet > 0 else None
+        ratio = lip / dirichlet if dirichlet > 0 else math.nan
         reports.append(NormReport(
             tag=spec.tag, level=n,
             b_values=[(m, float(v)) for m, v in zip(ms, b_col)],
-            a_values=[(m, float(v)) for m, v in zip(ms, a_col)],
-            sup_b=sup_b, sup_a=sup_a, l2_norm=l2, lip_norm=lip,
+            sup_b=sup_b, l2_norm=l2, lip_norm=lip,
             energy_entries=seq.entries[: m_max + 1],
             dirichlet_energy=energy, dirichlet_norm=dirichlet,
-            ratio=ratio, monotone_ok=seq.monotone_ok,
+            ratio=ratio if math.isfinite(ratio) else None, monotone_ok=seq.monotone_ok,
         ))
     return reports
 
@@ -386,9 +378,11 @@ def equivalence_experiment(system: FractalSystem, hs: HarmonicStructure,
                            params: LipschitzParams | None = None) -> ExperimentSummary:
     """Norm reports for a corpus at levels n and n-1 with ratio statistics.
 
-    Functions with undefined ratio (zero Dirichlet norm) are excluded from
-    the statistics and listed.  The empirical equivalence constant is
-    measured, never asserted: the underlying theorem is qualitative.
+    Functions with undefined ratio (zero Dirichlet norm, or a ratio that is
+    not finite) are excluded from the statistics and listed, so the summary
+    does not depend on the order of the corpus.  The empirical equivalence
+    constant is measured, never asserted: the underlying theorem is
+    qualitative.
     """
     if not specs:
         raise ValueError("corpus is empty")

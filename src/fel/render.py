@@ -7,6 +7,8 @@ import numpy as np
 from .errors import UnsupportedDimension
 from .ifs import FractalSystem
 
+SVG_WIDTH = 720
+
 
 def _hull_order(coords: np.ndarray) -> np.ndarray:
     center = coords.mean(axis=0)
@@ -20,8 +22,7 @@ def _color(t: float) -> str:
     return f"rgb({r},40,{b})"
 
 
-def render_svg(system: FractalSystem, level: int, values: np.ndarray | None = None,
-               width: int = 720) -> str:
+def render_svg(system: FractalSystem, level: int, values: np.ndarray | None = None) -> str:
     """One polygon outline per level-m symplex; vertices colored by f if given."""
     if system.dim != 2:
         raise UnsupportedDimension("rendering is only defined for planar systems")
@@ -31,18 +32,18 @@ def render_svg(system: FractalSystem, level: int, values: np.ndarray | None = No
     lo, hi = pts.min(axis=0), pts.max(axis=0)
     span = float(max(hi - lo))
     pad = 0.06 * span
-    height = int(width * ((hi[1] - lo[1]) + 2 * pad) / ((hi[0] - lo[0]) + 2 * pad))
+    height = int(SVG_WIDTH * ((hi[1] - lo[1]) + 2 * pad) / ((hi[0] - lo[0]) + 2 * pad))
 
     def sx(x):
-        return (x - lo[0] + pad) / (span + 2 * pad) * width
+        return (x - lo[0] + pad) / (span + 2 * pad) * SVG_WIDTH
 
     def sy(y):
-        return height - (y - lo[1] + pad) / (span + 2 * pad) * width
+        return height - (y - lo[1] + pad) / (span + 2 * pad) * SVG_WIDTH
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{width}" height="{height}" viewBox="0 0 {width} {height}">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
+        f'width="{SVG_WIDTH}" height="{height}" viewBox="0 0 {SVG_WIDTH} {height}">',
+        f'<rect width="{SVG_WIDTH}" height="{height}" fill="white"/>',
     ]
     for row in system.cells[level]:
         coords = pts[row]
@@ -58,7 +59,7 @@ def render_svg(system: FractalSystem, level: int, values: np.ndarray | None = No
         vmin, vmax = float(values.min()), float(values.max())
         flat = (vmax - vmin) <= 1e-12 * max(1.0, abs(vmin), abs(vmax))
         scale = 1.0 if flat else vmax - vmin
-        radius = max(2.0, width / 240)
+        radius = max(2.0, SVG_WIDTH / 240)
         for (x, y), v in zip(pts, values):
             t = 0.5 if flat else (v - vmin) / scale
             parts.append(

@@ -65,7 +65,6 @@ def test_energy_csv(capsys):
         assert mono == "true"
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @pytest.mark.parametrize("data, energy", [("nan,0,0", "nan"), ("1e200,0,0", "inf")])
 def test_energy_csv_non_finite(capsys, data, energy):
     # nan and overflowing data give nan and inf energies, not numbers.
@@ -73,6 +72,24 @@ def test_energy_csv_non_finite(capsys, data, energy):
                        "--levels", "0..2")
     assert code == 0
     assert out == "m,E_m,monotone_ok\n" + "".join(f"{m},{energy},false\n" for m in range(3))
+
+
+def test_equivalence_summary_ignores_corpus_order(capsys, tmp_path):
+    # harmonic:1e200,0,0 has lip_norm = dirichlet_norm = inf, so its ratio is
+    # nan: undefined and excluded, wherever it stands in the corpus.
+    specs = ["harmonic:1e200,0,0", "harmonic:1,0,0"]
+    summaries = []
+    for order in (specs, specs[::-1]):
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text("\n".join(order) + "\n")
+        code, out, err = run(capsys, "equivalence", "gasket2", "--corpus", str(corpus),
+                             "--mmax", "2", "--level", "5")
+        assert code == 0
+        assert '"harmonic:1e200,0,0",inf,inf,undefined' in out.splitlines()
+        assert "excluded (undefined ratio): harmonic:1e200,0,0" in err
+        summaries.append(out.splitlines()[-1])
+    assert summaries[0] == summaries[1]
+    assert all(math.isfinite(float(v)) for v in summaries[0].split(",")[1:])
 
 
 def test_lipschitz_csv_and_base_flag(capsys):
@@ -187,6 +204,22 @@ def test_energy_beyond_float_range_is_inf():
     assert proc.returncode == 0
     assert "Traceback" not in proc.stderr
     assert proc.stdout == "m,E_m,monotone_ok\n1,inf,true\n"
+
+
+@pytest.mark.parametrize("argv, csv", [
+    (["energy", "gasket2", "--function", "harmonic:1e200,0,0", "--levels", "0..2"],
+     "m,E_m,monotone_ok\n0,inf,false\n1,inf,false\n2,inf,false\n"),
+    (["energy", "gasket2", "--function", "harmonic:inf,0,0", "--levels", "0..2"],
+     "m,E_m,monotone_ok\n0,inf,false\n1,nan,false\n2,nan,false\n"),
+    (["lipschitz", "gasket2", "--function", "harmonic:inf,0,0", "--mmax", "2", "--level", "5"],
+     "m,a_m,b_m\n1,nan,nan\n2,nan,nan\n"),
+], ids=["energy-1e200", "energy-inf", "lipschitz-inf"])
+def test_non_finite_data_leaves_stderr_clean(argv, csv):
+    # inf and nan in the CSV are the answer; numpy's warnings are not shown.
+    proc = run_fresh(*argv)
+    assert proc.returncode == 0
+    assert proc.stdout == csv
+    assert proc.stderr == ""
 
 
 def test_lipschitz_beyond_float_range_is_finite():

@@ -13,8 +13,24 @@ from fel.energy import (EXACT_SUM_CHUNK, EXACT_SUM_MAX_TERMS, VertexFunction, en
                         nonnegative_sum, parse_function_spec, random_corpus)
 from fel.errors import InvariantViolation
 from fel.harmonic import energy0, solve_ndhs, unit_matrix
+from fel.ifs import FractalSystem
 
 from helpers import locate, make_system
+
+
+def gasket2_with_promote(k, corrupt):
+    """FractalSystem from the gasket2 L2 tables with promote[k] passed through corrupt."""
+    system = make_system("gasket2", 2)
+    promote = list(system.promote)
+    promote[k] = corrupt(promote[k].copy())
+    return FractalSystem(maps=system.maps, name=system.name, points=system.points,
+                         cells=system.cells, promote=promote, c0=system.c0,
+                         reflections=system.reflections)
+
+
+def glue_first_two(ids):
+    ids[1] = ids[0]
+    return ids
 
 
 class TestEnergyM:
@@ -126,41 +142,37 @@ class TestHarmonicExtension:
             en = energy_m(gasket2_l8, gasket2_hs, fn)
             assert en == pytest.approx(e0, rel=1e-9)
 
-    def test_conflicting_writes_detected(self, gasket2_hs):
-        # Shared-vertex values are checked consistent, not averaged: glue two
-        # distinct boundary vertices onto one target and the guard must fire.
-        system = make_system("gasket2", 2)
-        system.promote[0] = system.promote[0].copy()
-        system.promote[0][1] = system.promote[0][0]
-        with pytest.raises(InvariantViolation, match="shared vertex|cover"):
-            harmonic_extension(system, gasket2_hs,
-                               VertexFunction(0, np.array([1.0, 0.0, 0.0])), 1)
+    def test_conflicting_writes_detected(self):
+        # Two V_0 points promoted onto one V_1 vertex: the extension would
+        # write it twice, and FractalSystem rejects the tables at construction.
+        # (The V_1 vertex that lost its promotion counts as new, so it is
+        # still written.)
+        with pytest.raises(InvariantViolation, match="1 vertices of V_1 more than once"):
+            gasket2_with_promote(0, glue_first_two)
 
-    def test_uncovered_vertex_detected(self, gasket2_hs):
-        # Equal data on the two glued vertices passes the shared-vertex check,
-        # and the vertex that lost its writer must be reported.
-        system = make_system("gasket2", 2)
-        system.promote[0] = system.promote[0].copy()
-        system.promote[0][1] = system.promote[0][0]
-        with pytest.raises(InvariantViolation, match="cover"):
-            harmonic_extension(system, gasket2_hs,
-                               VertexFunction(0, np.array([1.0, 1.0, 0.0])), 1)
+    def test_uncovered_vertex_detected(self):
+        # Glued one level down, the V_2 vertex that lost its promotion is in
+        # no slot table, so no write reaches it.
+        with pytest.raises(InvariantViolation, match="V_2 more than once and leave 1 unwritten"):
+            gasket2_with_promote(1, glue_first_two)
 
     def test_level_overflow(self, gasket2_l8, gasket2_hs):
         with pytest.raises(ValueError):
             harmonic_extension(gasket2_l8, gasket2_hs,
                                VertexFunction(0, np.zeros(3)), 9)
 
-    def test_matches_global_minimizer_on_v2(self, gasket2_l8, gasket2_hs):
+    @pytest.mark.parametrize("fixture", ["gasket2_l8", "gasket3_l8", "snowflake_l5"])
+    def test_matches_global_minimizer_on_v2(self, fixture, request):
         # Cell-by-cell extension must agree with the one-shot minimizer of the
         # level-2 form over all interior vertices, built independently here.
-        system, hs = gasket2_l8, gasket2_hs
+        system = request.getfixturevalue(fixture)
+        hs = request.getfixturevalue(fixture.split("_")[0] + "_hs")
         n2 = system.vertex_count(2)
         a = hs.matrix.entries
         lap = np.zeros((n2, n2))
         for row in system.cells[2]:
-            for p in range(3):
-                for q in range(3):
+            for p in range(system.M0):
+                for q in range(system.M0):
                     if p != q:
                         lap[row[p], row[q]] -= a[p, q]
         np.fill_diagonal(lap, 0.0)
@@ -168,7 +180,7 @@ class TestHarmonicExtension:
         boundary = system.lift(0, 2)
         interior = np.setdiff1d(np.arange(n2), boundary)
         rng = np.random.default_rng(77)
-        f = rng.normal(size=3)
+        f = rng.normal(size=system.M0)
         solved = np.empty(n2)
         solved[boundary] = f
         solved[interior] = np.linalg.solve(
@@ -230,12 +242,9 @@ class TestEnergySequence:
                         for m in range(m0, n + 1)]
             assert seq.entries == expected
 
-    def test_v0_point_without_fixing_map_rejected(self, gasket2_hs):
-        system = make_system("gasket2", 2)
-        system.promote[0] = np.roll(system.promote[0], 1)
-        f = VertexFunction(2, np.zeros(system.vertex_count(2)))
+    def test_v0_point_without_fixing_map_rejected(self):
         with pytest.raises(InvariantViolation, match="fixed point of no map"):
-            energy_sequence(system, gasket2_hs, f)
+            gasket2_with_promote(0, lambda ids: np.roll(ids, 1))
 
 
 def fsum_outcome(total, terms):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from fel import lipschitz
 from fel.energy import VertexFunction, harmonic_extension, parse_function_spec, random_corpus
 from fel.errors import ResolutionTooCoarse
 from fel.lipschitz import (_CellTree, b_coefficient, batch_norm_reports,
@@ -224,6 +225,18 @@ class TestNormReport:
         spec = parse_function_spec("harmonic:1,0,0")
         assert norm_report(gasket2_l8, gasket2_hs, spec, np.int64(3), 5) == \
             norm_report(gasket2_l8, gasket2_hs, spec, 3, 5)
+
+    def test_one_coefficient_table_per_report(self, snowflake_l5, snowflake_hs, monkeypatch):
+        # L = 3: the report needs the base-L table only, not a second at base 2.
+        calls = []
+
+        def counted(*args):
+            calls.append(args[-1].base)
+            return coefficient_table(*args)
+
+        monkeypatch.setattr(lipschitz, "coefficient_table", counted)
+        norm_report(snowflake_l5, snowflake_hs, parse_function_spec("coord:0"), 2, 4)
+        assert calls == [3.0]
 
     def test_harmonic_energy_two(self, gasket2_l8, gasket2_hs):
         rep = norm_report(gasket2_l8, gasket2_hs,

@@ -1,7 +1,8 @@
-"""Package-level checks: the public namespace, the absence of bare asserts and
-the single exact-sum path."""
+"""Package-level checks: the public namespace, the absence of bare asserts,
+the single exact-sum path and the README's library example."""
 
 import ast
+import re
 from pathlib import Path
 
 import fel
@@ -54,3 +55,10 @@ def test_fsum_only_in_exact_sum():
                 allowed |= fsum_lines(node)
         found += [f"{path.name}:{line}" for line in sorted(fsum_lines(tree) - allowed)]
     assert not found
+
+
+def test_readme_library_example_runs():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    blocks = re.findall(r"```python\n(.*?)```", readme.read_text(encoding="utf-8"), re.S)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README.md", "exec"), {})
