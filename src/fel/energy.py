@@ -262,7 +262,9 @@ def parse_function_spec(text: str) -> FunctionSpec:
 def random_corpus(system: FractalSystem, count: int, seed: int,
                   include_coords: bool = True) -> list[FunctionSpec]:
     """Seeded corpus: harmonic extensions of uniform data on V_0 and V_1,
-    plus the coordinate functions."""
+    plus the coordinate functions; a negative count raises ValueError."""
+    if count < 0:
+        raise ValueError(f"corpus size must be >= 0 (got {count})")
     rng = np.random.default_rng(seed)
     specs: list[FunctionSpec] = []
     if include_coords:

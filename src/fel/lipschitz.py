@@ -20,8 +20,10 @@ walk over cell pairs (Gray & Moore 2000) bounds each pair's distances by the
 cells' bounding balls: a pair wholly inside the cutoff is summed from its
 moments, one wholly outside is dropped, and a straddling one is refined into
 its child pairs.  The walk's leaves are buckets: the coarsest level whose
-cells each own at most LEAF_POINTS points, or level n if none does.  Straddling
-pairs of leaf cells enumerate their owned points.
+cells each own at most LEAF_POINTS points, or level n if none does.  A
+straddling pair of leaf cells (A, B) is settled point against cell: each
+point u owned by A is tested against B's bounding ball, the same three ways,
+and only the points whose test straddles enumerate B's points.
 """
 
 from __future__ import annotations
@@ -42,12 +44,14 @@ STABILITY_LIMIT = 0.10
 # Pairs within TIE_BAND * r of the cutoff sphere are ties; they count as outside.
 TIE_BAND = 1e-9
 # Bound on the slots of one temporary: cell pairs of a frontier chunk, point
-# pairs of a leaf chunk, or pairs x functions of a moment sum.
-PAIR_CHUNK = 1 << 18
-# Most points a leaf cell may own.  Buckets of 6-10 points (level n-1 of the
-# gaskets) walk faster than level-n cells of 3-4, which are mostly padding,
-# and than level n-2 at 15-34, whose straddling pairs enumerate mostly far
-# points; the snowflake's level n-1, at 30, gains nothing over level n.
+# rows or point pairs of a leaf chunk, or pairs x functions of a gather.
+# 2^15 slots (256 KiB of float64) had the lowest median wall time of
+# 2^14-2^17 on each pair workload of the benchmark.
+PAIR_CHUNK = 1 << 15
+# Most points a leaf cell may own: level n-1 of the gaskets (6-10 points),
+# level n of the snowflake (6).  Level n-2 (gaskets 15-34, snowflake 198)
+# slows the gasket2 and snowflake walks; a bound of 40 (snowflake level n-1,
+# 30 points) speeds the snowflake but slows the gasket2 corpus walk.
 LEAF_POINTS = 12
 
 
@@ -107,14 +111,16 @@ class _CellTree:
     Levels run from the root down to the leaf level, the first whose cells
     each own at most LEAF_POINTS points (level n at the latest); the counts
     only shrink with depth.  Points are sorted by their level-n owner, so
-    every cell at every level owns a contiguous run.  The balls enclose the
-    owned points themselves, so the walk assumes nothing about the shape of a
-    cell.  The mean is kept as a rounded value plus its correction (the
-    corrected two-pass algorithm of Chan, Golub & LeVeque), so mu_A - mu_B
-    keeps its relative accuracy when two close cells have nearly equal
-    means.  Moments are function-major, (F, cells), and are gathered with
-    ``take``, which keeps the pair axis contiguous: numpy sums pairwise only
-    along that axis.
+    every cell at every level owns a contiguous run, and each leaf cell's
+    points are also kept by slot, padded to the widest leaf, for the
+    point-against-cell tests.  The balls enclose the owned points
+    themselves, so the walk assumes nothing about the shape of a cell.  The
+    mean is kept as a rounded value plus its correction (the corrected
+    two-pass algorithm of Chan, Golub & LeVeque), so mu_A - mu_B keeps its
+    relative accuracy when two close cells have nearly equal means.
+    Moments are function-major, (F, cells), and are gathered with ``take``,
+    which keeps the pair axis contiguous: numpy sums pairwise only along
+    that axis.
     """
 
     def __init__(self, system: FractalSystem, n: int, values: np.ndarray):
@@ -154,6 +160,8 @@ class _CellTree:
         self.owned[key, slot] = np.arange(len(key))
         self.owned_xyz = np.full((system.dim, system.M**k, width), np.nan)
         self.owned_xyz[:, key, slot] = self.points.T
+        self.points_xyz = np.ascontiguousarray(self.points.T)
+        self.leaf_center = np.ascontiguousarray(self.levels[-1].center.T)
 
     def pair_sum(self, radius: float) -> np.ndarray:
         """Sum of (f(x)-f(y))^2 over unordered pairs with sqrt(d2) < radius (1 - TIE_BAND)."""
@@ -176,7 +184,7 @@ class _CellTree:
             cross = live & ~inside & (gap - reach < outer)
             a, b = a[cross], b[cross]
             if k == self.leaf:
-                parts.append(self._leaf_sum(a, b, inner))
+                parts.append(self._leaf_sum(a, b, inner, outer))
                 return
             for s in range(0, len(a), group):
                 stack.append((k, a[s : s + group], b[s : s + group]))
@@ -208,27 +216,99 @@ class _CellTree:
                             + na * nb * diff * diff)).sum(axis=1)
         return out
 
-    def _leaf_sum(self, a: np.ndarray, b: np.ndarray, inner: float) -> np.ndarray:
-        """Enumerate the owned points of straddling leaf cell pairs."""
-        out = np.zeros(len(self.values))
+    def _leaf_sum(self, a: np.ndarray, b: np.ndarray, inner: float,
+                  outer: float) -> np.ndarray:
+        """Sum over straddling leaf cell pairs a <= b, one row per owned point u of a.
+
+        Each row is tested against b's bounding ball: a row with all of b
+        inside the cutoff sums from b's moments, one with all of b outside is
+        dropped, and only the mixed rows in between enumerate b's points.
+        The rows of a self pair (a = b) meet each unordered pair twice and
+        weigh 1/2, as in _block_sum.
+        """
+        level = self.levels[self.leaf]
         width = self.owned.shape[1]
-        upper = np.triu(np.ones((width, width), dtype=bool), 1)
-        step = max(1, PAIR_CHUNK // width**2)
+        below = _below_sqrt(inner)
+        out = np.zeros(len(self.values))
+        step = max(1, PAIR_CHUNK // width)
         for s in range(0, len(a), step):
             ia, ib = a[s : s + step], b[s : s + step]
-            d2 = np.zeros((len(ia), width, width))
-            for xyz in self.owned_xyz:
-                d2 += (xyz[ia][:, :, None] - xyz[ib][:, None, :]) ** 2
-            near = np.sqrt(d2) < inner          # NaN padding compares False
-            near &= (ia != ib)[:, None, None] | upper
-            p, u, v = np.nonzero(near)
-            x, y = self.owned[ia[p], u], self.owned[ib[p], v]
-            rows = max(1, PAIR_CHUNK // len(out))
-            for t in range(0, len(x), rows):
-                diff = self.values.take(x[t : t + rows], axis=1) \
-                    - self.values.take(y[t : t + rows], axis=1)
-                out += (diff * diff).sum(axis=1)
+            dist = self._d2(ia, self.leaf_center, ib)
+            np.sqrt(dist, out=dist)
+            reach = level.radius.take(ib)[:, None]
+            row = self.owned.take(ia, axis=0).ravel()
+            half = np.where(ia == ib, 0.5, 1.0)
+            far = dist + reach                          # NaN padding compares False
+            full = np.flatnonzero(far < inner)
+            mixed = np.flatnonzero((far >= inner) & (dist - reach < outer))
+            pair = full // width
+            out += self._row_sum(row[full], ib[pair], half[pair])
+            pair = mixed // width
+            out += self._mixed_sum(row[mixed], ib[pair], half[pair], below)
         return out
+
+    def _row_sum(self, x: np.ndarray, b: np.ndarray, weight: np.ndarray) -> np.ndarray:
+        """Weighted sum of point x against all of leaf cell b:
+        n_b (f_x - mu_b)^2 + SS_b, _block_sum's formula with a one-point cell."""
+        level = self.levels[self.leaf]
+        out = np.zeros(len(self.values))
+        step = max(1, PAIR_CHUNK // len(out))
+        for s in range(0, len(x), step):
+            ix, ib = x[s : s + step], b[s : s + step]
+            diff = self.values.take(ix, axis=1)
+            diff -= level.mean.take(ib, axis=1)
+            diff -= level.fix.take(ib, axis=1)
+            diff *= diff
+            diff *= level.count.take(ib)
+            diff += level.ss.take(ib, axis=1)
+            diff *= weight[s : s + step]
+            out += diff.sum(axis=1)
+        return out
+
+    def _mixed_sum(self, x: np.ndarray, b: np.ndarray, weight: np.ndarray,
+                   below: float) -> np.ndarray:
+        """Weighted sum of point x against the points of leaf cell b with d2 < below."""
+        width = self.owned.shape[1]
+        out = np.zeros(len(self.values))
+        step = max(1, PAIR_CHUNK // width)
+        rows = max(1, PAIR_CHUNK // len(out))
+        for s in range(0, len(x), step):
+            ix, ib = x[s : s + step], b[s : s + step]
+            near = np.flatnonzero(self._d2(ib, self.points_xyz, ix) < below)
+            row = near // width
+            near_x, near_w = ix[row], weight[s : s + step][row]
+            near_y = self.owned.take(ib, axis=0).ravel()[near]
+            for t in range(0, len(near), rows):
+                diff = self.values.take(near_x[t : t + rows], axis=1)
+                diff -= self.values.take(near_y[t : t + rows], axis=1)
+                diff *= diff
+                diff *= near_w[t : t + rows]
+                out += diff.sum(axis=1)
+        return out
+
+    def _d2(self, cells: np.ndarray, xyz: np.ndarray, at: np.ndarray) -> np.ndarray:
+        """d2 from point ``at[i]`` of the coordinates ``xyz`` (axis by axis) to
+        each owned point of leaf cell ``cells[i]``: (len(cells), width), NaN
+        at the padding."""
+        d2 = np.zeros((len(cells), self.owned.shape[1]))
+        for own, axis in zip(self.owned_xyz, xyz):
+            diff = own.take(cells, axis=0)
+            diff -= axis.take(at)[:, None]
+            diff *= diff
+            d2 += diff
+        return d2
+
+
+def _below_sqrt(inner: float) -> float:
+    """The least float t with sqrt(t) >= inner, so that d2 < t iff sqrt(d2) < inner:
+    sqrt is correctly rounded, hence monotone, and t lies within an ulp or two
+    of inner^2."""
+    t = inner * inner
+    while math.sqrt(t) >= inner:
+        t = math.nextafter(t, 0.0)
+    while math.sqrt(t) < inner:
+        t = math.nextafter(t, math.inf)
+    return t
 
 
 def pair_power_sums(system: FractalSystem, n: int, radii: np.ndarray,

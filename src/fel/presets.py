@@ -17,6 +17,7 @@ verifies it for arbitrary input.
 from __future__ import annotations
 
 import json
+import numbers
 from importlib import resources
 from pathlib import Path
 
@@ -29,11 +30,14 @@ PRESET_NAMES = ("gasket2", "gasket3", "snowflake")
 
 def maps_from_definition(definition: dict) -> tuple[list[Similitude], str | None]:
     try:
-        dim = int(definition["dimension"])
+        dim = definition["dimension"]
         scale = float(definition["scale"])
         raw_maps = definition["maps"]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed fractal definition: {exc}") from exc
+    if isinstance(dim, bool) or not isinstance(dim, numbers.Integral) or dim < 1:
+        raise ValueError(f"malformed fractal definition: dimension must be an integer "
+                         f">= 1, not {dim!r}")
     if not isinstance(raw_maps, list):
         raise ValueError(f"malformed fractal definition: maps must be a list, "
                          f"not {type(raw_maps).__name__}")

@@ -59,20 +59,27 @@ def brute_force_coefficient(system, f, m, params):
     )
 
 
-def brute_force_pairs(system, n, radius):
-    """All unordered V_n pairs (i < j) under the ties-out cutoff of the pair
-    sums: sqrt(d2) < r (1 - 1e-9), d2 summed axis by axis."""
+def brute_force_near(system, n, radius):
+    """All V_n pairs under the ties-out cutoff of the pair sums, as a symmetric
+    matrix without its diagonal: sqrt(d2) < r (1 - 1e-9), d2 summed axis by axis."""
     pts = system.points[n]
     d2 = ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
-    ii, jj = np.nonzero(np.sqrt(d2) < radius * (1 - 1e-9))
-    keep = ii < jj
-    return set(zip(ii[keep].tolist(), jj[keep].tolist()))
+    near = np.sqrt(d2) < radius * (1 - 1e-9)
+    np.fill_diagonal(near, False)
+    return near
 
 
 def brute_force_degrees(system, n, radius):
-    """Degree of each V_n point in the cutoff graph of brute_force_pairs."""
-    pairs = np.array(list(brute_force_pairs(system, n, radius)), dtype=np.int64)
-    return np.bincount(pairs.ravel(), minlength=system.vertex_count(n))
+    """Degree of each V_n point in the cutoff graph of brute_force_near."""
+    return np.count_nonzero(brute_force_near(system, n, radius), axis=1)
+
+
+def brute_force_pair_sums(system, n, radius, values):
+    """Sum of (f(x)-f(y))^2 over the unordered pairs of brute_force_near, one
+    column of the (#V_n, F) values at a time, all pairs in one numpy sum."""
+    near = brute_force_near(system, n, radius)
+    return np.array([np.where(near, (v[:, None] - v[None, :]) ** 2, 0.0).sum() / 2
+                     for v in values.T])
 
 
 def walk_degrees(system, n, radius):

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -256,22 +257,93 @@ def _malformed_argv(draw):
             "--level", draw(st.sampled_from(_SCALE_TOKENS))]
 
 
+_DIMENSIONS = [2, 2.7, 2.0, 0, -1, 1, 3, True, "2", None, [2]]
+_SCALES = [2.0, 1.0, 0.5, 0, -2.0, "2", "x", None, True, math.nan, math.inf]
+_ENTRIES = [math.nan, math.inf, -math.inf, 1e300, "x", None, [1.0], True]
+_FIELDS = [[], [1.0], [1.0] * 3, [1.0] * 9, [[1.0, 0.0], [0.0, 1.0]], "x", None, {}, 5]
+_MAPS = [[], 5, "x", None, [[1, 2]], [5], [{}], {"rotation": [1.0], "translation": [0.0]}]
+
+
+@st.composite
+def _malformed_definition(draw):
+    """gasket2's definition with its dimension, scale, one map's field, one
+    entry of a field or the whole map list replaced."""
+    definition = definition_from_maps(*load_maps("gasket2"))
+    if draw(st.booleans()):
+        definition["dimension"] = draw(st.sampled_from(_DIMENSIONS))
+    if draw(st.booleans()):
+        definition["scale"] = draw(st.sampled_from(_SCALES))
+    k = draw(st.integers(0, 2))
+    field = draw(st.sampled_from(["rotation", "translation"]))
+    change = draw(st.sampled_from(["none", "entry", "field", "drop", "maps"]))
+    if change == "entry":
+        values = definition["maps"][k][field]
+        values[draw(st.integers(0, len(values) - 1))] = draw(st.sampled_from(_ENTRIES))
+    elif change == "field":
+        definition["maps"][k][field] = draw(st.sampled_from(_FIELDS))
+    elif change == "drop":
+        del definition["maps"][k][field]
+    elif change == "maps":
+        definition["maps"] = draw(st.sampled_from(_MAPS))
+    return definition
+
+
+@st.composite
+def _malformed_run(draw):
+    """CLI argv on gasket2, or on a malformed definition file (None for gasket2)."""
+    argv = draw(_malformed_argv())
+    if draw(st.booleans()):
+        return argv, None
+    definition = draw(_malformed_definition())
+    if draw(st.booleans()):
+        argv = ["describe", "gasket2"]
+    return argv, definition
+
+
 # More examples than the profile's default: the draw space has about 1,400
-# argv, and one example runs in milliseconds.
-@settings(max_examples=60)
-@given(_malformed_argv())
-def test_malformed_arguments_exit_cleanly(argv):
+# argv on gasket2 and many more definitions, and one example runs in
+# milliseconds.
+@settings(max_examples=150)
+@given(_malformed_run())
+def test_malformed_arguments_exit_cleanly(run_case):
+    argv, definition = run_case
     out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
+    with tempfile.TemporaryDirectory() as tmp, redirect_stdout(out), redirect_stderr(err):
+        if definition is not None:
+            argv[1] = str(Path(tmp) / "bad.json")
+            Path(argv[1]).write_text(json.dumps(definition), encoding="utf-8")
         try:
             code = main(argv)
         except SystemExit as exc:   # argparse rejects a token with exit 3
             code = exc.code
     assert code in (0, 1, 2, 3)
     assert "Traceback" not in err.getvalue()
-    # Exit 1 belongs to the ConditionViolation handler, and gasket2 meets
-    # every condition.
-    assert code != 1 or err.getvalue().startswith("error: condition ")
+    # Exit 1 belongs to the ConditionViolation handler; gasket2 meets every
+    # condition, a drawn definition may not.
+    assert definition is not None or code != 1 or err.getvalue().startswith("error: condition ")
+
+
+@pytest.mark.parametrize("dimension", [2.7, 0, -1, True, "2"])
+def test_exit_code_malformed_dimension(tmp_path, dimension):
+    # int() would truncate 2.7 to 2 and accept "2" and True; 0 would fail in numpy.
+    definition = definition_from_maps(*load_maps("gasket2"))
+    definition["dimension"] = dimension
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(definition), encoding="utf-8")
+    proc = run_fresh("describe", str(path))
+    assert proc.returncode == 3
+    assert "Traceback" not in proc.stderr
+    assert "malformed fractal definition: dimension must be an integer >= 1" in proc.stderr
+
+
+def test_negative_corpus_size_exits_3(tmp_path):
+    corpus = tmp_path / "c.txt"
+    proc = run_fresh("equivalence", "gasket2", "--corpus", str(corpus), "--generate-corpus",
+                     "-1", "--mmax", "1", "--level", "3")
+    assert proc.returncode == 3
+    assert "Traceback" not in proc.stderr
+    assert "corpus size must be >= 0" in proc.stderr
+    assert not corpus.exists()
 
 
 def test_describe_non_nested_exits_1(tmp_path, capsys):

@@ -2,16 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fel import lipschitz
 from fel.energy import VertexFunction, harmonic_extension, parse_function_spec, random_corpus
 from fel.errors import ResolutionTooCoarse
 from fel.lipschitz import (_CellTree, b_coefficient, batch_norm_reports,
                            coefficient_table, default_params, equivalence_experiment,
-                           hoelder_estimate, norm_report)
+                           hoelder_estimate, norm_report, pair_power_sums)
 
-from helpers import (brute_force_coefficient, brute_force_degrees, degrees_match,
-                     walk_degrees)
+from helpers import (brute_force_coefficient, brute_force_degrees, brute_force_pair_sums,
+                     degrees_match, walk_degrees)
 
 
 class TestPairEnumeration:
@@ -64,23 +66,45 @@ class TestPairEnumeration:
         cols = np.column_stack([s.sample(snowflake_l5, snowflake_hs, 4).values for s in specs])
         assert _CellTree(snowflake_l5, 4, cols).leaf == 4
         pinned = {
-            "L": [["0x1.07609895a9fc9p-1", "0x1.07609895a9fc8p-1",
+            "L": [["0x1.07609895a9fc8p-1", "0x1.07609895a9fc8p-1",
                    "0x1.726ac4dbfda5ap-2", "0x1.a78925770a81fp-1"],
                   ["0x1.41fae42e84768p-1", "0x1.41fae42e84768p-1",
-                   "0x1.c59e76178ec00p-2", "0x1.0bcdaa068baeep+0"],
-                  ["0x1.6349b2e451dd3p-1", "0x1.6349b2e451dd3p-1",
+                   "0x1.c59e76178ec01p-2", "0x1.0bcdaa068baeep+0"],
+                  ["0x1.6349b2e451dd4p-1", "0x1.6349b2e451dd3p-1",
                    "0x1.fd75ac2b4457ep-2", "0x1.34e85d7c82447p+0"]],
-            2.0: [["0x1.de62e0dd585d8p-2", "0x1.de62e0dd585d5p-2",
-                   "0x1.4aff27173e2abp-2", "0x1.63f87eec074a1p-1"],
-                  ["0x1.167076569dc2cp-1", "0x1.167076569dc2cp-1",
-                   "0x1.8a4a29516b95bp-2", "0x1.c4747f4bdb8cdp-1"],
+            2.0: [["0x1.de62e0dd585d5p-2", "0x1.de62e0dd585d5p-2",
+                   "0x1.4aff27173e2abp-2", "0x1.63f87eec0749ep-1"],
+                  ["0x1.167076569dc2cp-1", "0x1.167076569dc2bp-1",
+                   "0x1.8a4a29516b95dp-2", "0x1.c4747f4bdb8ccp-1"],
                   ["0x1.36ebf1e281e82p-1", "0x1.36ebf1e281e82p-1",
-                   "0x1.b93447fe94e40p-2", "0x1.0300b559f8866p+0"]],
+                   "0x1.b93447fe94e3fp-2", "0x1.0300b559f8867p+0"]],
         }
         for base, table in pinned.items():
             params = default_params(snowflake_l5, snowflake_hs, base=base)
             got = coefficient_table(snowflake_l5, cols, 4, [1, 2, 3], params)
             assert [[v.hex() for v in row] for row in got.tolist()] == table
+
+
+# Fewer examples than the profile's default: a snowflake example reads 1,374
+# degrees from the walk, about 1 s.
+@pytest.mark.parametrize("name, n", [("gasket2", 4), ("gasket3", 3), ("snowflake", 3),
+                                     ("interval", 5)])
+@settings(max_examples=4)
+@given(octaves=st.floats(-1.0, 6.0), seed=st.integers(0, 2**32 - 1))
+def test_leaf_rows_match_all_pairs(name, n, octaves, seed, gasket2_l8, gasket3_l8,
+                                   snowflake_l5, interval_l5):
+    # Full, empty and mixed rows of the leaf stage, self pairs among them,
+    # against one all-pairs scan: the pair set exactly, the sums to 1e-13.
+    # Radii run from 2 c0 down to c0/64; whole octaves put lattice pairs on
+    # the cutoff sphere.
+    system = {"gasket2": gasket2_l8, "gasket3": gasket3_l8, "snowflake": snowflake_l5,
+              "interval": interval_l5}[name]
+    radius = system.c0 * 2.0**-octaves
+    values = np.random.default_rng(seed).uniform(-1.0, 1.0, (system.vertex_count(n), 3))
+    assert degrees_match(walk_degrees(system, n, radius), brute_force_degrees(system, n, radius))
+    np.testing.assert_allclose(pair_power_sums(system, n, [radius], values)[0],
+                               brute_force_pair_sums(system, n, radius, values),
+                               rtol=1e-13, atol=0.0)
 
 
 class TestCoefficients:
