@@ -171,7 +171,9 @@ def _cmd_lipschitz(args) -> int:
     a_col = b_col = None
     if args.base in ("2", "both"):
         a_col = lip_mod.coefficient_table(system, f.values, args.level, ms, params_2)
-    if args.base in ("L", "both"):
+    if args.base == "both" and params_l == params_2:
+        b_col = a_col          # L = 2: the two bases give one table
+    elif args.base in ("L", "both"):
         b_col = lip_mod.coefficient_table(system, f.values, args.level, ms, params_l)
     handle, writer = _csv_writer(args.out)
     writer.writerow(["m", "a_m", "b_m"])

@@ -161,11 +161,10 @@ def _extend_one(system: FractalSystem, hs: HarmonicStructure,
 
 @dataclass
 class EnergySequence:
-    """The nondecreasing sequence m -> E^(m)(f,f) with its finite-level limit."""
+    """The nondecreasing sequence m -> E^(m)(f,f)."""
 
     tag: str
     entries: list[tuple[int, float]]
-    limit_estimate: float
     monotone_ok: bool
 
 
@@ -195,9 +194,7 @@ def energy_sequence(system: FractalSystem, hs: HarmonicStructure, f: VertexFunct
         e2 >= e1 - MONOTONE_SLACK * max(1.0, abs(e1))
         for (_, e1), (_, e2) in zip(entries, entries[1:])
     )
-    return EnergySequence(tag=tag, entries=entries,
-                          limit_estimate=entries[-1][1] if entries else 0.0,
-                          monotone_ok=monotone_ok)
+    return EnergySequence(tag=tag, entries=entries, monotone_ok=monotone_ok)
 
 
 # -- samplable functions ----------------------------------------------------

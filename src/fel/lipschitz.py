@@ -40,7 +40,6 @@ from .errors import ResolutionTooCoarse
 from .harmonic import HarmonicStructure
 from .ifs import FractalSystem
 
-STABILITY_LIMIT = 0.10
 # Pairs within TIE_BAND * r of the cutoff sphere are ties; they count as outside.
 TIE_BAND = 1e-9
 # Bound on the slots of one temporary: cell pairs of a frontier chunk, point
@@ -442,49 +441,38 @@ def batch_norm_reports(system: FractalSystem, hs: HarmonicStructure,
 
 @dataclass
 class ExperimentSummary:
-    """Norm-ratio statistics of a corpus plus per-function refinement stability."""
+    """Norm-ratio statistics of a corpus at one level n."""
 
     reports: list[NormReport]
-    coarse_reports: list[NormReport]
     min_ratio: float
     max_ratio: float
     c_empirical: float
-    stability: list[tuple[str, float, bool]]  # tag, relative change, within limit
     excluded: list[str]
 
 
 def equivalence_experiment(system: FractalSystem, hs: HarmonicStructure,
                            specs: list[FunctionSpec], m_max: int, n: int,
                            params: LipschitzParams | None = None) -> ExperimentSummary:
-    """Norm reports for a corpus at levels n and n-1 with ratio statistics.
+    """Norm reports for a corpus at level n with ratio statistics.
 
     Functions with undefined ratio (zero Dirichlet norm, or a ratio that is
     not finite) are excluded from the statistics and listed, so the summary
     does not depend on the order of the corpus.  The empirical equivalence
     constant is measured, never asserted: the underlying theorem is
-    qualitative.
+    qualitative.  Whether the ratios have settled in n is a comparison with
+    batch_norm_reports at another level, which the summary leaves to the
+    caller.
     """
     if not specs:
         raise ValueError("corpus is empty")
     reports = batch_norm_reports(system, hs, specs, m_max, n, params)
-    coarse = batch_norm_reports(system, hs, specs, m_max, n - 1, params)
     ratios = [r.ratio for r in reports if r.ratio is not None]
     excluded = [r.tag for r in reports if r.ratio is None]
     if not ratios:
-        return ExperimentSummary(reports, coarse, math.nan, math.nan, math.nan, [], excluded)
+        return ExperimentSummary(reports, math.nan, math.nan, math.nan, excluded)
     min_ratio, max_ratio = min(ratios), max(ratios)
-    stability = []
-    for fine, rough in zip(reports, coarse):
-        if fine.ratio is None or rough.ratio is None:
-            continue
-        change = abs(fine.ratio - rough.ratio) / abs(fine.ratio)
-        stability.append((fine.tag, change, change < STABILITY_LIMIT))
-    return ExperimentSummary(
-        reports=reports, coarse_reports=coarse,
-        min_ratio=min_ratio, max_ratio=max_ratio,
-        c_empirical=max(max_ratio, 1.0 / min_ratio),
-        stability=stability, excluded=excluded,
-    )
+    return ExperimentSummary(reports, min_ratio, max_ratio,
+                             max(max_ratio, 1.0 / min_ratio), excluded)
 
 
 def hoelder_estimate(system: FractalSystem, f: VertexFunction, gamma: float) -> float:

@@ -8,6 +8,11 @@ from fel.ifs import MERGE_BAND, Similitude, build, essential_fixed_points
 from fel.lipschitz import pair_power_sums
 from fel.presets import load_maps
 
+# Indicator columns per walk in walk_degrees.
+WALK_COLUMNS = 128
+# Points per block of distance rows in brute_force_coefficient.
+ORACLE_ROWS = 128
+
 
 def make_system(name, level, **kw):
     maps, nm = load_maps(name)
@@ -43,16 +48,20 @@ def overlapping_interval_maps():
 
 def brute_force_coefficient(system, f, m, params):
     """All-pairs oracle with the ties-out cutoff: a pair counts iff its
-    distance is below r (1 - 1e-9), the strict < of exact arithmetic."""
+    distance, sqrt(d2) with d2 summed axis by axis, is below r (1 - 1e-9), the
+    strict < of exact arithmetic.  The pair terms are summed exactly, by one
+    math.fsum over all of them."""
     pts = system.points[f.level]
     v = f.values
     r = params.cutoff(m)
-    total = 0.0
-    for i in range(len(pts)):
-        d = np.linalg.norm(pts - pts[i], axis=1)
-        mask = d < r * (1 - 1e-9)
-        mask[i] = False
-        total += ((v[i] - v[mask]) ** 2).sum()
+    terms = []
+    for s in range(0, len(pts), ORACLE_ROWS):
+        d2 = sum((axis[None, :] - axis[s:s + ORACLE_ROWS, None]) ** 2 for axis in pts.T)
+        i, j = np.nonzero(np.sqrt(d2) < r * (1 - 1e-9))
+        i += s
+        keep = i != j
+        terms.append((v[i[keep]] - v[j[keep]]) ** 2)
+    total = math.fsum(np.concatenate(terms).tolist())
     n = len(pts)
     return params.base ** (m * params.alpha) * math.sqrt(
         params.base ** (m * params.d) * total / n**2
@@ -84,8 +93,14 @@ def brute_force_pair_sums(system, n, radius, values):
 
 def walk_degrees(system, n, radius):
     """The same degrees read from the pair-sum walk: with the indicator of
-    point i as the function, the pair sum counts the pairs that contain i."""
-    return pair_power_sums(system, n, [radius], np.eye(system.vertex_count(n)))[0]
+    point i as the function, the pair sum counts the pairs that contain i.
+    The indicators go WALK_COLUMNS at a time: a walk over F columns gathers
+    PAIR_CHUNK // F pairs at once, so fewer columns make fewer, larger
+    gathers."""
+    count = system.vertex_count(n)
+    eye = np.eye(count)
+    return np.concatenate([pair_power_sums(system, n, [radius], eye[:, s:s + WALK_COLUMNS])[0]
+                           for s in range(0, count, WALK_COLUMNS)])
 
 
 def degrees_match(walk, oracle):

@@ -13,11 +13,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fel
+from fel import lipschitz
 from fel.cli import main
+from fel.energy import parse_function_spec
+from fel.harmonic import solve_ndhs
 from fel.presets import definition_from_maps, load_maps, write_definition
 from fel.ifs import build, validate
 
-from helpers import locate, overlapping_interval_maps, perturbed_gasket_maps
+from helpers import locate, make_system, overlapping_interval_maps, perturbed_gasket_maps
 
 
 def run(capsys, *argv):
@@ -105,6 +108,48 @@ def test_lipschitz_csv_and_base_flag(capsys):
                        "--mmax", "2", "--level", "5", "--base", "L")
     rows = out.splitlines()[1].split(",")
     assert rows[1] == "" and rows[2] != ""
+
+
+@pytest.mark.parametrize("fractal, expected_calls", [("gasket2", 1), ("snowflake", 2)])
+def test_lipschitz_both_bases_share_one_table_when_l_is_2(capsys, monkeypatch, fractal,
+                                                         expected_calls):
+    # L = 2 makes the base-2 and base-L parameters equal, so one table fills
+    # both columns; the snowflake (L = 3) needs two.  Either way the CSV is the
+    # one that two separate tables give.
+    calls = []
+    table = lipschitz.coefficient_table
+
+    def spy(*args):
+        calls.append(args)
+        return table(*args)
+
+    monkeypatch.setattr(lipschitz, "coefficient_table", spy)
+    code, out, _ = run(capsys, "lipschitz", fractal, "--function", "coord:0",
+                       "--mmax", "2", "--level", "4")
+    assert code == 0
+    assert len(calls) == expected_calls
+    system = make_system(fractal, 4)
+    hs = solve_ndhs(system)
+    f = parse_function_spec("coord:0").sample(system, hs, 4)
+    a_col, b_col = (table(system, f.values, 4, [1, 2], lipschitz.default_params(system, hs, base))
+                    for base in (2.0, "L"))
+    assert out == "m,a_m,b_m\n" + "".join(f"{m},{a:.17g},{b:.17g}\n"
+                                          for m, a, b in zip((1, 2), a_col, b_col))
+
+
+def test_equivalence_runs_one_level(capsys, monkeypatch, tmp_path):
+    levels = []
+    reports = lipschitz.batch_norm_reports
+
+    def spy(system, hs, specs, m_max, n, params=None):
+        levels.append(n)
+        return reports(system, hs, specs, m_max, n, params)
+
+    monkeypatch.setattr(lipschitz, "batch_norm_reports", spy)
+    code, _, _ = run(capsys, "equivalence", "gasket2", "--corpus", str(tmp_path / "c.txt"),
+                     "--generate-corpus", "2", "--mmax", "2", "--level", "5")
+    assert code == 0
+    assert levels == [5]
 
 
 def test_equivalence_csv_and_determinism(tmp_path, capsys):

@@ -85,11 +85,11 @@ class TestPairEnumeration:
             assert [[v.hex() for v in row] for row in got.tolist()] == table
 
 
-# Fewer examples than the profile's default: a snowflake example reads 1,374
-# degrees from the walk, about 1 s.
+# The profile's 8 examples: a snowflake example reads its 1,374 degrees from
+# the walk in 128-column batches, 0.1-0.7 s.
 @pytest.mark.parametrize("name, n", [("gasket2", 4), ("gasket3", 3), ("snowflake", 3),
                                      ("interval", 5)])
-@settings(max_examples=4)
+@settings(max_examples=8)
 @given(octaves=st.floats(-1.0, 6.0), seed=st.integers(0, 2**32 - 1))
 def test_leaf_rows_match_all_pairs(name, n, octaves, seed, gasket2_l8, gasket3_l8,
                                    snowflake_l5, interval_l5):
@@ -121,6 +121,17 @@ class TestCoefficients:
         fast = b_coefficient(gasket2_l8, f, m, params)
         slow = brute_force_coefficient(gasket2_l8, f, m, params)
         assert abs(fast - slow) <= 1e-12 * max(1.0, slow)
+
+    @pytest.mark.parametrize("k", [0, 1])
+    def test_snowflake_matches_exact_oracle(self, snowflake_l5, snowflake_hs, k):
+        # b_3 of a coordinate column against the all-pairs oracle, which sums
+        # the pair terms exactly; plain float order in the oracle alone is
+        # 2.5e-14 relative off.
+        params = default_params(snowflake_l5, snowflake_hs)
+        f = random_corpus(snowflake_l5, 2, seed=1)[k].sample(snowflake_l5, snowflake_hs, 4)
+        fast = b_coefficient(snowflake_l5, f, 3, params)
+        slow = brute_force_coefficient(snowflake_l5, f, 3, params)
+        assert abs(fast - slow) <= 1e-14 * slow
 
     def test_dyadic_equals_natural_when_l_is_2(self, gasket2_l8, gasket2_hs):
         params = default_params(gasket2_l8, gasket2_hs)
@@ -336,7 +347,6 @@ class TestExperiment:
                  parse_function_spec("harmonic:1,0,0")]
         summary = equivalence_experiment(gasket2_l8, gasket2_hs, specs, 2, 5)
         assert summary.excluded == ["harmonic:0,0,0"]
-        assert len(summary.stability) == 1
 
     def test_empty_corpus_rejected(self, gasket2_l8, gasket2_hs):
         with pytest.raises(ValueError):
