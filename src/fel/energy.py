@@ -256,16 +256,13 @@ def parse_function_spec(text: str) -> FunctionSpec:
     raise ValueError(f"unknown function spec {text!r}")
 
 
-def random_corpus(system: FractalSystem, count: int, seed: int,
-                  include_coords: bool = True) -> list[FunctionSpec]:
-    """Seeded corpus: harmonic extensions of uniform data on V_0 and V_1,
-    plus the coordinate functions; a negative count raises ValueError."""
+def random_corpus(system: FractalSystem, count: int, seed: int) -> list[FunctionSpec]:
+    """Seeded corpus: the coordinate functions, then harmonic extensions of
+    uniform data on V_0 and V_1; a negative count raises ValueError."""
     if count < 0:
         raise ValueError(f"corpus size must be >= 0 (got {count})")
     rng = np.random.default_rng(seed)
-    specs: list[FunctionSpec] = []
-    if include_coords:
-        specs.extend(parse_function_spec(f"coord:{k}") for k in range(system.dim))
+    specs = [parse_function_spec(f"coord:{k}") for k in range(system.dim)]
     n1 = system.vertex_count(1)
     for k in range(count):
         size = system.M0 if k % 2 == 0 else n1

@@ -15,24 +15,25 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvariantViolation, NoConvergence, SingularInterior
-from .ifs import FractalSystem
+from .ifs import FractalSystem, components
 
 MAX_ITERATIONS = 10_000
 CONVERGENCE_TOL = 1e-12
+# Largest spread of one orbit class's decimated entries, relative to max(|entry|, 1).
+CLASS_SPREAD_TOL = 1e-8
 
 
 @dataclass(frozen=True)
 class ConductivityMatrix:
-    """Symmetric nonnegative-off-diagonal zero-row-sum matrix on a vertex set."""
+    """Symmetric nonnegative-off-diagonal zero-row-sum matrix; row p belongs
+    to the p-th vertex of the set it lives on (V_0 for a form on V_0)."""
 
-    vertex_ids: np.ndarray
     entries: np.ndarray
 
     def __post_init__(self):
         a = np.asarray(self.entries, dtype=float)
-        n = len(self.vertex_ids)
-        if a.shape != (n, n):
-            raise ValueError("entries must be square and match vertex_ids")
+        if a.ndim != 2 or a.shape[0] != a.shape[1]:
+            raise ValueError("entries must be square")
         if np.abs(a - a.T).max() > 1e-12 * max(np.abs(a).max(), 1.0):
             raise ValueError("conductivity matrix must be symmetric")
         off = a - np.diag(np.diag(a))
@@ -41,38 +42,24 @@ class ConductivityMatrix:
         if np.abs(a.sum(axis=1)).max() > 1e-10 * max(np.abs(a).max(), 1.0):
             raise ValueError("rows must sum to zero")
         object.__setattr__(self, "entries", a)
-        object.__setattr__(self, "vertex_ids", np.asarray(self.vertex_ids))
 
     @property
     def size(self) -> int:
-        return len(self.vertex_ids)
-
-    def is_irreducible(self) -> bool:
-        n = self.size
-        seen = {0}
-        stack = [0]
-        positive = self.entries > 0
-        while stack:
-            i = stack.pop()
-            for j in np.flatnonzero(positive[i]):
-                if j != i and j not in seen:
-                    seen.add(int(j))
-                    stack.append(int(j))
-        return len(seen) == n
+        return len(self.entries)
 
 
-def from_off_diagonal(vertex_ids, off: np.ndarray) -> ConductivityMatrix:
+def from_off_diagonal(off: np.ndarray) -> ConductivityMatrix:
     """Build a conductivity matrix from off-diagonal conductances (diagonal balanced)."""
     a = np.array(off, dtype=float)
     np.fill_diagonal(a, 0.0)
     a = 0.5 * (a + a.T)
     np.fill_diagonal(a, -a.sum(axis=1))
-    return ConductivityMatrix(vertex_ids=vertex_ids, entries=a)
+    return ConductivityMatrix(entries=a)
 
 
 def unit_matrix(n: int) -> ConductivityMatrix:
     """Unit conductance on every pair: the canonical G-invariant start."""
-    return from_off_diagonal(np.arange(n), np.ones((n, n)))
+    return from_off_diagonal(np.ones((n, n)))
 
 
 def energy0(a: ConductivityMatrix, values: np.ndarray) -> float:
@@ -95,15 +82,15 @@ def reproduce(system: FractalSystem, a: ConductivityMatrix) -> ConductivityMatri
     off = np.zeros((n1, n1))
     for row in system.cells[1]:
         np.add.at(off, (row[:, None], row[None, :]), a.entries - np.diag(np.diag(a.entries)))
-    return from_off_diagonal(np.arange(n1), off)
+    return from_off_diagonal(off)
 
 
 def decimate(b: ConductivityMatrix, boundary: np.ndarray):
     """Restrict a form to the boundary by minimizing over interior values.
 
-    Returns the Schur complement as a conductivity matrix on the boundary ids
-    plus the minimizer map (interior values = extension_matrix @ boundary
-    values, interior rows in ascending id order).
+    Returns the Schur complement as a conductivity matrix whose row p is
+    vertex boundary[p], plus the minimizer map (interior values =
+    extension_matrix @ boundary values, interior rows in ascending id order).
     """
     boundary = np.asarray(boundary)
     n = b.size
@@ -129,7 +116,7 @@ def decimate(b: ConductivityMatrix, boundary: np.ndarray):
     a = 0.5 * (a + a.T)
     np.fill_diagonal(a, 0.0)
     np.fill_diagonal(a, -a.sum(axis=1))
-    return ConductivityMatrix(vertex_ids=b.vertex_ids[boundary], entries=a), extension
+    return ConductivityMatrix(entries=a), extension
 
 
 @dataclass
@@ -157,31 +144,14 @@ def pair_orbit_classes(system: FractalSystem) -> list[list[tuple[int, int]]]:
     Closure under the generating reflections only; the classes are ordered by
     their smallest pair, pairs enumerated lexicographically.
     """
-    perms = [r.perm for r in system.reflections if r.perm is not None]
-    n = system.M0
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    index = {p: k for k, p in enumerate(pairs)}
-    parent = list(range(len(pairs)))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for perm in perms:
-        for (i, j), k in index.items():
-            a, b = int(perm[i]), int(perm[j])
-            if a > b:
-                a, b = b, a
-            other = index[(a, b)]
-            ra, rb = find(k), find(other)
-            if ra != rb:
-                parent[max(ra, rb)] = min(ra, rb)
-    groups: dict[int, list[tuple[int, int]]] = {}
-    for p, k in index.items():
-        groups.setdefault(find(k), []).append(p)
-    return [groups[r] for r in sorted(groups)]
+    first, second = np.triu_indices(system.M0, k=1)     # pairs in lexicographic order
+    index = np.empty((system.M0, system.M0), dtype=np.int64)
+    index[first, second] = index[second, first] = np.arange(len(first))
+    edges = [(k, index[r.perm[a], r.perm[b]]) for r in system.reflections
+             if r.perm is not None for k, (a, b) in enumerate(zip(first, second))]
+    label = components(len(first), edges)
+    return [[(int(first[k]), int(second[k])) for k in np.flatnonzero(label == r)]
+            for r in np.unique(label)]
 
 
 def _class_matrix(system, classes, values) -> np.ndarray:
@@ -192,12 +162,12 @@ def _class_matrix(system, classes, values) -> np.ndarray:
     return off
 
 
-def _class_values_of(entries: np.ndarray, classes, check_tol=1e-8) -> np.ndarray:
+def _class_values_of(entries: np.ndarray, classes) -> np.ndarray:
     values = np.empty(len(classes))
     for k, cls in enumerate(classes):
         vals = np.array([entries[i, j] for i, j in cls])
         spread = vals.max() - vals.min()
-        if spread > check_tol * max(np.abs(vals).max(), 1.0):
+        if spread > CLASS_SPREAD_TOL * max(np.abs(vals).max(), 1.0):
             raise InvariantViolation(
                 f"decimated matrix is not constant on orbit class {k} (spread {spread:g})"
             )
@@ -213,8 +183,6 @@ def solve_ndhs(system: FractalSystem) -> HarmonicStructure:
     nearest-neighbor class stays 1.  rho is the pre-normalization ratio.
     Oscillation (sign-alternating steps) engages 0.5 damping.
     """
-    if system.validation is not None and not system.validation.all_ok:
-        raise ValueError("system failed validation; refusing to solve")
     classes = pair_orbit_classes(system)
     v0 = system.points[0]
     dist_of_class = np.array(
@@ -229,7 +197,7 @@ def solve_ndhs(system: FractalSystem) -> HarmonicStructure:
     prev_delta = None
     converged = False
     for _ in range(MAX_ITERATIONS):
-        a = from_off_diagonal(np.arange(system.M0), _class_matrix(system, classes, values))
+        a = from_off_diagonal(_class_matrix(system, classes, values))
         lifted = reproduce(system, a)
         back, _ = decimate(lifted, boundary)
         back_values = _class_values_of(back.entries, classes)
@@ -257,14 +225,12 @@ def solve_ndhs(system: FractalSystem) -> HarmonicStructure:
             f"iteration reached a degenerate fixed point (class values {values})",
             trace=trace,
         )
-    matrix = from_off_diagonal(np.arange(system.M0), _class_matrix(system, classes, values))
+    matrix = from_off_diagonal(_class_matrix(system, classes, values))
     lifted = reproduce(system, matrix)
     back, extension = decimate(lifted, boundary)
     rho = 1.0 / _class_values_of(back.entries, classes)[nn_class]
     if rho <= 1.0:
         raise NoConvergence(f"fixed point has rho = {rho} <= 1", trace=trace)
-    if not matrix.is_irreducible():
-        raise NoConvergence("fixed point is not irreducible", trace=trace)
     return HarmonicStructure(
         matrix=matrix, rho=float(rho), extension_matrix=extension,
         iteration_trace=trace, orbit_classes=classes, class_values=values,

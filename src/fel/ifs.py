@@ -128,13 +128,14 @@ class Reflection:
 
 @dataclass
 class ValidationReport:
-    """Pass/fail record per simple-nested-fractal condition.
+    """Pass/fail record of conditions 3, 4 and 5 (nesting, connectivity,
+    symmetry).  Condition 1 has no entry: build raises ConditionViolation(1)
+    before a system with fewer than two essential fixed points exists.
 
-    Nesting (condition 3) is verified to finite depth only; the depth used
-    is recorded because deeper overlap cannot be excluded by this check.
+    Nesting is verified to finite depth only; the depth used is recorded
+    because deeper overlap cannot be excluded by this check.
     """
 
-    essential_ok: bool
     nesting_ok: bool
     nesting_depth: int
     connectivity_ok: bool
@@ -143,11 +144,11 @@ class ValidationReport:
 
     @property
     def all_ok(self) -> bool:
-        return self.essential_ok and self.nesting_ok and self.connectivity_ok and self.symmetry_ok
+        return self.nesting_ok and self.connectivity_ok and self.symmetry_ok
 
     def first_violation(self) -> int | None:
-        for number, ok in ((1, self.essential_ok), (3, self.nesting_ok),
-                           (4, self.connectivity_ok), (5, self.symmetry_ok)):
+        for number, ok in ((3, self.nesting_ok), (4, self.connectivity_ok),
+                           (5, self.symmetry_ok)):
             if not ok:
                 return number
         return None
@@ -166,12 +167,13 @@ class FractalSystem:
       ``new_vertices(k)`` together name each V_{k+1} id exactly once.
     * ``fixing_maps``: for each V_0 point p, a map k_p with psi_{k_p}(p) = p.
 
-    Immutable after build apart from the diameter, computed on first access;
-    all arrays are safe for shared concurrent reads.
+    The system holds no validation result: ``build`` raises on a failed
+    condition, and ``validate(system)`` gives the report.  Immutable after
+    build apart from the diameter, computed on first access; all arrays are
+    safe for shared concurrent reads.
     """
 
-    def __init__(self, maps, name, points, cells, promote, c0, reflections,
-                 validation=None):
+    def __init__(self, maps, name, points, cells, promote, c0, reflections):
         self.maps: list[Similitude] = maps
         self.name = name
         self.points: list[np.ndarray] = points          # level -> (n_m, N) coords
@@ -179,7 +181,6 @@ class FractalSystem:
         self.promote: list[np.ndarray] = promote        # level m ids -> level m+1 ids
         self.c0 = c0
         self.reflections: list[Reflection] = reflections
-        self.validation = validation
 
         ids, first = np.unique(cells[1].ravel(), return_index=True)
         self.new_slots = first[~np.isin(ids, promote[0])]
@@ -316,8 +317,8 @@ def build(maps: list[Similitude], max_level: int, *, max_points: int | None = No
     with (j, b) iff cells[1][k, a] == cells[1][j, b].  The nesting check of
     validate, geometric to depth 3, is the gate for that assumption.
 
-    Validation failures raise ``ConditionViolation``; pass
-    ``run_validation=False`` to inspect the report of an invalid system.
+    Validation failures raise ``ConditionViolation``; build with
+    ``run_validation=False`` and call ``validate`` to inspect an invalid system.
     """
     if len(maps) < 2:
         raise ValueError("need at least two similitudes")
@@ -378,7 +379,6 @@ def build(maps: list[Similitude], max_level: int, *, max_points: int | None = No
                            promote=promote, c0=float(c0), reflections=_reflections_of(v0, c0))
     if run_validation:
         report = validate(system)
-        system.validation = report
         number = report.first_violation()
         if number is not None:
             raise ConditionViolation(number, "; ".join(report.failures[:3]))
@@ -395,7 +395,6 @@ def validate(system: FractalSystem) -> ValidationReport:
     """
     failures: list[str] = []
     depth = min(NESTING_DEPTH, system.max_level)
-    essential_ok = system.M0 >= 2
 
     nesting_ok = True
     v0 = system.points[0]
@@ -422,18 +421,8 @@ def validate(system: FractalSystem) -> ValidationReport:
         if not nesting_ok:
             break
 
-    adjacency: dict[int, set[int]] = {}
-    for a, b in system.neighbor_graph(1):
-        adjacency.setdefault(int(a), set()).add(int(b))
-        adjacency.setdefault(int(b), set()).add(int(a))
-    seen = {0}
-    stack = [0]
-    while stack:
-        for nb in adjacency.get(stack.pop(), ()):
-            if nb not in seen:
-                seen.add(nb)
-                stack.append(nb)
-    connectivity_ok = len(seen) == system.vertex_count(1)
+    labels = components(system.vertex_count(1), system.neighbor_graph(1))
+    connectivity_ok = bool((labels == 0).all())
     if not connectivity_ok:
         failures.append("connectivity: the level-1 neighbor graph is disconnected")
 
@@ -455,9 +444,26 @@ def validate(system: FractalSystem) -> ValidationReport:
                 )
                 break
 
-    return ValidationReport(essential_ok=essential_ok, nesting_ok=nesting_ok,
-                            nesting_depth=depth, connectivity_ok=connectivity_ok,
-                            symmetry_ok=symmetry_ok, failures=failures)
+    return ValidationReport(nesting_ok=nesting_ok, nesting_depth=depth,
+                            connectivity_ok=connectivity_ok, symmetry_ok=symmetry_ok,
+                            failures=failures)
+
+
+def components(n: int, edges) -> np.ndarray:
+    """The smallest node of each node's connected component, for nodes
+    0..n-1 and (node, node) edges.  A label always names a node of the same
+    component; a round pulls both ends of each edge to the smaller label and
+    jumps every label to its label's label, until a round changes nothing."""
+    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    label = np.arange(n)
+    while True:
+        before = label.copy()
+        low = np.minimum(label[edges[:, 0]], label[edges[:, 1]])
+        np.minimum.at(label, edges[:, 0], low)
+        np.minimum.at(label, edges[:, 1], low)
+        label = label[label]
+        if (label == before).all():
+            return label
 
 
 def _close_points(a: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray:

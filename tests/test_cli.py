@@ -20,7 +20,8 @@ from fel.harmonic import solve_ndhs
 from fel.presets import definition_from_maps, load_maps, write_definition
 from fel.ifs import build, validate
 
-from helpers import locate, make_system, overlapping_interval_maps, perturbed_gasket_maps
+from helpers import (locate, make_system, overlapping_interval_maps, perturbed_gasket_maps,
+                     rotated_gasket_maps)
 
 
 def run(capsys, *argv):
@@ -391,13 +392,49 @@ def test_negative_corpus_size_exits_3(tmp_path):
     assert not corpus.exists()
 
 
-def test_describe_non_nested_exits_1(tmp_path, capsys):
-    path = tmp_path / "overlap.json"
-    write_definition(definition_from_maps(overlapping_interval_maps(), "overlap"), path)
-    code, out, err = run(capsys, "describe", str(path))
+# (maps, first failed condition, condition report) of each failing test system
+FAILING_SYSTEMS = {
+    "overlap": (overlapping_interval_maps, 3, """\
+condition 1 (essential fixed points): pass
+condition 3 (nesting, verified to depth 3): FAIL
+condition 4 (connectivity): pass
+condition 5 (symmetry): FAIL
+  nesting: cells 1 and 2 meet off-vertex near [0.375] at depth 1
+  symmetry: reflection across pair (0, 1) does not permute V_0
+  symmetry: reflection across pair (1, 2) does not permute V_0
+"""),
+    "perturbed": (perturbed_gasket_maps, 5, """\
+condition 1 (essential fixed points): pass
+condition 3 (nesting, verified to depth 3): pass
+condition 4 (connectivity): pass
+condition 5 (symmetry): FAIL
+  symmetry: reflection across pair (0, 1) does not permute V_0
+  symmetry: reflection across pair (0, 2) does not permute V_0
+  symmetry: reflection across pair (1, 2) does not permute V_0
+"""),
+    "rotated": (rotated_gasket_maps, 4, """\
+condition 1 (essential fixed points): pass
+condition 3 (nesting, verified to depth 3): pass
+condition 4 (connectivity): FAIL
+condition 5 (symmetry): FAIL
+  connectivity: the level-1 neighbor graph is disconnected
+  symmetry: reflection across pair (0, 1) does not map cell 3 onto a cell
+"""),
+}
+
+
+@pytest.mark.parametrize("extra", [[], ["--with-ndhs"]], ids=["report", "with-ndhs"])
+@pytest.mark.parametrize("name", sorted(FAILING_SYSTEMS))
+def test_describe_non_nested_exits_1(tmp_path, capsys, name, extra):
+    # The full report prints, then the first violation exits 1 before any solve.
+    maps, condition, report = FAILING_SYSTEMS[name]
+    path = tmp_path / f"{name}.json"
+    write_definition(definition_from_maps(maps(), name), path)
+    code, out, err = run(capsys, "describe", str(path), *extra)
     assert code == 1
-    assert "condition 3 (nesting, verified to depth 3): FAIL" in out
-    assert "nesting: cells 1 and 2 meet off-vertex near [0.375] at depth 1" in out
+    assert out.endswith(report)
+    assert "rho:" not in out
+    assert err.startswith(f"error: condition {condition} violated: ")
     assert "Traceback" not in err
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fel.errors import ConditionViolation, PointCapExceeded
-from fel.ifs import Similitude, build, essential_fixed_points, validate
+from fel.ifs import Similitude, build, components, essential_fixed_points, validate
 from fel.presets import load_maps
 
 from helpers import (assert_matches_geometric, cell_address, count_vertices, locate,
@@ -116,7 +116,7 @@ class TestBuild:
             assert system.vertex_count(m) == round(expected[m])
 
     def test_interval_is_valid_nested_fractal(self, interval_l5):
-        assert interval_l5.validation.all_ok
+        assert validate(interval_l5).all_ok
         assert [interval_l5.vertex_count(m) for m in range(4)] == [2, 3, 5, 9]
 
     def test_symplex_count_and_addresses(self, gasket2_l8):
@@ -245,13 +245,30 @@ class TestNeighborhoods:
         assert np.linalg.norm(pts[x] - pts[y]) < gasket2_l8.c0 / 4
 
 
+class TestComponents:
+    def test_chain_takes_several_rounds(self):
+        # The path 15 - 14 - ... - 0, edges listed from the far end: label 0
+        # needs several rounds to reach node 15.
+        edges = [(k + 1, k) for k in reversed(range(15))]
+        np.testing.assert_array_equal(components(16, edges), np.zeros(16))
+
+    def test_separate_components_and_isolated_nodes(self):
+        edges = [(7, 3), (3, 9), (9, 0), (5, 1), (8, 5), (2, 6), (6, 6)]
+        np.testing.assert_array_equal(components(11, edges),
+                                      [0, 1, 2, 0, 4, 1, 2, 0, 1, 0, 10])
+
+    def test_no_edges(self):
+        np.testing.assert_array_equal(components(4, []), np.arange(4))
+        assert components(0, []).shape == (0,)
+
+
 class TestValidate:
     @pytest.mark.parametrize("name", ["gasket2", "gasket3", "snowflake"])
     def test_presets_pass(self, name, request):
         fixture = {"gasket2": "gasket2_l8", "gasket3": "gasket3_l8",
                    "snowflake": "snowflake_l5"}[name]
         system = request.getfixturevalue(fixture)
-        report = system.validation
+        report = validate(system)
         assert report.all_ok
         assert report.nesting_depth == 3
 

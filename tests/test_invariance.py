@@ -43,7 +43,7 @@ def invariants(maps, level):
     """rho, d_w, then b_m and a_m for m = 1..level-1 of three harmonic functions."""
     system = build(maps, level)
     hs = solve_ndhs(system)
-    specs = random_corpus(system, 3, seed=7, include_coords=False)
+    specs = random_corpus(system, 3, seed=7)[system.dim:]
     values = np.column_stack([s.sample(system, hs, level).values for s in specs])
     ms = list(range(1, level))
     tables = [coefficient_table(system, values, level, ms, default_params(system, hs, base))

@@ -280,7 +280,7 @@ class TestNormReport:
         assert rep.monotone_ok
 
     def test_triangle_inequality(self, gasket2_l8, gasket2_hs):
-        specs = random_corpus(gasket2_l8, 4, seed=31, include_coords=False)
+        specs = random_corpus(gasket2_l8, 4, seed=31)[gasket2_l8.dim:]
         params = default_params(gasket2_l8, gasket2_hs)
         vals = [s.sample(gasket2_l8, gasket2_hs, 5).values for s in specs]
         weight = 1.0 / gasket2_l8.vertex_count(5)

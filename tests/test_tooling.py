@@ -1,7 +1,10 @@
 """Package-level checks: the public namespace, the absence of bare asserts,
-the single exact-sum path and the README's library example."""
+the single exact-sum path, the README's library example and the names the
+benchmark harness reads."""
 
 import ast
+import importlib
+import importlib.util
 import re
 from pathlib import Path
 
@@ -62,3 +65,23 @@ def test_readme_library_example_runs():
     blocks = re.findall(r"```python\n(.*?)```", readme.read_text(encoding="utf-8"), re.S)
     assert len(blocks) == 1
     exec(compile(blocks[0], "README.md", "exec"), {})
+
+
+def test_benchmark_harness_names_resolve():
+    # perfbench/spans.py wraps the functions of its LAYERS table in spans, and
+    # perfbench/workloads.py reads HarmonicStructure.residual and
+    # fel.energy.MONOTONE_SLACK; each must still exist in fel.
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    names = [(module, attr) for module, attr, *_ in spans.LAYERS]
+    names += [("fel", "HarmonicStructure.residual"), ("fel.energy", "MONOTONE_SLACK")]
+    missing = []
+    for module, attr in names:
+        owner = importlib.import_module(module)
+        for part in attr.split("."):
+            owner = getattr(owner, part, None)
+        if owner is None:
+            missing.append(f"{module}.{attr}")
+    assert not missing
