@@ -29,7 +29,19 @@ from .ifs import FractalSystem
 MONOTONE_SLACK = 1e-9
 EXACT_SUM_CHUNK = 1 << 16
 EXACT_SUM_MAX_TERMS = 1 << 26
-_SUM_BINS = 2046  # one bin per scale 2^s, s = -1074 .. 971
+# Cells per block of _cells_energy: the block's slice of the edge sums and
+# its scratch buffer (128 KiB of float64 each) stay in L2.  2^14 had the
+# lowest median energy-deep wall time of 2^13-2^16, over three runs each.
+ENERGY_BLOCK = 1 << 14
+# Float64 bit fields: the biased exponent starts at bit 52, and the high part
+# of a term keeps all but the low 26 mantissa bits.
+_EXPONENT_SHIFT = 52
+_EXPONENT_BITS = 0x7FF
+_HIGH_PART_MASK = ~((1 << 26) - 1)
+# High parts of terms with a biased exponent of at least _BIG_EXPONENT
+# (|x| >= 2^997) are binned scaled by 2^-_BIG_SHIFT, so their bins stay finite.
+_BIG_EXPONENT = 2020
+_BIG_SHIFT = 64
 
 
 @dataclass(frozen=True)
@@ -56,44 +68,59 @@ def _check_level(system: FractalSystem, f: VertexFunction) -> None:
 def exact_sum(terms) -> float:
     """The correctly rounded sum of float64 terms: math.fsum(terms), bit for bit.
 
-    Each finite term is mant * 2^s exactly, with mant an integer, |mant| <
-    2^53, and s = max(e - 53, -1074) from its frexp exponent e.  The high 27
-    and low 26 bits of mant go into one bin per s, added by np.bincount over
-    chunks of EXACT_SUM_CHUNK terms.  Every bin total is an integer below
-    2^53, so exact, while the input holds at most EXACT_SUM_MAX_TERMS = 2^26
-    terms; longer input raises ValueError (the point cap keeps cells and
-    vertices far below it).  math.fsum of the scaled bin totals rounds the
-    exact sum once, which is also what math.fsum of the terms returns.
+    Each finite term x splits by its bits into a high part, x with the low
+    26 mantissa bits cleared (an int64 view and a mask), and a low part
+    x - high, which is exact.  Both parts go into the bin of the biased
+    exponent field E = (bits >> 52) & 0x7FF of x, added by np.bincount over
+    chunks of EXACT_SUM_CHUNK terms.  Within bin E every high part is a
+    multiple of 2^(max(E, 1) - 1049) and below 2^27 such units, and every
+    low part a multiple of 2^(max(E, 1) - 1075) and below 2^26 such units
+    (E = 0 holds the subnormals, which lie on the grid of E = 1).  So while
+    the input holds at most EXACT_SUM_MAX_TERMS = 2^26 terms, every partial
+    total of a bin is a multiple of its unit below 2^53 units, a float, and
+    each addition is exact in any order; longer input raises ValueError (the
+    point cap keeps cells and vertices far below it).  Only the high bins of
+    E >= 2020 (|x| >= 2^997) could leave the float range: their parts are
+    binned scaled by 2^-64, which is exact, and scaled back by math.ldexp,
+    which raises OverflowError for a bin total beyond the float range.
+    math.fsum of the bin totals rounds the exact sum once, which is also
+    what math.fsum of the terms returns.
 
     Non-finite terms follow fsum: nan gives nan, inf gives inf, and +inf
     with -inf raises ValueError.  A finite sum beyond the float range raises
     OverflowError.  fsum's overflow test also depends on the order of the
     terms (1e308, 1e308, -1e308 overflows; 1e308, -1e308, 1e308 does not),
-    while this sum does not; on nonnegative terms, such as energies, both
-    raise exactly when the sum leaves the float range.
+    while this sum does not: it raises when one high bin leaves the float
+    range, even where other bins would bring the sum back (2^1023, -2^997,
+    2^1023).  On nonnegative terms, such as energies, both raise exactly
+    when the sum leaves the float range.
     """
     x = np.asarray(terms, dtype=float)
     if x.size > EXACT_SUM_MAX_TERMS:
         raise ValueError(f"exact_sum takes at most {EXACT_SUM_MAX_TERMS} terms (got {x.size})")
     x = x.reshape(-1)
-    hi_bins = np.zeros(_SUM_BINS)
-    lo_bins = np.zeros(_SUM_BINS)
+    hi_bins = np.zeros(_EXPONENT_BITS)
+    lo_bins = np.zeros(_EXPONENT_BITS)
     special = []
     for start in range(0, x.size, EXACT_SUM_CHUNK):
         chunk = x[start:start + EXACT_SUM_CHUNK]
-        finite = np.isfinite(chunk)
-        if not finite.all():
+        bits = chunk.view(np.int64)
+        exponent = (bits >> _EXPONENT_SHIFT) & _EXPONENT_BITS
+        top = exponent.max()
+        if top == _EXPONENT_BITS:
+            finite = exponent != _EXPONENT_BITS
             special.append(chunk[~finite])
-            chunk = chunk[finite]
-        scale = np.maximum(np.frexp(chunk)[1] - 53, -1074)
-        mant = np.ldexp(chunk, -scale)
-        hi = np.floor(mant * 2.0**-26)
-        bins = scale + 1074
-        hi_bins += np.bincount(bins, weights=hi, minlength=_SUM_BINS)
-        lo_bins += np.bincount(bins, weights=mant - hi * 2.0**26, minlength=_SUM_BINS)
-    scaled = [math.ldexp(float(bins[b]), int(b) + shift)
-              for bins, shift in ((hi_bins, 26 - 1074), (lo_bins, -1074))
-              for b in np.flatnonzero(bins)]
+            chunk, bits, exponent = chunk[finite], bits[finite], exponent[finite]
+            top = exponent.max(initial=0)
+        hi = (bits & _HIGH_PART_MASK).view(np.float64)
+        lo = chunk - hi
+        if top >= _BIG_EXPONENT:
+            hi[exponent >= _BIG_EXPONENT] *= 2.0**-_BIG_SHIFT
+        hi_bins += np.bincount(exponent, weights=hi, minlength=_EXPONENT_BITS)
+        lo_bins += np.bincount(exponent, weights=lo, minlength=_EXPONENT_BITS)
+    scaled = [math.ldexp(hi_bins[e], _BIG_SHIFT) if e >= _BIG_EXPONENT else hi_bins[e]
+              for e in np.flatnonzero(hi_bins).tolist()]
+    scaled.extend(lo_bins[lo_bins != 0].tolist())
     if special:
         scaled.extend(np.unique(np.concatenate(special)).tolist())
     return math.fsum(scaled)
@@ -110,11 +137,31 @@ def nonnegative_sum(terms) -> float:
 
 def _cells_energy(hs: HarmonicStructure, cols: list[np.ndarray], level: int) -> float:
     """rho^level times the exact sum of the cells' edge sums (inf beyond the
-    float range); cols[p] holds the values at corner p of every cell."""
+    float range); cols[p] holds the values at corner p of every cell.
+
+    The edge sums are computed in blocks of ENERGY_BLOCK cells, through one
+    buffer reused by every block and pair, so the temporaries stay in cache.
+    Each cell takes the steps of one full-length pass in the same order:
+    from zero, add a_pq * (f_p - f_q)^2 for the pairs p < q in
+    itertools.combinations order, so every cell energy keeps its bits.  A
+    unit a_pq skips its multiply, which would leave every bit as it is.
+    """
     a = hs.matrix.entries
-    cell_energy = np.zeros(cols[0].shape[0])
-    for p, q in itertools.combinations(range(len(cols)), 2):
-        cell_energy += a[p, q] * (cols[p] - cols[q]) ** 2
+    pairs = [(p, q, a[p, q]) for p, q in itertools.combinations(range(len(cols)), 2)]
+    n = cols[0].shape[0]
+    cell_energy = np.zeros(n)
+    buffer = np.empty(min(n, ENERGY_BLOCK))
+    for start in range(0, n, ENERGY_BLOCK):
+        stop = start + ENERGY_BLOCK
+        corners = [col[start:stop] for col in cols]
+        block = cell_energy[start:stop]
+        term = buffer[:len(block)]
+        for p, q, a_pq in pairs:
+            np.subtract(corners[p], corners[q], out=term)
+            np.square(term, out=term)
+            if a_pq != 1.0:
+                term *= a_pq
+            block += term
     return float(hs.rho**level * nonnegative_sum(cell_energy))
 
 
@@ -128,8 +175,13 @@ def energy_m(system: FractalSystem, hs: HarmonicStructure, f: VertexFunction) ->
     math.fsum, so the result does not depend on the order of the cells.
     """
     _check_level(system, f)
-    cells = system.cells[f.level]
-    return _cells_energy(hs, [f.values[cells[:, p]] for p in range(system.M0)], f.level)
+    return _cells_energy(hs, _corner_columns(system, f), f.level)
+
+
+def _corner_columns(system: FractalSystem, f: VertexFunction) -> list[np.ndarray]:
+    """Column p holds f at corner p of every cell of level f.level: strided
+    views of one (cells, M0) gather, which is faster than M0 column gathers."""
+    return list(f.values[system.cells[f.level]].T)
 
 
 def harmonic_extension(system: FractalSystem, hs: HarmonicStructure,
@@ -139,8 +191,9 @@ def harmonic_extension(system: FractalSystem, hs: HarmonicStructure,
     Each level-k step is two scatters: the promoted level-k values keep their
     vertices, and each level-k cell writes its interior values, the
     extension matrix applied to its corner values, to its new vertices
-    system.new_vertices(k).  FractalSystem checks at construction that the
-    two write every vertex of level k + 1 exactly once.
+    system.new_vertices[k].  FractalSystem builds these tables once, checks
+    at construction that the two scatters write every vertex of level k + 1
+    exactly once, and keeps them, so no step rebuilds them.
     """
     _check_level(system, f)
     if not f.level <= n <= system.max_level:
@@ -155,7 +208,9 @@ def _extend_one(system: FractalSystem, hs: HarmonicStructure,
                 values: np.ndarray, k: int) -> np.ndarray:
     out = np.empty(system.vertex_count(k + 1))
     out[system.promote[k]] = values
-    out[system.new_vertices(k)] = values[system.cells[k]] @ hs.extension_matrix.T
+    # Flat index and value arrays: numpy scatters them about twice as fast
+    # as the same (M**k, #new) pair.
+    out[system.new_vertices[k].ravel()] = (values[system.cells[k]] @ hs.extension_matrix.T).ravel()
     return out
 
 
@@ -179,11 +234,13 @@ def energy_sequence(system: FractalSystem, hs: HarmonicStructure, f: VertexFunct
     corner p one level down is thus the strided view col[k_p::M], and no
     level copies values.  Each level's energy is the same edge sum as
     energy_m, combined by the same exact_sum, so every entry equals energy_m
-    of the restriction of f to V_m bit for bit.
+    of the restriction of f to V_m bit for bit.  m0 outside [0, f.level]
+    raises ValueError.
     """
     _check_level(system, f)
-    cells = system.cells[f.level]
-    cols = [f.values[cells[:, p]] for p in range(system.M0)]
+    if not 0 <= m0 <= f.level:
+        raise ValueError(f"first level {m0} out of range [0, {f.level}]")
+    cols = _corner_columns(system, f)
     entries = []
     for m in range(f.level, m0 - 1, -1):
         if m < f.level:
@@ -214,6 +271,10 @@ class FunctionSpec:
 
     def sample(self, system: FractalSystem, hs: HarmonicStructure | None,
                level: int) -> VertexFunction:
+        """The function on V_level; a level outside [0, system.max_level]
+        raises ValueError."""
+        if not 0 <= level <= system.max_level:
+            raise ValueError(f"sampling level {level} out of range [0, {system.max_level}]")
         if self.kind == "coord":
             if not 0 <= self.coord < system.dim:
                 raise ValueError(f"coordinate {self.coord} out of range")

@@ -160,11 +160,14 @@ class FractalSystem:
     Construction derives and checks two tables, raising InvariantViolation
     if a check fails:
 
-    * ``new_slots``: for each V_1 point off V_0, in ascending id order (the
-      order of decimate's extension rows), its first slot in
-      ``cells[1].ravel()``.  ``new_vertices(k)`` reads these slots from the
-      children of every level-k cell, and for every k, ``promote[k]`` and
-      ``new_vertices(k)`` together name each V_{k+1} id exactly once.
+    * ``new_vertices``: for each level k < max_level, the (M**k, #V_1 - #V_0)
+      ids of the V_{k+1} points off V_k, per level-k cell.  Column j reads,
+      from the M child rows of the cell in cells[k + 1], the first slot of
+      the j-th V_1 point off V_0 in cells[1] (ascending id order, the order
+      of decimate's extension rows).  For every k, ``promote[k]`` and
+      ``new_vertices[k]`` together name each V_{k+1} id exactly once.  The
+      tables are built once, for this check, and kept for harmonic
+      extension: one int64 per vertex of V_max_level off V_0.
     * ``fixing_maps``: for each V_0 point p, a map k_p with psi_{k_p}(p) = p.
 
     The system holds no validation result: ``build`` raises on a failed
@@ -183,10 +186,13 @@ class FractalSystem:
         self.reflections: list[Reflection] = reflections
 
         ids, first = np.unique(cells[1].ravel(), return_index=True)
-        self.new_slots = first[~np.isin(ids, promote[0])]
-        for k in range(self.max_level):
+        new_slots = first[~np.isin(ids, promote[0])]
+        self.new_vertices: list[np.ndarray] = [
+            cells[k + 1].reshape(self.M**k, -1).take(new_slots, axis=1)
+            for k in range(self.max_level)]
+        for k, new in enumerate(self.new_vertices):
             n = self.vertex_count(k + 1)
-            targets = np.concatenate([promote[k], self.new_vertices(k).ravel()])
+            targets = np.concatenate([promote[k], new.ravel()])
             if targets.min() < 0 or targets.max() >= n:
                 raise InvariantViolation(f"level {k} tables name ids outside V_{k + 1}")
             counts = np.bincount(targets, minlength=n)
@@ -249,10 +255,6 @@ class FractalSystem:
         return ids
 
     # -- derived structure ---------------------------------------------------
-
-    def new_vertices(self, k: int) -> np.ndarray:
-        """(M**k, #new_slots) ids of the V_{k+1} points off V_k, per level-k cell."""
-        return self.cells[k + 1].reshape(self.M**k, -1)[:, self.new_slots]
 
     def neighbor_graph(self, m: int) -> np.ndarray:
         """Unordered m-neighbor pairs: vertices sharing a level-m symplex."""
@@ -353,13 +355,32 @@ def build(maps: list[Similitude], max_level: int, *, max_points: int | None = No
                                  "distinct points")
     points = [v0]
     cells = [np.arange(M0, dtype=np.int64)[None, :]]
-    first, ids = _merge(cand, label, M, cells, points)
+    first, _ = _merge(cand, label, M, cells, points)
     promote = [_match(v0, points[1], tau)]
     if (promote[0] < 0).any():
         raise InvariantViolation("a vertex failed to persist to the next level")
 
-    # Candidate k*n + v0_at[a] is map k applied to V_0 point a, which is V_1
-    # point glue[k*M0 + a]; each other candidate is a point of its own.
+    _glue_levels(maps, max_level, first, points, cells, promote)
+    system = FractalSystem(maps=list(maps), name=name, points=points, cells=cells,
+                           promote=promote, c0=float(c0), reflections=_reflections_of(v0, c0))
+    if run_validation:
+        report = validate(system)
+        number = report.first_violation()
+        if number is not None:
+            raise ConditionViolation(number, "; ".join(report.failures[:3]))
+    return system
+
+
+def _glue_levels(maps, max_level, first, points, cells, promote) -> None:
+    """Append levels 2..max_level from the V_1 gluing table; first holds the
+    first candidate of each V_1 point.  The candidates and labels of the
+    deepest level are the largest arrays of a build; they are freed on return,
+    before FractalSystem builds and checks its tables.
+
+    Candidate k*n + v0_at[a] is map k applied to V_0 point a, which is V_1
+    point glue[k*M0 + a]; each other candidate is a point of its own.
+    """
+    M = len(maps)
     glue = cells[1].ravel()
     v0_at = promote[0]
     for m in range(1, max_level):
@@ -374,15 +395,6 @@ def build(maps: list[Similitude], max_level: int, *, max_points: int | None = No
         first, ids = _merge(cand, label, M, cells, points)
         promote.append(ids[k * n + promote[m - 1][y]])
         v0_at = promote[m][v0_at]
-
-    system = FractalSystem(maps=list(maps), name=name, points=points, cells=cells,
-                           promote=promote, c0=float(c0), reflections=_reflections_of(v0, c0))
-    if run_validation:
-        report = validate(system)
-        number = report.first_violation()
-        if number is not None:
-            raise ConditionViolation(number, "; ".join(report.failures[:3]))
-    return system
 
 
 def validate(system: FractalSystem) -> ValidationReport:

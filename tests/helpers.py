@@ -68,6 +68,22 @@ def brute_force_coefficient(system, f, m, params):
     )
 
 
+def edge_sum_energy(hs, cols, level):
+    """rho^level times the exact sum of the cells' edge sums, unblocked: one
+    full-length array of edge sums, each from zero and over the pairs p < q
+    in combinations order, summed by math.fsum (inf beyond the float range).
+    cols[p] holds the values at corner p of every cell."""
+    a = hs.matrix.entries
+    cell_energy = np.zeros(cols[0].shape[0])
+    for p, q in itertools.combinations(range(len(cols)), 2):
+        cell_energy += a[p, q] * (cols[p] - cols[q]) ** 2
+    try:
+        total = math.fsum(cell_energy.tolist())
+    except OverflowError:
+        total = math.inf
+    return float(hs.rho**level * total)
+
+
 def brute_force_near(system, n, radius):
     """All V_n pairs under the ties-out cutoff of the pair sums, as a symmetric
     matrix without its diagonal: sqrt(d2) < r (1 - 1e-9), d2 summed axis by axis."""

@@ -1,6 +1,8 @@
 import itertools
+import json
 import math
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,14 +10,20 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from fel.energy import (EXACT_SUM_CHUNK, EXACT_SUM_MAX_TERMS, VertexFunction, energy_m,
-                        energy_sequence, exact_sum, harmonic_extension,
-                        nonnegative_sum, parse_function_spec, random_corpus)
+from fel.energy import (ENERGY_BLOCK, EXACT_SUM_CHUNK, EXACT_SUM_MAX_TERMS, VertexFunction,
+                        _cells_energy, energy_m, energy_sequence, exact_sum,
+                        harmonic_extension, nonnegative_sum, parse_function_spec,
+                        random_corpus)
 from fel.errors import InvariantViolation
 from fel.harmonic import energy0, solve_ndhs, unit_matrix
 from fel.ifs import FractalSystem
 
-from helpers import locate, make_system
+from helpers import edge_sum_energy, locate, make_system
+
+# float.hex of every energy_sequence entry of random_corpus(system, 4, seed=1),
+# sampled at the system's top level, as the unblocked edge-sum kernel and the
+# frexp/ldexp exact_sum computed them.
+ENERGY_BITS = json.loads((Path(__file__).parent / "energy_bits.json").read_text())
 
 
 def gasket2_with_promote(k, corrupt):
@@ -242,9 +250,72 @@ class TestEnergySequence:
                         for m in range(m0, n + 1)]
             assert seq.entries == expected
 
+    @pytest.mark.parametrize("m0", [-2, -1, 4])
+    def test_first_level_out_of_range_rejected(self, gasket2_l8, gasket2_hs, m0):
+        # m0 > f.level used to give no entries, and m0 = -2 a numpy
+        # broadcasting error.
+        f = parse_function_spec("coord:0").sample(gasket2_l8, gasket2_hs, 3)
+        with pytest.raises(ValueError, match=r"first level -?\d+ out of range \[0, 3\]"):
+            energy_sequence(gasket2_l8, gasket2_hs, f, m0=m0)
+
+    @pytest.mark.parametrize("preset, level", [("gasket2", 7), ("gasket3", 5),
+                                               ("snowflake", 4)])
+    def test_energy_bits_pinned(self, preset, level):
+        system = make_system(preset, level)
+        hs = solve_ndhs(system)
+        got = [[e.hex() for _, e in energy_sequence(system, hs,
+                                                     spec.sample(system, hs, level)).entries]
+               for spec in random_corpus(system, 4, seed=1)]
+        assert got == ENERGY_BITS[preset]
+
     def test_v0_point_without_fixing_map_rejected(self):
         with pytest.raises(InvariantViolation, match="fixed point of no map"):
             gasket2_with_promote(0, lambda ids: np.roll(ids, 1))
+
+
+def energy_outcome(value):
+    return "nan" if math.isnan(value) else struct.pack("<d", value)
+
+
+class TestBlockedEdgeSums:
+    """_cells_energy against the unblocked formula, at cell counts around
+    the block size ENERGY_BLOCK = B: every cell energy keeps its bits."""
+
+    COUNTS = [1, ENERGY_BLOCK - 1, ENERGY_BLOCK, ENERGY_BLOCK + 1, 3 * ENERGY_BLOCK + 7]
+
+    @pytest.fixture(params=["gasket2", "snowflake"])
+    def structure(self, request, gasket2_hs, snowflake_hs):
+        # Unit conductances on gasket2, three distinct ones on the snowflake.
+        return {"gasket2": (gasket2_hs, 3, 3), "snowflake": (snowflake_hs, 6, 7)}[request.param]
+
+    @pytest.mark.parametrize("count", COUNTS)
+    def test_contiguous_columns(self, structure, count):
+        hs, corners, _ = structure
+        cols = list(np.random.default_rng(count).normal(size=(corners, count)))
+        assert _cells_energy(hs, cols, 5) == edge_sum_energy(hs, cols, 5)
+
+    @pytest.mark.parametrize("count", COUNTS)
+    def test_strided_columns(self, structure, count):
+        # energy_sequence's restricted columns: col[k::M] of a longer column.
+        hs, corners, M = structure
+        base = np.random.default_rng(count + 1).normal(size=(corners, M * count))
+        cols = [col[k::M] for k, col in zip(itertools.cycle(range(M)), base)]
+        assert all(len(col) == count for col in cols)
+        assert _cells_energy(hs, cols, 4) == edge_sum_energy(hs, cols, 4)
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, 1e200, 1e154])
+    @pytest.mark.parametrize("count", [ENERGY_BLOCK - 1, ENERGY_BLOCK + 1, 3 * ENERGY_BLOCK + 7])
+    def test_non_finite_and_huge_values(self, structure, count, bad):
+        hs, corners, _ = structure
+        rng = np.random.default_rng(count + 2)
+        cols = list(rng.normal(size=(corners, count)))
+        cols[1][rng.integers(count)] = bad
+        cols[2][count - 1] = bad
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = _cells_energy(hs, cols, 3)
+            expected = edge_sum_energy(hs, cols, 3)
+        assert energy_outcome(got) == energy_outcome(expected)
+        assert math.isnan(got) or got == math.inf
 
 
 def fsum_outcome(total, terms):
@@ -270,7 +341,8 @@ class TestExactSum:
     @given(st.integers(0, 2**32 - 1),
            st.sampled_from([0, 1, 7, EXACT_SUM_CHUNK - 1, EXACT_SUM_CHUNK + 1,
                             3 * EXACT_SUM_CHUNK + 11]),
-           st.sampled_from([(-310.0, 300.0), (-3.0, 3.0), (-320.0, -308.0)]),
+           st.sampled_from([(-310.0, 300.0), (-3.0, 3.0), (-320.0, -308.0),
+                            (296.0, 308.25)]),
            st.booleans())
     def test_large_arrays_match_fsum(self, seed, size, decades, signed):
         rng = np.random.default_rng(seed)
@@ -285,10 +357,33 @@ class TestExactSum:
         [math.nan], [1.0, math.nan, 2.0], [math.inf, 1.0], [-math.inf, -1.0],
         [math.inf, -math.inf], [math.inf, math.nan, -math.inf],
         [1.7e308, 1.7e308], [1e308, 1e308, math.nan], [1.7e308, 1e292],
-        [2.0**1023, 2.0**1023 - 2.0**970],
+        [2.0**1023, 2.0**1023 - 2.0**970], [2.0**1023, -(2.0**1023), 2.0**1023],
+        [2.0**1000, -0.0, 5e-324, -(2.0**997), 2.0**-1050], [-(2.0**1023), -(2.0**1020)],
     ])
     def test_edge_cases_match_fsum(self, terms):
         assert same_as_fsum(np.array(terms, dtype=float))
+
+    @given(arrays(np.float64, st.integers(0, 40),
+                  elements=st.floats(2.0**997, 2.0**1000) | st.floats(-2.0**1000, -2.0**997)
+                  | st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.0**-1050, -2.5e-310, 1.0])))
+    def test_top_of_range_with_subnormals_matches_fsum(self, terms):
+        # Terms with |x| >= 2^997 take the scaled high bins.  At most 40
+        # terms of at most 2^1000 keep every partial sum and bin total finite.
+        assert same_as_fsum(terms)
+
+    def test_many_large_terms_stay_finite(self):
+        # (EXACT_SUM_CHUNK + 3) * 2^1000 < 2^1017: the scaled bins carry it.
+        terms = np.full(EXACT_SUM_CHUNK + 3, 2.0**1000)
+        assert exact_sum(terms) == (EXACT_SUM_CHUNK + 3) * 2.0**1000
+        assert same_as_fsum(terms)
+
+    def test_many_large_terms_overflow(self):
+        # (EXACT_SUM_CHUNK + 3) * 2^1010 > 2^1026 leaves the float range.
+        terms = np.full(EXACT_SUM_CHUNK + 3, 2.0**1010)
+        with pytest.raises(OverflowError):
+            exact_sum(terms)
+        assert nonnegative_sum(terms) == math.inf
+        assert same_as_fsum(terms)
 
     def test_two_dimensional_input_is_flattened(self):
         terms = np.random.default_rng(26).normal(size=(300, 7))
@@ -328,6 +423,17 @@ class TestFunctionSpecs:
         seq = energy_sequence(gasket2_l8, gasket2_hs, f, m0=1)
         values = [e for _, e in seq.entries]
         assert max(values) - min(values) <= 1e-9 * max(values)
+
+    @pytest.mark.parametrize("text", ["coord:0", "harmonic:1,0,0", "perturb:coord:0:2:0.5"])
+    def test_sampling_level_out_of_range_rejected(self, text):
+        # coord and perturb used to return the top level's values labelled
+        # level -1, and to raise IndexError one level past the top.
+        system = make_system("gasket2", 3)
+        hs = solve_ndhs(system)
+        spec = parse_function_spec(text)
+        for level in (-1, 4):
+            with pytest.raises(ValueError, match=rf"sampling level {level} out of range \[0, 3\]"):
+                spec.sample(system, hs, level)
 
     def test_corpus_seeded_deterministic(self, gasket2_l8):
         a = [s.tag for s in random_corpus(gasket2_l8, 5, seed=123)]
