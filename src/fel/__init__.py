@@ -14,7 +14,7 @@ from .ifs import (FractalSystem, Similitude, ValidationReport, build,
 from .lipschitz import (ExperimentSummary, LipschitzParams, NormReport,
                         b_coefficient, default_params, equivalence_experiment,
                         hoelder_estimate, norm_report)
-from .presets import load_definition, load_maps
+from .presets import load_maps
 
 __version__ = "0.1.0"
 
@@ -28,7 +28,7 @@ __all__ = [
     "b_coefficient", "build", "decimate", "default_params",
     "dimensions", "energy0", "energy_m", "energy_sequence",
     "equivalence_experiment", "essential_fixed_points", "from_off_diagonal",
-    "harmonic_extension", "hoelder_estimate", "load_definition", "load_maps",
+    "harmonic_extension", "hoelder_estimate", "load_maps",
     "norm_report", "parse_function_spec", "random_corpus", "reproduce",
     "solve_ndhs", "unit_matrix", "validate",
 ]

@@ -42,6 +42,8 @@ _HIGH_PART_MASK = ~((1 << 26) - 1)
 # (|x| >= 2^997) are binned scaled by 2^-_BIG_SHIFT, so their bins stay finite.
 _BIG_EXPONENT = 2020
 _BIG_SHIFT = 64
+# Every float is an integer multiple of 2^-_UNIT_SHIFT, the subnormal spacing.
+_UNIT_SHIFT = 1074
 
 
 @dataclass(frozen=True)
@@ -66,7 +68,7 @@ def _check_level(system: FractalSystem, f: VertexFunction) -> None:
 
 
 def exact_sum(terms) -> float:
-    """The correctly rounded sum of float64 terms: math.fsum(terms), bit for bit.
+    """The correctly rounded sum of float64 terms: math.fsum(terms) wherever that returns.
 
     Each finite term x splits by its bits into a high part, x with the low
     26 mantissa bits cleared (an int64 view and a mask), and a low part
@@ -81,19 +83,15 @@ def exact_sum(terms) -> float:
     each addition is exact in any order; longer input raises ValueError (the
     point cap keeps cells and vertices far below it).  Only the high bins of
     E >= 2020 (|x| >= 2^997) could leave the float range: their parts are
-    binned scaled by 2^-64, which is exact, and scaled back by math.ldexp,
-    which raises OverflowError for a bin total beyond the float range.
-    math.fsum of the bin totals rounds the exact sum once, which is also
-    what math.fsum of the terms returns.
+    binned scaled by 2^-64, which is exact.  The bin totals, scaled back,
+    are added as integers in units of 2^-1074 and rounded once by integer
+    true division, which is also what math.fsum of the terms returns.
 
     Non-finite terms follow fsum: nan gives nan, inf gives inf, and +inf
-    with -inf raises ValueError.  A finite sum beyond the float range raises
-    OverflowError.  fsum's overflow test also depends on the order of the
-    terms (1e308, 1e308, -1e308 overflows; 1e308, -1e308, 1e308 does not),
-    while this sum does not: it raises when one high bin leaves the float
-    range, even where other bins would bring the sum back (2^1023, -2^997,
-    2^1023).  On nonnegative terms, such as energies, both raise exactly
-    when the sum leaves the float range.
+    with -inf raises ValueError.  OverflowError is raised exactly when the
+    sum of the finite terms lies beyond the float range, in any order of
+    the terms, while fsum's overflow test depends on the order (1e308,
+    1e308, -1e308 overflows; 1e308, -1e308, 1e308 does not).
     """
     x = np.asarray(terms, dtype=float)
     if x.size > EXACT_SUM_MAX_TERMS:
@@ -118,12 +116,15 @@ def exact_sum(terms) -> float:
             hi[exponent >= _BIG_EXPONENT] *= 2.0**-_BIG_SHIFT
         hi_bins += np.bincount(exponent, weights=hi, minlength=_EXPONENT_BITS)
         lo_bins += np.bincount(exponent, weights=lo, minlength=_EXPONENT_BITS)
-    scaled = [math.ldexp(hi_bins[e], _BIG_SHIFT) if e >= _BIG_EXPONENT else hi_bins[e]
+    totals = [(hi_bins[e], _BIG_SHIFT if e >= _BIG_EXPONENT else 0)
               for e in np.flatnonzero(hi_bins).tolist()]
-    scaled.extend(lo_bins[lo_bins != 0].tolist())
-    if special:
-        scaled.extend(np.unique(np.concatenate(special)).tolist())
-    return math.fsum(scaled)
+    totals.extend((lo, 0) for lo in lo_bins[lo_bins != 0].tolist())
+    specials = np.unique(np.concatenate(special)).tolist() if special else []
+    units = 0
+    for total, shift in totals:
+        num, den = total.as_integer_ratio()
+        units += (num << (_UNIT_SHIFT + shift)) // den
+    return math.fsum([units / (1 << _UNIT_SHIFT)] + specials)
 
 
 def nonnegative_sum(terms) -> float:
@@ -184,6 +185,13 @@ def _corner_columns(system: FractalSystem, f: VertexFunction) -> list[np.ndarray
     return list(f.values[system.cells[f.level]].T)
 
 
+def _restrict_corners(system: FractalSystem, cols: list[np.ndarray]) -> list[np.ndarray]:
+    """Corner columns one level up: corner p of cell w is corner p of its
+    child w*M + k_p, where map k_p = system.fixing_maps[p] fixes V_0 point p,
+    so column p restricts to the strided view col[k_p::M]."""
+    return [col[k::system.M] for col, k in zip(cols, system.fixing_maps)]
+
+
 def harmonic_extension(system: FractalSystem, hs: HarmonicStructure,
                        f: VertexFunction, n: int) -> VertexFunction:
     """Extend f from its level to level n with minimal-energy interior values.
@@ -228,11 +236,8 @@ def energy_sequence(system: FractalSystem, hs: HarmonicStructure, f: VertexFunct
     """Evaluate E^(m) for m0 <= m <= f.level on the restrictions of f.
 
     The corner values of every top-level cell are gathered once.  Each lower
-    level restricts them through child rows: level-m cell w has the children
-    w*M + k in cells[m+1], and map k_p = system.fixing_maps[p] fixes V_0
-    point p, so corner p of w is corner p of child w*M + k_p.  The column of
-    corner p one level down is thus the strided view col[k_p::M], and no
-    level copies values.  Each level's energy is the same edge sum as
+    level restricts them through child rows with _restrict_corners, whose
+    strided views copy no values.  Each level's energy is the same edge sum as
     energy_m, combined by the same exact_sum, so every entry equals energy_m
     of the restriction of f to V_m bit for bit.  m0 outside [0, f.level]
     raises ValueError.
@@ -244,7 +249,7 @@ def energy_sequence(system: FractalSystem, hs: HarmonicStructure, f: VertexFunct
     entries = []
     for m in range(f.level, m0 - 1, -1):
         if m < f.level:
-            cols = [col[k::system.M] for col, k in zip(cols, system.fixing_maps)]
+            cols = _restrict_corners(system, cols)
         entries.append((m, _cells_energy(hs, cols, m)))
     entries.reverse()
     monotone_ok = all(

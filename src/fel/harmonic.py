@@ -175,6 +175,14 @@ def _class_values_of(entries: np.ndarray, classes) -> np.ndarray:
     return values
 
 
+def _renormalize(system: FractalSystem, classes, values):
+    """One step of T = De o R from the form with the given class values:
+    that form, the class values of its image and the extension matrix."""
+    matrix = from_off_diagonal(_class_matrix(system, classes, values))
+    back, extension = decimate(reproduce(system, matrix), system.promote[0])
+    return matrix, _class_values_of(back.entries, classes), extension
+
+
 def solve_ndhs(system: FractalSystem) -> HarmonicStructure:
     """Iterate normalized decimation-reproduction to the harmonic structure.
 
@@ -190,17 +198,13 @@ def solve_ndhs(system: FractalSystem) -> HarmonicStructure:
     )
     nn_class = int(np.argmin(dist_of_class))
 
-    boundary = system.promote[0]
     values = np.ones(len(classes))
     trace: list[tuple[float, float]] = []
     damping = 1.0
     prev_delta = None
     converged = False
     for _ in range(MAX_ITERATIONS):
-        a = from_off_diagonal(_class_matrix(system, classes, values))
-        lifted = reproduce(system, a)
-        back, _ = decimate(lifted, boundary)
-        back_values = _class_values_of(back.entries, classes)
+        _, back_values, _ = _renormalize(system, classes, values)
         rho = values[nn_class] / back_values[nn_class]
         new_values = back_values / back_values[nn_class]
         delta = new_values - values
@@ -225,10 +229,8 @@ def solve_ndhs(system: FractalSystem) -> HarmonicStructure:
             f"iteration reached a degenerate fixed point (class values {values})",
             trace=trace,
         )
-    matrix = from_off_diagonal(_class_matrix(system, classes, values))
-    lifted = reproduce(system, matrix)
-    back, extension = decimate(lifted, boundary)
-    rho = 1.0 / _class_values_of(back.entries, classes)[nn_class]
+    matrix, back_values, extension = _renormalize(system, classes, values)
+    rho = 1.0 / back_values[nn_class]
     if rho <= 1.0:
         raise NoConvergence(f"fixed point has rho = {rho} <= 1", trace=trace)
     return HarmonicStructure(

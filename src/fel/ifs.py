@@ -1,8 +1,8 @@
 """Combinatorial skeleton of a self-similar fractal.
 
-Builds indexed vertex sets V_m, symplex tables with addresses, neighbor
-structure and symmetry generators from a family of similitudes, and checks
-the simple-nested-fractal conditions at finite resolution.
+Builds indexed vertex sets V_m, symplex tables with addresses and symmetry
+generators from a family of similitudes, and checks the simple-nested-fractal
+conditions at finite resolution.
 
 Geometry decides point identity only at level 1 and in the nesting check.
 Every level past 1 is built from the V_1 gluing table alone, which is exact
@@ -88,29 +88,22 @@ def essential_fixed_points(maps: list[Similitude]) -> np.ndarray:
     Points are returned in first-encounter order over map index.  Raises
     ``ConditionViolation(1)`` when fewer than two points qualify.
     """
-    fps = [m.fixed_point() for m in maps]
-    tol = FIXED_POINT_RTOL * max(max(np.linalg.norm(p) for p in fps), 1.0)
-    # Fixed points of different maps may coincide; keep unique points only.
-    unique: list[np.ndarray] = []
-    for p in fps:
-        if not any(np.linalg.norm(p - q) <= tol for q in unique):
-            unique.append(p)
-    essential = []
-    for x in unique:
-        images = [m.apply(x) for m in maps]
-        hit = False
-        for i, j in itertools.permutations(range(len(maps)), 2):
-            for y in unique:
-                if np.linalg.norm(images[i] - maps[j].apply(y)) <= tol:
-                    hit = True
-                    break
-            if hit:
-                break
-        if hit:
-            essential.append(x)
-    if len(essential) < 2:
-        raise ConditionViolation(1, f"only {len(essential)} essential fixed points")
-    return np.array(essential)
+    fps = np.array([m.fixed_point() for m in maps])
+    tol = FIXED_POINT_RTOL * max(np.linalg.norm(fps, axis=1).max(), 1.0)
+    # Fixed points of different maps may coincide; keep a point unless it
+    # lies within tol of a point kept before it.
+    keep = [0]
+    for i in range(1, len(fps)):
+        if _match(fps[i:i + 1], fps[keep], tol)[0] < 0:
+            keep.append(i)
+    unique = fps[keep]
+    images = [m.apply(unique) for m in maps]
+    hit = np.zeros(len(unique), dtype=bool)
+    for i, image in enumerate(images):
+        hit |= _match(image, np.concatenate(images[:i] + images[i + 1:]), tol) >= 0
+    if hit.sum() < 2:
+        raise ConditionViolation(1, f"only {hit.sum()} essential fixed points")
+    return unique[hit]
 
 
 @dataclass(frozen=True)
@@ -245,24 +238,6 @@ class FractalSystem:
     def merge_tolerance(self, m: int) -> float:
         return self.c0 / (MERGE_BAND * self.L**m)
 
-    # -- id plumbing -------------------------------------------------------
-
-    def lift(self, m: int, n: int) -> np.ndarray:
-        """Array mapping level-m ids to the ids of the same points at level n."""
-        ids = np.arange(self.vertex_count(m))
-        for k in range(m, n):
-            ids = self.promote[k][ids]
-        return ids
-
-    # -- derived structure ---------------------------------------------------
-
-    def neighbor_graph(self, m: int) -> np.ndarray:
-        """Unordered m-neighbor pairs: vertices sharing a level-m symplex."""
-        cells = self.cells[m]
-        cols = list(itertools.combinations(range(self.M0), 2))
-        pairs = np.concatenate([cells[:, c] for c in cols], axis=0)
-        return np.unique(np.sort(pairs, axis=1), axis=0)
-
 
 def _check_cap(M: int, m: int, M0: int, cap: int) -> None:
     if M**m * M0 > cap:
@@ -297,11 +272,8 @@ def _reflections_of(v0: np.ndarray, c0: float) -> list[Reflection]:
         mid = 0.5 * (v0[a] + v0[b])
         h = np.eye(dim) - 2.0 * np.outer(normal, normal)
         t = mid - h @ mid
-        image = v0 @ h.T + t
-        dists = np.linalg.norm(image[:, None, :] - v0[None, :, :], axis=2)
-        match = dists.argmin(axis=1)
-        perm: np.ndarray | None = match
-        if dists[np.arange(len(v0)), match].max() > c0 / MERGE_BAND or len(set(match)) != len(v0):
+        perm: np.ndarray | None = _match(v0 @ h.T + t, v0, c0 / MERGE_BAND)
+        if perm.min() < 0 or len(np.unique(perm)) != len(v0):
             perm = None
         refs.append(Reflection(matrix=h, translation=t, pair=(a, b), perm=perm))
     return refs
@@ -433,7 +405,8 @@ def validate(system: FractalSystem) -> ValidationReport:
         if not nesting_ok:
             break
 
-    labels = components(system.vertex_count(1), system.neighbor_graph(1))
+    pairs = list(itertools.combinations(range(system.M0), 2))
+    labels = components(system.vertex_count(1), system.cells[1][:, pairs])
     connectivity_ok = bool((labels == 0).all())
     if not connectivity_ok:
         failures.append("connectivity: the level-1 neighbor graph is disconnected")

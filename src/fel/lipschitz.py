@@ -28,6 +28,7 @@ and only the points whose test straddles enumerate B's points.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -35,7 +36,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .characteristics import dimensions
-from .energy import FunctionSpec, VertexFunction, energy_sequence, nonnegative_sum
+from .energy import (FunctionSpec, VertexFunction, _check_level, _corner_columns,
+                     _restrict_corners, energy_sequence, nonnegative_sum)
 from .errors import ResolutionTooCoarse
 from .harmonic import HarmonicStructure
 from .ifs import FractalSystem
@@ -315,8 +317,13 @@ def pair_power_sums(system: FractalSystem, n: int, radii: np.ndarray,
     """For each radius r: sum of (f(x)-f(y))^2 over unordered V_n pairs closer than r.
 
     A pair counts when sqrt(d2) < r (1 - TIE_BAND), d2 summed axis by axis.
-    ``values`` is (#V_n,) or (#V_n, F); the result is (len(radii), F).
+    ``values`` is (#V_n,) or (#V_n, F); the result is (len(radii), F).  Other
+    values, or n outside [1, max_level], raise ValueError.
     """
+    if not 1 <= n <= system.max_level:
+        raise ValueError(f"level {n} out of range [1, {system.max_level}]")
+    if values.shape[0] != system.vertex_count(n):
+        raise ValueError(f"values need {system.vertex_count(n)} rows, one per V_{n} point")
     vals = values[:, None] if values.ndim == 1 else values
     tree = _CellTree(system, n, vals)
     return np.array([tree.pair_sum(float(r)) for r in np.asarray(radii, dtype=float)])
@@ -388,9 +395,9 @@ class NormReport:
 
 
 def norm_report(system: FractalSystem, hs: HarmonicStructure, spec: FunctionSpec,
-                m_max: int, n: int, params: LipschitzParams | None = None) -> NormReport:
+                m_max: int, n: int) -> NormReport:
     """Assemble the Lipschitz and Dirichlet norms of one function at level n."""
-    return batch_norm_reports(system, hs, [spec], m_max, n, params)[0]
+    return batch_norm_reports(system, hs, [spec], m_max, n)[0]
 
 
 def _check_report_levels(system: FractalSystem, m_max: int, n: int) -> None:
@@ -404,18 +411,16 @@ def _check_report_levels(system: FractalSystem, m_max: int, n: int) -> None:
 
 
 def batch_norm_reports(system: FractalSystem, hs: HarmonicStructure,
-                       specs: list[FunctionSpec], m_max: int, n: int,
-                       params: LipschitzParams | None = None) -> list[NormReport]:
+                       specs: list[FunctionSpec], m_max: int, n: int) -> list[NormReport]:
     """Norm reports for a whole corpus with one pair-enumeration pass.
 
     The coefficient integrals share the pair stream across functions, so the
     per-function results are identical to separate norm_report calls.
     """
     _check_report_levels(system, m_max, n)
-    params = params or default_params(system, hs, base="L")
     values = np.column_stack([s.sample(system, hs, n).values for s in specs])
     ms = list(range(1, m_max + 1))
-    b_table = coefficient_table(system, values, n, ms, params)
+    b_table = coefficient_table(system, values, n, ms, default_params(system, hs, base="L"))
     weight = 1.0 / system.vertex_count(n)
     reports = []
     for col, spec in enumerate(specs):
@@ -451,8 +456,7 @@ class ExperimentSummary:
 
 
 def equivalence_experiment(system: FractalSystem, hs: HarmonicStructure,
-                           specs: list[FunctionSpec], m_max: int, n: int,
-                           params: LipschitzParams | None = None) -> ExperimentSummary:
+                           specs: list[FunctionSpec], m_max: int, n: int) -> ExperimentSummary:
     """Norm reports for a corpus at level n with ratio statistics.
 
     Functions with undefined ratio (zero Dirichlet norm, or a ratio that is
@@ -465,7 +469,7 @@ def equivalence_experiment(system: FractalSystem, hs: HarmonicStructure,
     """
     if not specs:
         raise ValueError("corpus is empty")
-    reports = batch_norm_reports(system, hs, specs, m_max, n, params)
+    reports = batch_norm_reports(system, hs, specs, m_max, n)
     ratios = [r.ratio for r in reports if r.ratio is not None]
     excluded = [r.tag for r in reports if r.ratio is None]
     if not ratios:
@@ -478,20 +482,25 @@ def equivalence_experiment(system: FractalSystem, hs: HarmonicStructure,
 def hoelder_estimate(system: FractalSystem, f: VertexFunction, gamma: float) -> float:
     """Empirical Hoelder constant max |f(x)-f(y)| / |x-y|^gamma over near pairs.
 
-    Pairs are subsampled per symplex: all same-cell vertex pairs at every
-    level up to f's, which spans separations from diam/L down to the finest
-    resolved scale.  A stability diagnostic, not a certified norm.
+    Pairs are subsampled per symplex: all corner pairs of every cell at every
+    level from f's down to 1, which spans separations from diam/L down to the
+    finest resolved scale.  The values and coordinates of the top-level
+    corners are gathered once and restricted level by level, as in
+    energy_sequence.  A stability diagnostic, not a certified norm.
     """
     if not 0.0 < gamma < 1.0:
         raise ValueError("gamma must lie in (0, 1)")
+    _check_level(system, f)
+    values = _corner_columns(system, f)
+    coords = list(system.points[f.level][system.cells[f.level]].transpose(1, 0, 2))
     best = 0.0
-    for m in range(1, f.level + 1):
-        pairs = system.neighbor_graph(m)
-        lift = system.lift(m, f.level)
-        pts = system.points[m]
-        dist = np.linalg.norm(pts[pairs[:, 0]] - pts[pairs[:, 1]], axis=1)
-        diff = np.abs(f.values[lift[pairs[:, 0]]] - f.values[lift[pairs[:, 1]]])
-        good = dist > 0
-        if good.any():
-            best = max(best, float((diff[good] / dist[good] ** gamma).max()))
+    for m in range(f.level, 0, -1):
+        if m < f.level:
+            values, coords = _restrict_corners(system, values), _restrict_corners(system, coords)
+        for p, q in itertools.combinations(range(system.M0), 2):
+            dist = np.linalg.norm(coords[p] - coords[q], axis=1)
+            diff = np.abs(values[p] - values[q])
+            good = dist > 0
+            if good.any():
+                best = max(best, float((diff[good] / dist[good] ** gamma).max()))
     return best

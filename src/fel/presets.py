@@ -66,17 +66,13 @@ def definition_from_maps(maps: list[Similitude], name: str | None) -> dict:
     }
 
 
-def load_definition(source: str | Path) -> dict:
-    """Read a definition from a preset name or a JSON file path."""
+def load_maps(source: str | Path) -> tuple[list[Similitude], str | None]:
+    """The maps and name of a preset name or a JSON definition file path."""
     if isinstance(source, str) and source in PRESET_NAMES:
         text = (resources.files("fel") / "presets" / f"{source}.json").read_text("utf-8")
     else:
         text = Path(source).read_text("utf-8")
-    return json.loads(text)
-
-
-def load_maps(source: str | Path) -> tuple[list[Similitude], str | None]:
-    return maps_from_definition(load_definition(source))
+    return maps_from_definition(json.loads(text))
 
 
 def write_definition(definition: dict, path: str | Path) -> None:

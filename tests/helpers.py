@@ -84,6 +84,32 @@ def edge_sum_energy(hs, cols, level):
     return float(hs.rho**level * total)
 
 
+def lift_ids(system, m, n):
+    """Array mapping level-m ids to the ids of the same points at level n."""
+    ids = np.arange(system.vertex_count(m))
+    for k in range(m, n):
+        ids = system.promote[k][ids]
+    return ids
+
+
+def neighbor_pair_hoelder(system, f, gamma):
+    """hoelder_estimate over the unique m-neighbor pairs (two vertices of one
+    level-m symplex) for m = 1..f.level: each pair's distance from the level-m
+    coordinates, and f read at its ids lifted to f's level."""
+    combos = list(itertools.combinations(range(system.M0), 2))
+    best = 0.0
+    for m in range(1, f.level + 1):
+        pairs = np.unique(np.sort(system.cells[m][:, combos].reshape(-1, 2), axis=1), axis=0)
+        lift = lift_ids(system, m, f.level)
+        pts = system.points[m]
+        dist = np.linalg.norm(pts[pairs[:, 0]] - pts[pairs[:, 1]], axis=1)
+        diff = np.abs(f.values[lift[pairs[:, 0]]] - f.values[lift[pairs[:, 1]]])
+        good = dist > 0
+        if good.any():
+            best = max(best, float((diff[good] / dist[good] ** gamma).max()))
+    return best
+
+
 def brute_force_near(system, n, radius):
     """All V_n pairs under the ties-out cutoff of the pair sums, as a symmetric
     matrix without its diagonal: sqrt(d2) < r (1 - 1e-9), d2 summed axis by axis."""

@@ -142,9 +142,9 @@ def test_equivalence_runs_one_level(capsys, monkeypatch, tmp_path):
     levels = []
     reports = lipschitz.batch_norm_reports
 
-    def spy(system, hs, specs, m_max, n, params=None):
+    def spy(system, hs, specs, m_max, n):
         levels.append(n)
-        return reports(system, hs, specs, m_max, n, params)
+        return reports(system, hs, specs, m_max, n)
 
     monkeypatch.setattr(lipschitz, "batch_norm_reports", spy)
     code, _, _ = run(capsys, "equivalence", "gasket2", "--corpus", str(tmp_path / "c.txt"),

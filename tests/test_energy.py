@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import struct
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +19,7 @@ from fel.errors import InvariantViolation
 from fel.harmonic import energy0, solve_ndhs, unit_matrix
 from fel.ifs import FractalSystem
 
-from helpers import edge_sum_energy, locate, make_system
+from helpers import edge_sum_energy, lift_ids, locate, make_system
 
 # float.hex of every energy_sequence entry of random_corpus(system, 4, seed=1),
 # sampled at the system's top level, as the unblocked edge-sum kernel and the
@@ -134,7 +135,7 @@ class TestHarmonicExtension:
         rng = np.random.default_rng(23)
         data = rng.normal(size=3)
         f = harmonic_extension(gasket2_l8, gasket2_hs, VertexFunction(0, data), 4)
-        lift = gasket2_l8.lift(0, 4)
+        lift = lift_ids(gasket2_l8, 0, 4)
         assert np.array_equal(f.values[lift], data)
 
     def test_constant_stays_constant(self, snowflake_l5, snowflake_hs):
@@ -185,7 +186,7 @@ class TestHarmonicExtension:
                         lap[row[p], row[q]] -= a[p, q]
         np.fill_diagonal(lap, 0.0)
         np.fill_diagonal(lap, -lap.sum(axis=1))
-        boundary = system.lift(0, 2)
+        boundary = lift_ids(system, 0, 2)
         interior = np.setdiff1d(np.arange(n2), boundary)
         rng = np.random.default_rng(77)
         f = rng.normal(size=system.M0)
@@ -246,7 +247,8 @@ class TestEnergySequence:
         f = VertexFunction(n, np.random.default_rng(25).normal(size=system.vertex_count(n)))
         for m0 in (0, 2):
             seq = energy_sequence(system, hs, f, m0=m0)
-            expected = [(m, energy_m(system, hs, VertexFunction(m, f.values[system.lift(m, n)])))
+            expected = [(m, energy_m(system, hs,
+                                     VertexFunction(m, f.values[lift_ids(system, m, n)])))
                         for m in range(m0, n + 1)]
             assert seq.entries == expected
 
@@ -393,6 +395,54 @@ class TestExactSum:
         # A zero-stride view: the count is checked before any term is read.
         with pytest.raises(ValueError, match="at most"):
             exact_sum(np.broadcast_to(1.0, (EXACT_SUM_MAX_TERMS + 1,)))
+
+
+def fraction_sum(terms):
+    """The exact sum of finite terms, rounded once to a float by int true
+    division (OverflowError beyond the float range)."""
+    return float(sum(map(Fraction, terms), Fraction(0)))
+
+
+def same_as_fraction(terms):
+    return fsum_outcome(exact_sum, terms) == fsum_outcome(fraction_sum, terms)
+
+
+class TestExactSumBeyondBins:
+    """Sums whose high-bin totals or fsum partial sums overflow while the
+    exact sum may lie in the float range, against a Fraction oracle."""
+
+    @pytest.mark.parametrize("terms", [
+        [2.0**1023, -(2.0**997), 2.0**1023], [1e308, 1e308, -1e308],
+        [2.0**1023, 2.0**1023, 2.0**1023, -(2.0**1023), -(2.0**1023), 5e-324],
+        [2.0**1023, 2.0**1023 - 2.0**970], [-(2.0**1023), -(2.0**1023), 2.0**970],
+        [2.0**1023, 2.0**1023, -(2.0**1022), -(2.0**1022), -(2.0**1022), 1.0],
+        [2.0**1023, 2.0**1023] + [-(2.0**1022)] * 4 + [-3.5, 5e-324],
+        [2.0**1023, 2.0**1023] + [-(2.0**1022)] * 4 + [5e-324],
+    ])
+    def test_cases_match_fraction(self, terms):
+        assert same_as_fraction(terms)
+
+    def test_cancelled_high_bin(self):
+        assert exact_sum([2.0**1023, -(2.0**997), 2.0**1023]) == 1.7976931214684583e308
+
+    @given(arrays(np.float64, st.integers(1, 40),
+                  elements=st.floats(2.0**1000, 2.0**1023) | st.floats(-2.0**1023, -2.0**1000)
+                  | st.sampled_from([0.0, 5e-324, -2.5e-310, 2.0**-1050, 1.0, -3.5])),
+           st.integers(0, 40))
+    def test_mixed_signs_match_fraction(self, terms, k):
+        # Twice the negated half of each of the first k terms cancels it from
+        # one bin lower, so high bins overflow while the sum stays in range.
+        terms = np.concatenate([terms, -0.5 * np.repeat(terms[:k], 2)])
+        assert same_as_fraction(terms.tolist())
+
+    def test_special_terms_after_overflowing_bins(self):
+        big = [2.0**1023, -(2.0**997), 2.0**1023]
+        assert exact_sum(big + [math.inf]) == math.inf
+        assert math.isnan(exact_sum(big + [math.nan]))
+        with pytest.raises(ValueError):
+            exact_sum(big + [math.inf, -math.inf])
+        with pytest.raises(OverflowError):
+            exact_sum(big + [2.0**1023, math.inf])
 
 
 class TestFunctionSpecs:

@@ -1,4 +1,6 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +14,12 @@ from helpers import (assert_matches_geometric, cell_address, count_vertices, loc
                      points_in_symplex, rotated_gasket_maps, symplex_neighborhoods)
 
 SQ3 = math.sqrt(3.0)
+# essential_fixed_points(maps).tolist() and the V_0 permutation of each
+# reflection (None where it does not permute V_0) for the presets and three
+# invalid systems, as per-point loops and nearest-point matching computed them.
+PINS = json.loads((Path(__file__).parent / "fixed_point_pins.json").read_text())
+INVALID_MAPS = {"perturbed": perturbed_gasket_maps, "rotated": rotated_gasket_maps,
+                "overlapping": overlapping_interval_maps}
 
 
 def closed_form_counts(system, up_to):
@@ -93,6 +101,22 @@ class TestEssentialFixedPoints:
         with pytest.raises(ConditionViolation) as err:
             essential_fixed_points(maps)
         assert err.value.condition == 1
+
+    @pytest.mark.parametrize("name", sorted(PINS))
+    def test_fixed_points_and_reflections_pinned(self, name):
+        maps = INVALID_MAPS[name]() if name in INVALID_MAPS else load_maps(name)[0]
+        system = build(maps, 1, run_validation=False)
+        assert essential_fixed_points(maps).tolist() == PINS[name]["fixed_points"]
+        assert [None if r.perm is None else r.perm.tolist()
+                for r in system.reflections] == PINS[name]["perms"]
+
+    def test_near_duplicate_chain_keeps_both_ends(self):
+        # Fixed points 0, 0.6e-9, 1.2e-9 on the line (tolerance 1e-9): the
+        # middle one lies within tolerance of the kept 0 and is dropped, and
+        # 1.2e-9 is compared only with the kept points, so it stays.
+        maps = [Similitude(scale=2.0, rotation=np.eye(1), translation=np.array([t]))
+                for t in (0.0, 0.5, 0.3e-9, 0.6e-9)]
+        assert essential_fixed_points(maps).tolist() == [[0.0], [1.0], [1.2e-9]]
 
     def test_duplicate_maps_rejected_by_build(self):
         maps, _ = load_maps("gasket2")

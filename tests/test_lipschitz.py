@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fel import lipschitz
+from fel.characteristics import dimensions
 from fel.energy import VertexFunction, harmonic_extension, parse_function_spec, random_corpus
 from fel.errors import ResolutionTooCoarse
 from fel.lipschitz import (_CellTree, b_coefficient, batch_norm_reports,
@@ -13,7 +14,7 @@ from fel.lipschitz import (_CellTree, b_coefficient, batch_norm_reports,
                            hoelder_estimate, norm_report, pair_power_sums)
 
 from helpers import (brute_force_coefficient, brute_force_degrees, brute_force_pair_sums,
-                     degrees_match, walk_degrees)
+                     degrees_match, neighbor_pair_hoelder, walk_degrees)
 
 
 class TestPairEnumeration:
@@ -194,6 +195,19 @@ class TestCoefficients:
         f = parse_function_spec("coord:0").sample(gasket2_l8, gasket2_hs, 4)
         assert b_coefficient(gasket2_l8, f, np.int64(2), params) == \
             b_coefficient(gasket2_l8, f, 2, params)
+
+    def test_values_must_fit_the_level(self, gasket2_l8, gasket2_hs):
+        # 100 values on V_3 (42 vertices) used to give a coefficient from the
+        # first 42, and a level past max_level a bare IndexError.
+        params = default_params(gasket2_l8, gasket2_hs)
+        with pytest.raises(ValueError, match="rows"):
+            b_coefficient(gasket2_l8, VertexFunction(3, np.arange(100.0)), 1, params)
+        with pytest.raises(ValueError, match="rows"):
+            coefficient_table(gasket2_l8, np.zeros((41, 2)), 3, [1, 2], params)
+        with pytest.raises(ValueError, match="out of range"):
+            coefficient_table(gasket2_l8, np.zeros(10), 9, [1], params)
+        with pytest.raises(ValueError, match="out of range"):
+            pair_power_sums(gasket2_l8, 0, [0.5], np.zeros(3))
 
     def test_empty_scale_list_rejected(self, gasket2_l8, gasket2_hs):
         params = default_params(gasket2_l8, gasket2_hs)
@@ -384,3 +398,24 @@ class TestHoelder:
         for gamma in (0.0, 1.0, -0.3):
             with pytest.raises(ValueError):
                 hoelder_estimate(gasket2_l8, f, gamma)
+
+    @pytest.mark.parametrize("preset, n", [("gasket2", 7), ("gasket3", 5), ("snowflake", 4)])
+    def test_matches_neighbor_pair_oracle(self, request, preset, n):
+        system = request.getfixturevalue({"gasket2": "gasket2_l8", "gasket3": "gasket3_l8",
+                                          "snowflake": "snowflake_l5"}[preset])
+        hs = request.getfixturevalue(f"{preset}_hs")
+        dims = dimensions(system, hs)
+        gamma = (dims.d_w - dims.d_f) / 2.0
+        for spec in random_corpus(system, 4, seed=14)[-4:]:
+            f = spec.sample(system, hs, n)
+            oracle = neighbor_pair_hoelder(system, f, gamma)
+            assert oracle > 0
+            assert hoelder_estimate(system, f, gamma) == pytest.approx(oracle, rel=1e-15, abs=0)
+
+    def test_level_and_length_checked(self, gasket2_l8):
+        # A wrong-length f used to give a silent estimate, and a level past
+        # max_level an IndexError.
+        with pytest.raises(ValueError, match="values"):
+            hoelder_estimate(gasket2_l8, VertexFunction(4, np.arange(200.0)), 0.5)
+        with pytest.raises(ValueError, match="not built"):
+            hoelder_estimate(gasket2_l8, VertexFunction(9, np.zeros(29526)), 0.5)

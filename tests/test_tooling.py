@@ -3,6 +3,7 @@ the single exact-sum path, the README's library example and the names the
 benchmark harness reads."""
 
 import ast
+import contextlib
 import importlib
 import importlib.util
 import re
@@ -67,21 +68,58 @@ def test_readme_library_example_runs():
     exec(compile(blocks[0], "README.md", "exec"), {})
 
 
+def fel_chains(tree):
+    """Dotted fel names a module reads: each `from fel... import` name and
+    each attribute chain on a name bound to fel or one of its modules
+    (`import fel`, `from fel import cli`, `from fel import lipschitz as lip`)."""
+    bound, chains = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for a in node.names:
+                if a.name.split(".")[0] == "fel":
+                    # `import fel.cli` binds fel; `import fel.cli as c` binds fel.cli.
+                    bound[a.asname or "fel"] = a.name if a.asname else "fel"
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "fel":
+            for a in node.names:
+                bound[a.asname or a.name] = f"{node.module}.{a.name}"
+                chains.add(f"{node.module}.{a.name}")
+    for node in ast.walk(tree):
+        parts = []
+        while isinstance(node, ast.Attribute):
+            parts.insert(0, node.attr)
+            node = node.value
+        if parts and isinstance(node, ast.Name) and node.id in bound:
+            chains.add(".".join([bound[node.id]] + parts))
+    return chains
+
+
+def resolves(chain):
+    """Whether a dotted fel name names something, importing submodules on the way."""
+    parts = chain.split(".")
+    owner = importlib.import_module(parts[0])
+    for k, part in enumerate(parts[1:], start=2):
+        if not hasattr(owner, part):
+            with contextlib.suppress(ImportError):
+                importlib.import_module(".".join(parts[:k]))
+        owner = getattr(owner, part, None)
+        if owner is None:
+            return False
+    return True
+
+
 def test_benchmark_harness_names_resolve():
-    # perfbench/spans.py wraps the functions of its LAYERS table in spans, and
-    # perfbench/workloads.py reads HarmonicStructure.residual and
-    # fel.energy.MONOTONE_SLACK; each must still exist in fel.
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
-    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    # perfbench/spans.py wraps the functions of its LAYERS table in spans,
+    # perfbench/workloads.py calls HarmonicStructure.residual on a solved
+    # structure, and every perfbench module reads fel through attribute
+    # chains; each name must still exist in fel.
+    bench = Path(__file__).resolve().parents[1] / "perfbench"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", bench / "spans.py")
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
-    names = [(module, attr) for module, attr, *_ in spans.LAYERS]
-    names += [("fel", "HarmonicStructure.residual"), ("fel.energy", "MONOTONE_SLACK")]
-    missing = []
-    for module, attr in names:
-        owner = importlib.import_module(module)
-        for part in attr.split("."):
-            owner = getattr(owner, part, None)
-        if owner is None:
-            missing.append(f"{module}.{attr}")
-    assert not missing
+    chains = {f"{module}.{attr}" for module, attr, *_ in spans.LAYERS}
+    chains.add("fel.HarmonicStructure.residual")
+    for path in sorted(bench.glob("*.py")) + sorted(bench.glob("tests/*.py")):
+        chains |= fel_chains(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+    assert {"fel.energy_m", "fel.load_maps", "fel.random_corpus", "fel.default_params",
+            "fel.lipschitz.coefficient_table", "fel.cli.main"} <= chains
+    assert not [chain for chain in sorted(chains) if not resolves(chain)]
