@@ -44,9 +44,9 @@ from .ifs import FractalSystem
 
 # Pairs within TIE_BAND * r of the cutoff sphere are ties; they count as outside.
 TIE_BAND = 1e-9
-# Bound on the slots of one temporary: cell pairs of a frontier chunk, point
-# rows or point pairs of a leaf chunk, or pairs x functions of a gather.
-# 2^15 slots (256 KiB of float64) had the lowest median wall time of
+# Slots of one buffer of the walk's workspace: cell pairs of a frontier
+# chunk, point rows or point pairs of a leaf chunk, or pairs x functions of a
+# gather.  2^15 slots (256 KiB of float64) had the lowest median wall time of
 # 2^14-2^17 on each pair workload of the benchmark.
 PAIR_CHUNK = 1 << 15
 # Most points a leaf cell may own: level n-1 of the gaskets (6-10 points),
@@ -98,11 +98,11 @@ def _owners(system: FractalSystem, n: int) -> np.ndarray:
 class _Level(NamedTuple):
     """Moments and bounding balls of the V_n points owned by each level-k cell."""
 
-    count: np.ndarray       # (cells,) owned points
+    count: np.ndarray       # (cells,) owned points, as floats for the float gathers
     mean: np.ndarray        # (F, cells) mean of the owned values, rounded
     fix: np.ndarray         # (F, cells) correction of the rounded mean
     ss: np.ndarray          # (F, cells) centred sum of squares
-    center: np.ndarray      # (cells, N) mean of the owned points
+    center: np.ndarray      # (N, cells) mean of the owned points, axis by axis
     radius: np.ndarray      # (cells,) distance from center to the farthest owned point
 
 
@@ -122,9 +122,35 @@ class _CellTree:
     Moments are function-major, (F, cells), and are gathered with ``take``,
     which keeps the pair axis contiguous: numpy sums pairwise only along
     that axis.
+
+    Every temporary of the walk is a view of one workspace that the tree
+    allocates once and each radius reuses: 7 int64, 5 float64 and 4 bool
+    rows of PAIR_CHUNK slots (3.1 MiB; a float row holds F slots if F is
+    larger), and the stack of pending cell pairs, 2 x PAIR_CHUNK int64 to
+    start with, which doubles when a walk needs more.  Index lists of
+    selected slots (np.flatnonzero, which has no out=) are the walk's only
+    allocations that scale with a chunk, so the heap does not grow and
+    shrink by whole buffers at every chunk.  The gathers use
+    ``take(..., mode="clip")``: with the default mode="raise", numpy
+    gathers into a temporary before it writes ``out``.  Every index is in
+    range by construction (cells of the level, points a leaf cell owns,
+    slots of a chunk), so clipping never moves one.
     """
 
     def __init__(self, system: FractalSystem, n: int, values: np.ndarray):
+        self._build(system, n, values)
+        # The workspace comes after _build has returned and freed its
+        # temporaries: allocated while the F x #V_n deviations were still
+        # live, it raised the peak RSS of the 20-column gasket2 L8 tables
+        # of equivalence-g2 by about 1 MiB.  Rows 0 and 1 of ints hold the
+        # cell pairs that settle tests; the other rows are each stage's scratch.
+        self.ints = np.empty((7, PAIR_CHUNK), dtype=np.int64)
+        self.reals = np.empty((5, max(PAIR_CHUNK, len(self.values))))
+        self.flags = np.empty((4, PAIR_CHUNK), dtype=bool)
+        self.stack = np.empty((2, PAIR_CHUNK), dtype=np.int64)
+
+    def _build(self, system: FractalSystem, n: int, values: np.ndarray) -> None:
+        """The sorted points and values, the levels and the leaf tables."""
         owner = _owners(system, n)
         order = np.argsort(owner, kind="stable")
         owner = owner[order]
@@ -136,7 +162,7 @@ class _CellTree:
             key = owner // system.M ** (n - k)
             starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
             held = key[starts]
-            count = np.bincount(key, minlength=system.M**k)
+            count = np.bincount(key, minlength=system.M**k).astype(float)
             mean, fix, ss = (np.zeros((len(self.values), system.M**k)) for _ in range(3))
             mean[:, held] = np.add.reduceat(self.values, starts, axis=1) / count[held]
             dev = self.values - mean[:, key]
@@ -149,7 +175,8 @@ class _CellTree:
             dist = np.sqrt(((self.points - center[key]) ** 2).sum(axis=1))
             radius = np.zeros(system.M**k)
             radius[held] = np.maximum.reduceat(dist, starts)
-            self.levels.append(_Level(count, mean, fix, ss, center, radius))
+            self.levels.append(_Level(count, mean, fix, ss, np.ascontiguousarray(center.T),
+                                      radius))
             if count.max() <= LEAF_POINTS:
                 break
         self.leaf = k
@@ -162,64 +189,131 @@ class _CellTree:
         self.owned_xyz = np.full((system.dim, system.M**k, width), np.nan)
         self.owned_xyz[:, key, slot] = self.points.T
         self.points_xyz = np.ascontiguousarray(self.points.T)
-        self.leaf_center = np.ascontiguousarray(self.levels[-1].center.T)
 
     def pair_sum(self, radius: float) -> np.ndarray:
-        """Sum of (f(x)-f(y))^2 over unordered pairs with sqrt(d2) < radius (1 - TIE_BAND)."""
+        """Sum of (f(x)-f(y))^2 over unordered pairs with sqrt(d2) < radius (1 - TIE_BAND).
+
+        The walk is depth first: the straddling cell pairs that one settle
+        finds above the leaf level go onto the stack as one run and come off
+        in chunks of at most PAIR_CHUNK // M^2 pairs, the last chunk of the
+        deepest run first.  The M^2 child pairs of each pair of a chunk fill
+        ints rows 0 and 1, where settle tests them.
+        """
         inner, outer = radius * (1.0 - TIE_BAND), radius * (1.0 + TIE_BAND)
         parts = [np.zeros(len(self.values))]
-        stack: list[tuple[int, np.ndarray, np.ndarray]] = []
+        runs: list[tuple[int, int, int]] = []     # (level, start, stop) on the stack
         group = max(1, PAIR_CHUNK // self.M**2)
-
-        def settle(k: int, a: np.ndarray, b: np.ndarray) -> None:
-            # Cell pairs a <= b at level k: sum the inside ones, drop the
-            # outside ones, refine or enumerate the ones straddling the cutoff.
-            level = self.levels[k]
-            na, nb = level.count[a], level.count[b]
-            gap = np.sqrt(((level.center[a] - level.center[b]) ** 2).sum(axis=1))
-            reach = level.radius[a] + level.radius[b]
-            live = (na > 0) & (nb > 0)
-            inside = live & (gap + reach < inner)
-            if inside.any():
-                parts.append(self._block_sum(k, a[inside], b[inside]))
-            cross = live & ~inside & (gap - reach < outer)
-            a, b = a[cross], b[cross]
-            if k == self.leaf:
-                parts.append(self._leaf_sum(a, b, inner, outer))
-                return
-            for s in range(0, len(a), group):
-                stack.append((k, a[s : s + group], b[s : s + group]))
-
-        root = np.zeros(1, dtype=np.int64)
-        settle(0, root, root)
+        self.ints[:2, 0] = 0                      # the root pair
+        self._settle(0, 1, inner, outer, parts, runs)
         child = np.arange(self.M)
-        while stack:
-            k, a, b = stack.pop()
-            ca = (a[:, None, None] * self.M + child[None, :, None]).repeat(self.M, axis=2)
-            cb = (b[:, None, None] * self.M + child[None, None, :]).repeat(self.M, axis=1)
-            keep = ca <= cb      # a self pair refines into its unordered child pairs
-            settle(k + 1, ca[keep], cb[keep])
+        while runs:
+            k, lo, hi = runs.pop()
+            start = lo + (hi - lo - 1) // group * group
+            if start > lo:
+                runs.append((k, lo, start))
+            size = (hi - start) * self.M**2
+            ca = self.ints[0, :size].reshape(-1, self.M, self.M)
+            cb = self.ints[1, :size].reshape(-1, self.M, self.M)
+            np.multiply(self.stack[0, start:hi, None, None], self.M, out=ca)
+            ca += child[:, None]
+            np.multiply(self.stack[1, start:hi, None, None], self.M, out=cb)
+            cb += child
+            self._settle(k + 1, size, inner, outer, parts, runs)
         return np.stack(parts, axis=1).sum(axis=1)
 
-    def _block_sum(self, k: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Sum over whole cell pairs: n_b SS_a + n_a SS_b + n_a n_b (mu_a - mu_b)^2
-        for a < b, and n_a SS_a over the pairs inside one cell (a = b)."""
+    def _settle(self, k: int, size: int, inner: float, outer: float,
+                parts: list[np.ndarray], runs: list[tuple[int, int, int]]) -> None:
+        """Test the first ``size`` cell pairs (a, b) of ints rows 0 and 1 at
+        level k: sum the inside ones, drop the outside ones, and enumerate or
+        stack the ones straddling the cutoff.  Pairs with a > b are the
+        child pairs a self pair does not refine into; they count as empty."""
+        level = self.levels[k]
+        a, b = self.ints[0, :size], self.ints[1, :size]
+        gap, reach, scratch = self.reals[:3, :size]
+        live, flag, inside, cross = self.flags[:, :size]
+        np.greater(level.count.take(a, out=gap, mode="clip"), 0.0, out=live)
+        live &= np.greater(level.count.take(b, out=gap, mode="clip"), 0.0, out=flag)
+        live &= np.less_equal(a, b, out=flag)
+        gap.fill(0.0)
+        for axis in level.center:
+            axis.take(a, out=reach, mode="clip")
+            reach -= axis.take(b, out=scratch, mode="clip")
+            reach *= reach
+            gap += reach
+        np.sqrt(gap, out=gap)
+        level.radius.take(a, out=reach, mode="clip")
+        reach += level.radius.take(b, out=scratch, mode="clip")
+        np.less(np.add(gap, reach, out=scratch), inner, out=inside)
+        inside &= live
+        np.less(np.subtract(gap, reach, out=scratch), outer, out=cross)
+        cross &= live
+        cross &= np.logical_not(inside, out=flag)
+        summed, straddling = np.flatnonzero(inside), np.flatnonzero(cross)
+        if len(summed):
+            parts.append(self._block_sum(k, summed))
+        if k == self.leaf:
+            parts.append(self._leaf_sum(straddling, inner, outer))
+        elif len(straddling):
+            top = runs[-1][2] if runs else 0
+            stop = top + len(straddling)
+            if stop > self.stack.shape[1]:
+                grown = np.empty((2, max(stop, 2 * self.stack.shape[1])), dtype=np.int64)
+                grown[:, :top] = self.stack[:, :top]
+                self.stack = grown
+            a.take(straddling, out=self.stack[0, top:stop], mode="clip")
+            b.take(straddling, out=self.stack[1, top:stop], mode="clip")
+            runs.append((k, top, stop))
+
+    def _pairs(self, pick: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The cell pairs at slots ``pick`` of ints rows 0 and 1, in rows 2 and 3."""
+        size = len(pick)
+        return (self.ints[0].take(pick, out=self.ints[2, :size], mode="clip"),
+                self.ints[1].take(pick, out=self.ints[3, :size], mode="clip"))
+
+    def _by_function(self, rows: np.ndarray, size: int) -> list[np.ndarray]:
+        """(F, size) views of the given reals rows, for gathers of F values per slot."""
+        return [row[: len(self.values) * size].reshape(len(self.values), size) for row in rows]
+
+    def _half(self, ia: np.ndarray, ib: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Weight 1/2 on the self pairs (ia = ib), whose rows meet each
+        unordered pair twice, and 1 on the others."""
+        out.fill(1.0)
+        np.copyto(out, 0.5, where=np.equal(ia, ib, out=self.flags[3, :len(ia)]))
+        return out
+
+    def _block_sum(self, k: int, pick: np.ndarray) -> np.ndarray:
+        """Sum over whole cell pairs at slots ``pick``:
+        n_b SS_a + n_a SS_b + n_a n_b (mu_a - mu_b)^2 for a < b, and n_a SS_a
+        over the pairs inside one cell (a = b)."""
         level = self.levels[k]
         out = np.zeros(len(self.values))
         step = max(1, PAIR_CHUNK // len(out))
-        for s in range(0, len(a), step):
-            ia, ib = a[s : s + step], b[s : s + step]
-            na, nb = level.count[ia].astype(float), level.count[ib].astype(float)
-            half = np.where(ia == ib, 0.5, 1.0)
-            diff = (level.mean.take(ia, axis=1) - level.mean.take(ib, axis=1)) \
-                + (level.fix.take(ia, axis=1) - level.fix.take(ib, axis=1))
-            out += (half * (nb * level.ss.take(ia, axis=1) + na * level.ss.take(ib, axis=1)
-                            + na * nb * diff * diff)).sum(axis=1)
+        for s in range(0, len(pick), step):
+            ia, ib = self._pairs(pick[s : s + step])
+            na = level.count.take(ia, out=self.reals[0, :len(ia)], mode="clip")
+            nb = level.count.take(ib, out=self.reals[1, :len(ia)], mode="clip")
+            diff, t, u = self._by_function(self.reals[2:], len(ia))
+            level.mean.take(ia, axis=1, out=diff, mode="clip")
+            diff -= level.mean.take(ib, axis=1, out=t, mode="clip")
+            level.fix.take(ia, axis=1, out=t, mode="clip")
+            t -= level.fix.take(ib, axis=1, out=u, mode="clip")
+            diff += t
+            level.ss.take(ia, axis=1, out=t, mode="clip")
+            t *= nb
+            level.ss.take(ib, axis=1, out=u, mode="clip")
+            u *= na
+            t += u
+            nb *= na
+            np.multiply(diff, nb, out=u)
+            u *= diff
+            t += u
+            t *= self._half(ia, ib, out=na)
+            out += t.sum(axis=1)
         return out
 
-    def _leaf_sum(self, a: np.ndarray, b: np.ndarray, inner: float,
-                  outer: float) -> np.ndarray:
-        """Sum over straddling leaf cell pairs a <= b, one row per owned point u of a.
+    def _leaf_sum(self, pick: np.ndarray, inner: float, outer: float) -> np.ndarray:
+        """Sum over the straddling leaf cell pairs a <= b at slots ``pick``,
+        one row per owned point u of a.
 
         Each row is tested against b's bounding ball: a row with all of b
         inside the cutoff sums from b's moments, one with all of b outside is
@@ -232,21 +326,34 @@ class _CellTree:
         below = _below_sqrt(inner)
         out = np.zeros(len(self.values))
         step = max(1, PAIR_CHUNK // width)
-        for s in range(0, len(a), step):
-            ia, ib = a[s : s + step], b[s : s + step]
-            dist = self._d2(ia, self.leaf_center, ib)
+        for s in range(0, len(pick), step):
+            ia, ib = self._pairs(pick[s : s + step])
+            rows = (len(ia), width)
+            dist = self._d2(ia, level.center, ib)
             np.sqrt(dist, out=dist)
-            reach = level.radius.take(ib)[:, None]
-            row = self.owned.take(ia, axis=0).ravel()
-            half = np.where(ia == ib, 0.5, 1.0)
-            far = dist + reach                          # NaN padding compares False
-            full = np.flatnonzero(far < inner)
-            mixed = np.flatnonzero((far >= inner) & (dist - reach < outer))
-            pair = full // width
-            out += self._row_sum(row[full], ib[pair], half[pair])
-            pair = mixed // width
-            out += self._mixed_sum(row[mixed], ib[pair], half[pair], below)
+            reach = level.radius.take(ib, out=self.reals[2, :len(ia)], mode="clip")[:, None]
+            row = self.owned.take(ia, axis=0, out=self.ints[4, :dist.size].reshape(rows),
+                                  mode="clip").ravel()
+            half = self._half(ia, ib, out=self.reals[3, :len(ia)])
+            far = np.add(dist, reach, out=self.reals[1, :dist.size].reshape(rows))
+            full, mixed, flag = (f[: dist.size].reshape(rows) for f in self.flags[:3])
+            np.less(far, inner, out=full)               # NaN padding compares False
+            np.greater_equal(far, inner, out=mixed)
+            mixed &= np.less(np.subtract(dist, reach, out=far), outer, out=flag)
+            full, mixed = np.flatnonzero(full), np.flatnonzero(mixed)
+            out += self._row_sum(*self._rows(full, row, ib, half))
+            out += self._mixed_sum(*self._rows(mixed, row, ib, half), below)
         return out
+
+    def _rows(self, pick: np.ndarray, row: np.ndarray, ib: np.ndarray,
+              half: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Point, leaf cell b and weight of the point rows at slots ``pick``
+        of a leaf chunk, in ints rows 5 and 6 and reals row 4."""
+        size = len(pick)
+        x = row.take(pick, out=self.ints[5, :size], mode="clip")
+        pair = np.floor_divide(pick, self.owned.shape[1], out=pick)
+        return (x, ib.take(pair, out=self.ints[6, :size], mode="clip"),
+                half.take(pair, out=self.reals[4, :size], mode="clip"))
 
     def _row_sum(self, x: np.ndarray, b: np.ndarray, weight: np.ndarray) -> np.ndarray:
         """Weighted sum of point x against all of leaf cell b:
@@ -256,12 +363,13 @@ class _CellTree:
         step = max(1, PAIR_CHUNK // len(out))
         for s in range(0, len(x), step):
             ix, ib = x[s : s + step], b[s : s + step]
-            diff = self.values.take(ix, axis=1)
-            diff -= level.mean.take(ib, axis=1)
-            diff -= level.fix.take(ib, axis=1)
+            diff, t = self._by_function(self.reals[:2], len(ix))
+            self.values.take(ix, axis=1, out=diff, mode="clip")
+            diff -= level.mean.take(ib, axis=1, out=t, mode="clip")
+            diff -= level.fix.take(ib, axis=1, out=t, mode="clip")
             diff *= diff
-            diff *= level.count.take(ib)
-            diff += level.ss.take(ib, axis=1)
+            diff *= level.count.take(ib, out=self.reals[2, :len(ix)], mode="clip")
+            diff += level.ss.take(ib, axis=1, out=t, mode="clip")
             diff *= weight[s : s + step]
             out += diff.sum(axis=1)
         return out
@@ -275,13 +383,20 @@ class _CellTree:
         rows = max(1, PAIR_CHUNK // len(out))
         for s in range(0, len(x), step):
             ix, ib = x[s : s + step], b[s : s + step]
-            near = np.flatnonzero(self._d2(ib, self.points_xyz, ix) < below)
-            row = near // width
-            near_x, near_w = ix[row], weight[s : s + step][row]
-            near_y = self.owned.take(ib, axis=0).ravel()[near]
+            d2 = self._d2(ib, self.points_xyz, ix)
+            near = np.flatnonzero(np.less(d2, below,
+                                          out=self.flags[0, :d2.size].reshape(d2.shape)))
+            owned = self.owned.take(ib, axis=0, out=self.ints[2, :d2.size].reshape(d2.shape),
+                                    mode="clip").ravel()
+            near_y = owned.take(near, out=self.ints[3, :len(near)], mode="clip")
+            row = np.floor_divide(near, width, out=near)
+            near_x = ix.take(row, out=self.ints[4, :len(near)], mode="clip")
+            near_w = weight[s : s + step].take(row, out=self.reals[3, :len(near)], mode="clip")
             for t in range(0, len(near), rows):
-                diff = self.values.take(near_x[t : t + rows], axis=1)
-                diff -= self.values.take(near_y[t : t + rows], axis=1)
+                nx, ny = near_x[t : t + rows], near_y[t : t + rows]
+                diff, u = self._by_function(self.reals[:2], len(nx))
+                self.values.take(nx, axis=1, out=diff, mode="clip")
+                diff -= self.values.take(ny, axis=1, out=u, mode="clip")
                 diff *= diff
                 diff *= near_w[t : t + rows]
                 out += diff.sum(axis=1)
@@ -290,22 +405,24 @@ class _CellTree:
     def _d2(self, cells: np.ndarray, xyz: np.ndarray, at: np.ndarray) -> np.ndarray:
         """d2 from point ``at[i]`` of the coordinates ``xyz`` (axis by axis) to
         each owned point of leaf cell ``cells[i]``: (len(cells), width), NaN
-        at the padding."""
-        d2 = np.zeros((len(cells), self.owned.shape[1]))
+        at the padding, in reals row 0 (rows 1 and 2 are its scratch)."""
+        shape = (len(cells), self.owned.shape[1])
+        d2, diff = (row[: shape[0] * shape[1]].reshape(shape) for row in self.reals[:2])
+        d2.fill(0.0)
         for own, axis in zip(self.owned_xyz, xyz):
-            diff = own.take(cells, axis=0)
-            diff -= axis.take(at)[:, None]
+            own.take(cells, axis=0, out=diff, mode="clip")
+            diff -= axis.take(at, out=self.reals[2, :len(at)], mode="clip")[:, None]
             diff *= diff
             d2 += diff
         return d2
 
 
 def _below_sqrt(inner: float) -> float:
-    """The least float t with sqrt(t) >= inner, so that d2 < t iff sqrt(d2) < inner:
+    """The least float t >= 0 with sqrt(t) >= inner, so that d2 < t iff sqrt(d2) < inner:
     sqrt is correctly rounded, hence monotone, and t lies within an ulp or two
-    of inner^2."""
-    t = inner * inner
-    while math.sqrt(t) >= inner:
+    of inner^2.  It is 0 for inner <= 0, where no d2 qualifies."""
+    t = inner * inner if inner > 0.0 else 0.0
+    while t > 0.0 and math.sqrt(t) >= inner:
         t = math.nextafter(t, 0.0)
     while math.sqrt(t) < inner:
         t = math.nextafter(t, math.inf)
@@ -316,17 +433,26 @@ def pair_power_sums(system: FractalSystem, n: int, radii: np.ndarray,
                     values: np.ndarray) -> np.ndarray:
     """For each radius r: sum of (f(x)-f(y))^2 over unordered V_n pairs closer than r.
 
-    A pair counts when sqrt(d2) < r (1 - TIE_BAND), d2 summed axis by axis.
-    ``values`` is (#V_n,) or (#V_n, F); the result is (len(radii), F).  Other
-    values, or n outside [1, max_level], raise ValueError.
+    A pair counts when sqrt(d2) < r (1 - TIE_BAND), d2 summed axis by axis,
+    so a radius r <= 0 sums no pair.  ``values`` is (#V_n,) or (#V_n, F); the
+    result is (len(radii), F).  A NaN radius, other values, or n outside
+    [1, max_level] raise ValueError.
     """
     if not 1 <= n <= system.max_level:
         raise ValueError(f"level {n} out of range [1, {system.max_level}]")
     if values.shape[0] != system.vertex_count(n):
         raise ValueError(f"values need {system.vertex_count(n)} rows, one per V_{n} point")
+    radii = np.asarray(radii, dtype=float)
+    if np.isnan(radii).any():
+        raise ValueError("a pair-sum radius is NaN")
     vals = values[:, None] if values.ndim == 1 else values
-    tree = _CellTree(system, n, vals)
-    return np.array([tree.pair_sum(float(r)) for r in np.asarray(radii, dtype=float)])
+    sums = np.zeros((len(radii), vals.shape[1]))
+    walked = np.flatnonzero(radii > 0.0)
+    if len(walked) and vals.shape[1]:
+        tree = _CellTree(system, n, vals)
+        for i in walked:
+            sums[i] = tree.pair_sum(float(radii[i]))
+    return sums
 
 
 def _coefficient_from_sum(params: LipschitzParams, m: int, n_points: int,
@@ -415,8 +541,11 @@ def batch_norm_reports(system: FractalSystem, hs: HarmonicStructure,
     """Norm reports for a whole corpus with one pair-enumeration pass.
 
     The coefficient integrals share the pair stream across functions, so the
-    per-function results are identical to separate norm_report calls.
+    per-function results are identical to separate norm_report calls.  An
+    empty corpus raises ValueError.
     """
+    if not specs:
+        raise ValueError("corpus is empty")
     _check_report_levels(system, m_max, n)
     values = np.column_stack([s.sample(system, hs, n).values for s in specs])
     ms = list(range(1, m_max + 1))
@@ -467,8 +596,6 @@ def equivalence_experiment(system: FractalSystem, hs: HarmonicStructure,
     batch_norm_reports at another level, which the summary leaves to the
     caller.
     """
-    if not specs:
-        raise ValueError("corpus is empty")
     reports = batch_norm_reports(system, hs, specs, m_max, n)
     ratios = [r.ratio for r in reports if r.ratio is not None]
     excluded = [r.tag for r in reports if r.ratio is None]

@@ -1,20 +1,33 @@
+import json
 import math
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fel
 from fel import lipschitz
 from fel.characteristics import dimensions
 from fel.energy import VertexFunction, harmonic_extension, parse_function_spec, random_corpus
 from fel.errors import ResolutionTooCoarse
-from fel.lipschitz import (_CellTree, b_coefficient, batch_norm_reports,
+from fel.lipschitz import (_below_sqrt, _CellTree, b_coefficient, batch_norm_reports,
                            coefficient_table, default_params, equivalence_experiment,
                            hoelder_estimate, norm_report, pair_power_sums)
 
 from helpers import (brute_force_coefficient, brute_force_degrees, brute_force_pair_sums,
                      degrees_match, neighbor_pair_hoelder, walk_degrees)
+
+# float.hex of two walk shapes, as the walk that allocated its temporaries
+# per chunk computed them: coefficient_table of random_corpus(gasket2, 4,
+# seed=1) at L7 for m = 1..5 (many columns), and b_coefficient for m = 3..6
+# of a seeded harmonic function on gasket3 L7 (one column, one scale per walk).
+COEFFICIENT_BITS = json.loads((Path(__file__).parent / "coefficient_bits.json").read_text())
 
 
 class TestPairEnumeration:
@@ -84,6 +97,73 @@ class TestPairEnumeration:
             params = default_params(snowflake_l5, snowflake_hs, base=base)
             got = coefficient_table(snowflake_l5, cols, 4, [1, 2, 3], params)
             assert [[v.hex() for v in row] for row in got.tolist()] == table
+
+
+class TestPairSumInputs:
+    """Radii and shapes at the edges of pair_power_sums."""
+
+    def test_below_sqrt_of_zero_is_zero(self):
+        assert _below_sqrt(0.0) == 0.0
+        assert _below_sqrt(-1.0) == 0.0
+
+    @pytest.mark.parametrize("radius", [0.0, -1.0])
+    def test_nonpositive_radius_sums_no_pair(self, gasket2_l8, radius):
+        values = np.random.default_rng(2).uniform(-1.0, 1.0, (gasket2_l8.vertex_count(4), 2))
+        assert np.array_equal(pair_power_sums(gasket2_l8, 4, [radius], values), np.zeros((1, 2)))
+
+    def test_nan_radius_rejected(self, gasket2_l8):
+        with pytest.raises(ValueError, match="NaN"):
+            pair_power_sums(gasket2_l8, 4, [0.5, math.nan], np.zeros(gasket2_l8.vertex_count(4)))
+
+    def test_infinite_radius_sums_all_pairs(self, gasket2_l8):
+        values = np.random.default_rng(3).uniform(-1.0, 1.0, (gasket2_l8.vertex_count(4), 2))
+        np.testing.assert_allclose(pair_power_sums(gasket2_l8, 4, [math.inf], values)[0],
+                                   brute_force_pair_sums(gasket2_l8, 4, math.inf, values),
+                                   rtol=1e-13, atol=0.0)
+
+    def test_no_radii_give_no_rows(self, gasket2_l8):
+        values = np.zeros((gasket2_l8.vertex_count(3), 2))
+        assert pair_power_sums(gasket2_l8, 3, [], values).shape == (0, 2)
+
+    def test_no_columns_give_empty_tables(self, gasket2_l8, gasket2_hs):
+        values = np.zeros((gasket2_l8.vertex_count(4), 0))
+        assert pair_power_sums(gasket2_l8, 4, [0.5, 0.25], values).shape == (2, 0)
+        params = default_params(gasket2_l8, gasket2_hs)
+        assert coefficient_table(gasket2_l8, values, 4, [1, 2], params).shape == (2, 0)
+
+
+# The two snowflake L4 coefficient tables of lipschitz-snowflake in a fresh
+# process, with the minor page faults they take: 34.5 k when the walk
+# allocated its temporaries per chunk and glibc trimmed the heap after each,
+# 1.8 k with the walk's workspace (2-core x86-64 Xeon, Linux, glibc 2.36).
+FAULT_PROBE = """
+import resource
+import numpy as np
+import fel
+from fel.lipschitz import coefficient_table
+maps, name = fel.load_maps("snowflake")
+system = fel.build(maps, 4, name=name)
+hs = fel.solve_ndhs(system)
+data = np.random.default_rng(1).uniform(-1.0, 1.0, system.M0)
+f = fel.harmonic_extension(system, hs, fel.VertexFunction(0, data), 4)
+params = [fel.default_params(system, hs, base=b) for b in (2.0, "L")]
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for p in params:
+    coefficient_table(system, f.values, 4, [1, 2, 3], p)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+FAULT_BOUND = 5000
+
+
+@pytest.mark.skipif(sys.platform != "linux" or platform.libc_ver()[0] != "glibc",
+                    reason="the bound is measured with glibc's allocator on Linux")
+def test_walk_does_not_refault_the_heap():
+    src = str(Path(fel.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run([sys.executable, "-c", FAULT_PROBE], capture_output=True,
+                          text=True, env=env, timeout=120, check=True)
+    assert int(done.stdout) < FAULT_BOUND
 
 
 # The profile's 8 examples: a snowflake example reads its 1,374 degrees from
@@ -232,6 +312,18 @@ class TestCoefficients:
             assert bs <= big_d * as_ * (1 + 1e-12)
             assert as_ <= big_d * bs * (1 + 1e-12)
 
+    def test_coefficient_bits_pinned(self, gasket2_l8, gasket2_hs, gasket3_l8, gasket3_hs):
+        specs = random_corpus(gasket2_l8, 4, seed=1)
+        cols = np.column_stack([s.sample(gasket2_l8, gasket2_hs, 7).values for s in specs])
+        table = coefficient_table(gasket2_l8, cols, 7, [1, 2, 3, 4, 5],
+                                  default_params(gasket2_l8, gasket2_hs))
+        assert [[v.hex() for v in row] for row in table.tolist()] == COEFFICIENT_BITS["gasket2"]
+        data = np.random.default_rng(1).uniform(-1.0, 1.0, gasket3_l8.M0)
+        f = harmonic_extension(gasket3_l8, gasket3_hs, VertexFunction(0, data), 7)
+        params = default_params(gasket3_l8, gasket3_hs)
+        assert [b_coefficient(gasket3_l8, f, m, params).hex() for m in (3, 4, 5, 6)] == \
+            COEFFICIENT_BITS["gasket3"]
+
     def test_batch_table_matches_single(self, gasket2_l8, gasket2_hs):
         params = default_params(gasket2_l8, gasket2_hs)
         specs = random_corpus(gasket2_l8, 3, seed=17)
@@ -363,8 +455,10 @@ class TestExperiment:
         assert summary.excluded == ["harmonic:0,0,0"]
 
     def test_empty_corpus_rejected(self, gasket2_l8, gasket2_hs):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="corpus is empty"):
             equivalence_experiment(gasket2_l8, gasket2_hs, [], 2, 5)
+        with pytest.raises(ValueError, match="corpus is empty"):
+            batch_norm_reports(gasket2_l8, gasket2_hs, [], 2, 5)
 
 
 class TestHoelder:
