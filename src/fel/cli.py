@@ -163,18 +163,17 @@ def _cmd_lipschitz(args) -> int:
     _warn_levels(args.mmax, args.level)
     system = _build_system(args.fractal, args.level, _max_points(args))
     hs = solve_ndhs(system)
-    spec = energy_mod.parse_function_spec(args.function)
-    f = spec.sample(system, hs, args.level)
+    specs = [energy_mod.parse_function_spec(args.function)]
     params_l = lip_mod.default_params(system, hs, base="L")
     params_2 = lip_mod.default_params(system, hs, base=2.0)
     ms = list(range(1, args.mmax + 1))
     a_col = b_col = None
     if args.base in ("2", "both"):
-        a_col = lip_mod.coefficient_table(system, f.values, args.level, ms, params_2)
+        a_col = lip_mod.spec_coefficient_table(system, hs, specs, args.level, ms, params_2)[:, 0]
     if args.base == "both" and params_l == params_2:
         b_col = a_col          # L = 2: the two bases give one table
     elif args.base in ("L", "both"):
-        b_col = lip_mod.coefficient_table(system, f.values, args.level, ms, params_l)
+        b_col = lip_mod.spec_coefficient_table(system, hs, specs, args.level, ms, params_l)[:, 0]
     with _csv_writer(args.out) as writer:
         writer.writerow(["m", "a_m", "b_m"])
         for k, m in enumerate(ms):

@@ -281,18 +281,10 @@ class FunctionSpec:
         if not 0 <= level <= system.max_level:
             raise ValueError(f"sampling level {level} out of range [0, {system.max_level}]")
         if self.kind == "coord":
-            if not 0 <= self.coord < system.dim:
-                raise ValueError(f"coordinate {self.coord} out of range")
+            self.data_level(system, hs)
             return VertexFunction(level, system.points[level][:, self.coord].copy())
         if self.kind == "harmonic":
-            if hs is None:
-                raise ValueError("harmonic sampling requires a solved harmonic structure")
-            data_level = 0 if len(self.data) == system.M0 else 1
-            if data_level == 1 and len(self.data) != system.vertex_count(1):
-                raise ValueError(
-                    f"harmonic data must have {system.M0} (V_0) or "
-                    f"{system.vertex_count(1)} (V_1) values"
-                )
+            data_level = self.data_level(system, hs)
             if level < data_level:
                 raise ValueError("sampling level below the data level")
             return harmonic_extension(system, hs, VertexFunction(data_level, self.data), level)
@@ -303,6 +295,26 @@ class FunctionSpec:
             out[self.vertex_index] += self.delta
             return VertexFunction(level, out)
         raise ValueError(f"unknown function kind {self.kind}")
+
+    def data_level(self, system: FractalSystem, hs: HarmonicStructure | None) -> int:
+        """Level of the data that define a coord or harmonic spec: 0 for a
+        coordinate or #V_0 values, 1 for #V_1 values.  A coordinate out of
+        range, another number of values, or harmonic data without a solved
+        harmonic structure raise ValueError."""
+        if self.kind == "coord":
+            if not 0 <= self.coord < system.dim:
+                raise ValueError(f"coordinate {self.coord} out of range")
+            return 0
+        if hs is None:
+            raise ValueError("harmonic sampling requires a solved harmonic structure")
+        if len(self.data) == system.M0:
+            return 0
+        if len(self.data) != system.vertex_count(1):
+            raise ValueError(
+                f"harmonic data must have {system.M0} (V_0) or "
+                f"{system.vertex_count(1)} (V_1) values"
+            )
+        return 1
 
 
 def parse_function_spec(text: str) -> FunctionSpec:

@@ -116,23 +116,24 @@ def test_lipschitz_both_bases_share_one_table_when_l_is_2(capsys, monkeypatch, f
                                                          expected_calls):
     # L = 2 makes the base-2 and base-L parameters equal, so one table fills
     # both columns; the snowflake (L = 3) needs two.  Either way the CSV is the
-    # one that two separate tables give.
+    # one that two separate tables give.  coord:0 takes the class path.
     calls = []
-    table = lipschitz.coefficient_table
+    table = lipschitz.class_coefficient_table
 
     def spy(*args):
         calls.append(args)
         return table(*args)
 
-    monkeypatch.setattr(lipschitz, "coefficient_table", spy)
+    monkeypatch.setattr(lipschitz, "class_coefficient_table", spy)
     code, out, _ = run(capsys, "lipschitz", fractal, "--function", "coord:0",
                        "--mmax", "2", "--level", "4")
     assert code == 0
     assert len(calls) == expected_calls
     system = make_system(fractal, 4)
     hs = solve_ndhs(system)
-    f = parse_function_spec("coord:0").sample(system, hs, 4)
-    a_col, b_col = (table(system, f.values, 4, [1, 2], lipschitz.default_params(system, hs, base))
+    spec = parse_function_spec("coord:0")
+    a_col, b_col = (table(system, hs, [spec], 4, [1, 2],
+                          lipschitz.default_params(system, hs, base))[:, 0]
                     for base in (2.0, "L"))
     assert out == "m,a_m,b_m\n" + "".join(f"{m},{a:.17g},{b:.17g}\n"
                                           for m, a, b in zip((1, 2), a_col, b_col))

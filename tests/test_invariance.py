@@ -11,6 +11,7 @@ float rounding decides none of those ties.
 
 import functools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from fel.characteristics import dimensions
 from fel.energy import random_corpus
 from fel.harmonic import solve_ndhs
 from fel.ifs import Similitude, build
-from fel.lipschitz import coefficient_table, default_params
+from fel.lipschitz import class_coefficient_table, coefficient_table, default_params
 from fel.presets import load_maps
 
 from helpers import assert_matches_geometric
@@ -93,3 +94,37 @@ def test_moved_build_matches_geometric_oracle(preset, data):
     maps, _ = load_maps(preset)
     s, q, t = data.draw(motions(maps[0].dim))
     assert_matches_geometric(build(conjugate(maps, s, q, t), LEVELS[preset]))
+
+
+# Placement classes key cell pairs by their relative similitude in cell
+# units, so their coefficients must not move either; the flipped gasket's
+# maps have orthogonal parts and the pentagasket is not on a lattice.
+EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
+CLASS_LEVELS = {"gasket2": 5, "gasket3": 4, "snowflake": 3,
+                str(EXAMPLES / "flipped-gasket.json"): 5, str(EXAMPLES / "pentagasket.json"): 4}
+
+
+def class_invariants(maps, level):
+    """b_m and a_m for m = 1..level-1 of three harmonic functions and the
+    coordinate-free part of the corpus, from placement classes."""
+    system = build(maps, level)
+    hs = solve_ndhs(system)
+    specs = random_corpus(system, 3, seed=7)[system.dim:]
+    ms = list(range(1, level))
+    return np.concatenate([
+        class_coefficient_table(system, hs, specs, level, ms, default_params(system, hs, base)).ravel()
+        for base in ("L", 2.0)])
+
+
+@functools.cache
+def class_reference(source):
+    return class_invariants(load_maps(source)[0], CLASS_LEVELS[source])
+
+
+@pytest.mark.parametrize("source", sorted(CLASS_LEVELS))
+@given(data=st.data())
+def test_class_coefficients_are_invariant(source, data):
+    maps, _ = load_maps(source)
+    s, q, t = data.draw(motions(maps[0].dim))
+    moved = class_invariants(conjugate(maps, s, q, t), CLASS_LEVELS[source])
+    np.testing.assert_allclose(moved, class_reference(source), rtol=1e-12, atol=0.0)

@@ -17,8 +17,9 @@ from fel.characteristics import dimensions
 from fel.energy import VertexFunction, harmonic_extension, parse_function_spec, random_corpus
 from fel.errors import ResolutionTooCoarse
 from fel.lipschitz import (_below_sqrt, _CellTree, b_coefficient, batch_norm_reports,
-                           coefficient_table, default_params, equivalence_experiment,
-                           hoelder_estimate, norm_report, pair_power_sums)
+                           class_coefficient_table, coefficient_table, default_params,
+                           equivalence_experiment, hoelder_estimate, norm_report,
+                           pair_power_sums)
 
 from helpers import (brute_force_coefficient, brute_force_degrees, brute_force_pair_sums,
                      degrees_match, neighbor_pair_hoelder, walk_degrees)
@@ -373,9 +374,9 @@ class TestNormReport:
 
         def counted(*args):
             calls.append(args[-1].base)
-            return coefficient_table(*args)
+            return class_coefficient_table(*args)
 
-        monkeypatch.setattr(lipschitz, "coefficient_table", counted)
+        monkeypatch.setattr(lipschitz, "class_coefficient_table", counted)
         norm_report(snowflake_l5, snowflake_hs, parse_function_spec("coord:0"), 2, 4)
         assert calls == [3.0]
 
