@@ -19,6 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import classes
 from . import energy as energy_mod
 from . import lipschitz as lip_mod
 from .characteristics import dimensions
@@ -169,11 +170,11 @@ def _cmd_lipschitz(args) -> int:
     ms = list(range(1, args.mmax + 1))
     a_col = b_col = None
     if args.base in ("2", "both"):
-        a_col = lip_mod.spec_coefficient_table(system, hs, specs, args.level, ms, params_2)[:, 0]
+        a_col = classes.spec_coefficient_table(system, hs, specs, args.level, ms, params_2)[:, 0]
     if args.base == "both" and params_l == params_2:
         b_col = a_col          # L = 2: the two bases give one table
     elif args.base in ("L", "both"):
-        b_col = lip_mod.spec_coefficient_table(system, hs, specs, args.level, ms, params_l)[:, 0]
+        b_col = classes.spec_coefficient_table(system, hs, specs, args.level, ms, params_l)[:, 0]
     with _csv_writer(args.out) as writer:
         writer.writerow(["m", "a_m", "b_m"])
         for k, m in enumerate(ms):

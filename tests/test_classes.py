@@ -8,13 +8,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fel import lipschitz
+from fel import classes, lipschitz
+from fel.classes import class_coefficient_table, spec_coefficient_table
 from fel.energy import energy_sequence, parse_function_spec, random_corpus
 from fel.harmonic import solve_ndhs
 from fel.ifs import build
 from fel.lipschitz import (LipschitzParams, b_coefficient, batch_norm_reports,
-                           class_coefficient_table, coefficient_table, default_params,
-                           norm_report, spec_coefficient_table)
+                           coefficient_table, default_params, norm_report)
 from fel.presets import load_maps
 
 EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
@@ -89,12 +89,12 @@ def test_class_path_matches_walk(name, level):
     for base in ("L", 2.0):
         params = default_params(system, hs, base)
         walk = coefficient_table(system, values, level, ms, params)
-        classes = class_coefficient_table(system, hs, specs, level, ms, params)
+        by_class = class_coefficient_table(system, hs, specs, level, ms, params)
         # The constant: its class coefficients vanish exactly; the walk sees
         # the rounding of the harmonic extension, far below the others.
-        assert (classes[:, -1] == 0.0).all()
+        assert (by_class[:, -1] == 0.0).all()
         assert walk[:, -1].max() <= 1e-12 * walk[:, :-1].min()
-        np.testing.assert_allclose(classes[:, :-1], walk[:, :-1], rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(by_class[:, :-1], walk[:, :-1], rtol=1e-12, atol=0.0)
 
 
 @pytest.mark.parametrize("field", ["alpha", "d", "c0", "base"])
@@ -139,13 +139,13 @@ def test_huge_data_keeps_finite_coefficients(gasket2_l8, gasket2_hs):
 
 def test_raw_data_and_perturb_take_the_walk(gasket2_l8, gasket2_hs, monkeypatch):
     walked, classed = [], []
-    walk, classes = lipschitz.pair_power_sums, lipschitz.class_coefficient_table
+    walk, by_class = lipschitz.pair_power_sums, classes.class_coefficient_table
     monkeypatch.setattr(lipschitz, "pair_power_sums",
                         lambda system, n, radii, values: walked.append(values.shape) or
                         walk(system, n, radii, values))
-    monkeypatch.setattr(lipschitz, "class_coefficient_table",
+    monkeypatch.setattr(classes, "class_coefficient_table",
                         lambda system, hs, specs, *rest: classed.append(len(specs)) or
-                        classes(system, hs, specs, *rest))
+                        by_class(system, hs, specs, *rest))
     params = default_params(gasket2_l8, gasket2_hs)
     specs = [parse_function_spec(t) for t in
              ("coord:0", "perturb:harmonic:0,1,0:3:0.5", "harmonic:1,0,0")]

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fel
-from fel import lipschitz
+from fel import classes, lipschitz
 from fel.cli import main
 from fel.energy import parse_function_spec
 from fel.harmonic import solve_ndhs
@@ -118,13 +118,13 @@ def test_lipschitz_both_bases_share_one_table_when_l_is_2(capsys, monkeypatch, f
     # both columns; the snowflake (L = 3) needs two.  Either way the CSV is the
     # one that two separate tables give.  coord:0 takes the class path.
     calls = []
-    table = lipschitz.class_coefficient_table
+    table = classes.class_coefficient_table
 
     def spy(*args):
         calls.append(args)
         return table(*args)
 
-    monkeypatch.setattr(lipschitz, "class_coefficient_table", spy)
+    monkeypatch.setattr(classes, "class_coefficient_table", spy)
     code, out, _ = run(capsys, "lipschitz", fractal, "--function", "coord:0",
                        "--mmax", "2", "--level", "4")
     assert code == 0

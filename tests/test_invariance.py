@@ -22,7 +22,8 @@ from fel.characteristics import dimensions
 from fel.energy import random_corpus
 from fel.harmonic import solve_ndhs
 from fel.ifs import Similitude, build
-from fel.lipschitz import class_coefficient_table, coefficient_table, default_params
+from fel.classes import class_coefficient_table
+from fel.lipschitz import coefficient_table, default_params
 from fel.presets import load_maps
 
 from helpers import assert_matches_geometric

@@ -12,14 +12,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fel
-from fel import lipschitz
+from fel import classes, lipschitz
 from fel.characteristics import dimensions
 from fel.energy import VertexFunction, harmonic_extension, parse_function_spec, random_corpus
 from fel.errors import ResolutionTooCoarse
+from fel.classes import class_coefficient_table
 from fel.lipschitz import (_below_sqrt, _CellTree, b_coefficient, batch_norm_reports,
-                           class_coefficient_table, coefficient_table, default_params,
-                           equivalence_experiment, hoelder_estimate, norm_report,
-                           pair_power_sums)
+                           coefficient_table, default_params, equivalence_experiment,
+                           hoelder_estimate, norm_report, pair_power_sums)
 
 from helpers import (brute_force_coefficient, brute_force_degrees, brute_force_pair_sums,
                      degrees_match, neighbor_pair_hoelder, walk_degrees)
@@ -376,7 +376,7 @@ class TestNormReport:
             calls.append(args[-1].base)
             return class_coefficient_table(*args)
 
-        monkeypatch.setattr(lipschitz, "class_coefficient_table", counted)
+        monkeypatch.setattr(classes, "class_coefficient_table", counted)
         norm_report(snowflake_l5, snowflake_hs, parse_function_spec("coord:0"), 2, 4)
         assert calls == [3.0]
 
