@@ -374,7 +374,8 @@ def _class_forms(space: _Space, system: FractalSystem, n: int,
         classes = kid_classes
     limit = np.array([_below_sqrt(r * L**(n - 1) * (1.0 - TIE_BAND)) for r in radii])
     if not levels:                   # n = 2: the level-1 pairs are the leaves
-        return _leaf_forms(space, classes, limit[classes.r]).reshape(count, len(ii), -1, 2 * space.s - 1)
+        forms = _leaf_forms(space, classes, limit[classes.r])
+        return forms.reshape(count, len(ii), *forms.shape[1:])
     forms = None
     for d, parents, inside, edges in reversed(levels):
         below, forms = forms, _inside_forms((space.kcount[d], space.kmean[d], space.kcov[d]),
@@ -385,13 +386,13 @@ def _class_forms(space: _Space, system: FractalSystem, n: int,
             continue
         parent, k, l, self_parent, child = edges
         order = np.argsort(child, kind="stable")
-        cuts = np.searchsorted(child[order], np.arange(0, len(classes.a) + LEAF_CLASSES, LEAF_CLASSES))
-        for block, (lo, hi) in enumerate(zip(cuts[:-1], cuts[1:])):
-            first = block * LEAF_CLASSES
-            rows = slice(first, first + LEAF_CLASSES)
-            pick = order[lo:hi]
-            _pull_back(space, forms, _leaf_forms(space, classes.take(rows), limit[classes.r[rows]]),
-                       parent[pick], k[pick], l[pick], self_parent[pick], child[pick] - first)
+        starts = np.arange(0, len(classes.a) + LEAF_CLASSES, LEAF_CLASSES)
+        cuts = np.searchsorted(child[order], starts)
+        for first, lo, hi in zip(starts, cuts[:-1], cuts[1:]):
+            rows, pick = slice(first, first + LEAF_CLASSES), order[lo:hi]
+            leaves = _leaf_forms(space, classes.take(rows), limit[classes.r[rows]])
+            _pull_back(space, forms, leaves, parent[pick], k[pick], l[pick], self_parent[pick],
+                       child[pick] - first)
     return forms.reshape(count, len(ii), *forms.shape[1:])
 
 
@@ -483,12 +484,15 @@ def class_coefficient_table(system: FractalSystem, hs: HarmonicStructure,
 
 def spec_coefficient_table(system: FractalSystem, hs: HarmonicStructure,
                            specs: list[FunctionSpec], n: int, ms: list[int],
-                           params: LipschitzParams) -> np.ndarray:
+                           params: LipschitzParams,
+                           values: np.ndarray | None = None) -> np.ndarray:
     """Coefficients of each spec's function at the scales ms: (len(ms), len(specs)).
 
     The coord and harmonic specs take the class path, in one
-    class_coefficient_table call; the others (perturb:) are sampled on V_n
-    and take the walk, in one coefficient_table call.
+    class_coefficient_table call; the others (perturb:) take the walk on
+    their values on V_n, in one coefficient_table call.  ``values``, the
+    specs already sampled on V_n as (#V_n, len(specs)), spares the walk's
+    columns a second sampling.
     """
     by_class = np.array([spec.kind in CLASS_KINDS for spec in specs], dtype=bool)
     table = np.empty((len(ms), len(specs)))
@@ -496,7 +500,8 @@ def spec_coefficient_table(system: FractalSystem, hs: HarmonicStructure,
         table[:, by_class] = class_coefficient_table(
             system, hs, [s for s, c in zip(specs, by_class) if c], n, ms, params)
     if not by_class.all():
-        values = np.column_stack([s.sample(system, hs, n).values
-                                  for s, c in zip(specs, by_class) if not c])
-        table[:, ~by_class] = coefficient_table(system, values, n, ms, params)
+        walked = np.flatnonzero(~by_class)
+        columns = (values[:, walked] if values is not None else
+                   np.column_stack([specs[k].sample(system, hs, n).values for k in walked]))
+        table[:, walked] = coefficient_table(system, columns, n, ms, params)
     return table

@@ -19,7 +19,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import classes
 from . import energy as energy_mod
 from . import lipschitz as lip_mod
 from .characteristics import dimensions
@@ -161,6 +160,8 @@ def _cmd_energy(args) -> int:
 
 
 def _cmd_lipschitz(args) -> int:
+    # Imported here, so that the other subcommands do not load the class path.
+    from .classes import spec_coefficient_table
     _warn_levels(args.mmax, args.level)
     system = _build_system(args.fractal, args.level, _max_points(args))
     hs = solve_ndhs(system)
@@ -170,11 +171,11 @@ def _cmd_lipschitz(args) -> int:
     ms = list(range(1, args.mmax + 1))
     a_col = b_col = None
     if args.base in ("2", "both"):
-        a_col = classes.spec_coefficient_table(system, hs, specs, args.level, ms, params_2)[:, 0]
+        a_col = spec_coefficient_table(system, hs, specs, args.level, ms, params_2)[:, 0]
     if args.base == "both" and params_l == params_2:
         b_col = a_col          # L = 2: the two bases give one table
     elif args.base in ("L", "both"):
-        b_col = classes.spec_coefficient_table(system, hs, specs, args.level, ms, params_l)[:, 0]
+        b_col = spec_coefficient_table(system, hs, specs, args.level, ms, params_l)[:, 0]
     with _csv_writer(args.out) as writer:
         writer.writerow(["m", "a_m", "b_m"])
         for k, m in enumerate(ms):

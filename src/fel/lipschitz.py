@@ -24,6 +24,13 @@ cells each own at most LEAF_POINTS points, or level n if none does.  A
 straddling pair of leaf cells (A, B) is settled point against cell: each
 point u owned by A is tested against B's bounding ball, the same three ways,
 and only the points whose test straddles enumerate B's points.
+
+The walk takes raw vertex data: coefficient_table, b_coefficient and
+``perturb:`` specs.  ``coord:`` and ``harmonic:`` specs take the class path
+of fel.classes, which needs no V_n values: batch_norm_reports (and so
+norm_report and equivalence_experiment) routes each spec through
+fel.classes.spec_coefficient_table.  Its coefficients agree with the walk's
+to about 1e-15 relative, not bit for bit.
 """
 
 from __future__ import annotations
@@ -545,11 +552,13 @@ def _check_report_levels(system: FractalSystem, m_max: int, n: int) -> None:
 
 def batch_norm_reports(system: FractalSystem, hs: HarmonicStructure,
                        specs: list[FunctionSpec], m_max: int, n: int) -> list[NormReport]:
-    """Norm reports for a whole corpus with one pair-enumeration pass.
+    """Norm reports for a whole corpus with one coefficient table per path.
 
-    The coefficient integrals share the pair stream across functions, so the
-    per-function results are identical to separate norm_report calls.  An
-    empty corpus raises ValueError.
+    The b_m come from fel.classes.spec_coefficient_table: the coord and
+    harmonic specs from placement classes, each column on its own, so their
+    reports equal separate norm_report calls bit for bit; the other specs
+    from one walk over their sampled values.  An empty corpus raises
+    ValueError.
     """
     if not specs:
         raise ValueError("corpus is empty")
@@ -558,7 +567,7 @@ def batch_norm_reports(system: FractalSystem, hs: HarmonicStructure,
     ms = list(range(1, m_max + 1))
     from .classes import spec_coefficient_table   # fel.classes imports this module
     b_table = spec_coefficient_table(system, hs, specs, n, ms,
-                                     default_params(system, hs, base="L"))
+                                     default_params(system, hs, base="L"), values)
     weight = 1.0 / system.vertex_count(n)
     reports = []
     for col, spec in enumerate(specs):

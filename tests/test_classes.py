@@ -10,6 +10,7 @@ import pytest
 
 from fel import classes, lipschitz
 from fel.classes import class_coefficient_table, spec_coefficient_table
+from fel.cli import main
 from fel.energy import energy_sequence, parse_function_spec, random_corpus
 from fel.harmonic import solve_ndhs
 from fel.ifs import build
@@ -60,7 +61,8 @@ def test_flipped_gasket_matches_gasket2():
     # Each cell lists its corners in another slot order, which reorders the
     # three edge terms of its energy: energies agree to rounding, not in bits.
     level = 7
-    (plain, plain_hs), (flipped, flipped_hs) = solved("gasket2", level), solved("flipped-gasket", level)
+    plain, plain_hs = solved("gasket2", level)
+    flipped, flipped_hs = solved("flipped-gasket", level)
     assert flipped_hs.rho.hex() == plain_hs.rho.hex()
     assert [flipped.vertex_count(m) for m in range(level + 1)] == \
         [plain.vertex_count(m) for m in range(level + 1)]
@@ -120,20 +122,23 @@ def test_non_finite_data_gives_nan_quietly(gasket2_l8, gasket2_hs, data):
     assert np.isnan(table).all()
 
 
-def test_nan_corpus_line_is_excluded(gasket2_l8, gasket2_hs):
-    specs = [parse_function_spec(t) for t in ("harmonic:nan,0,0", "harmonic:1,0,0")]
-    summary = lipschitz.equivalence_experiment(gasket2_l8, gasket2_hs, specs, 2, 5)
-    assert all(math.isnan(b) for _, b in summary.reports[0].b_values)
-    assert summary.excluded == ["harmonic:nan,0,0"]
+def test_nan_corpus_line_is_excluded(tmp_path, capsys):
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("harmonic:nan,0,0\nharmonic:1,0,0\n", encoding="utf-8")
+    assert main(["equivalence", "gasket2", "--corpus", str(corpus), "--mmax", "2",
+                 "--level", "5"]) == 0
+    out, err = capsys.readouterr()
+    assert out.splitlines()[1] == '"harmonic:nan,0,0",nan,nan,undefined'
+    assert err.splitlines()[-1] == "excluded (undefined ratio): harmonic:nan,0,0"
 
 
-def test_huge_data_keeps_finite_coefficients(gasket2_l8, gasket2_hs):
-    # The walk's coefficients of this function, printed by
-    # `fel lipschitz gasket2 --function harmonic:1e308,-1e308,0 --mmax 2 --level 4`.
-    spec = parse_function_spec("harmonic:1e308,-1e308,0")
-    table = class_coefficient_table(gasket2_l8, gasket2_hs, [spec], 4, [1, 2],
-                                    default_params(gasket2_l8, gasket2_hs))
-    np.testing.assert_allclose(table[:, 0], [1.0463613329172623e+308, 1.2315077394454729e+308],
+def test_huge_data_keeps_finite_coefficients(capsys):
+    # The walk printed 1.0463613329172623e+308 and 1.2315077394454729e+308.
+    assert main(["lipschitz", "gasket2", "--function", "harmonic:1e308,-1e308,0",
+                 "--mmax", "2", "--level", "4"]) == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+    np.testing.assert_allclose([[float(v) for v in r[1:]] for r in rows],
+                               [[1.0463613329172623e+308] * 2, [1.2315077394454729e+308] * 2],
                                rtol=1e-12, atol=0.0)
 
 
@@ -152,7 +157,8 @@ def test_raw_data_and_perturb_take_the_walk(gasket2_l8, gasket2_hs, monkeypatch)
     table = spec_coefficient_table(gasket2_l8, gasket2_hs, specs, 5, [1, 2], params)
     assert classed == [2] and walked == [(gasket2_l8.vertex_count(5), 1)]
     f = specs[1].sample(gasket2_l8, gasket2_hs, 5)
-    assert table[:, 1].tolist() == coefficient_table(gasket2_l8, f.values, 5, [1, 2], params).tolist()
+    walked_alone = coefficient_table(gasket2_l8, f.values, 5, [1, 2], params)
+    assert table[:, 1].tolist() == walked_alone.tolist()
     b_coefficient(gasket2_l8, f, 2, params)
     coefficient_table(gasket2_l8, f.values, 5, [1], params)
     assert classed == [2] and len(walked) == 4

@@ -106,15 +106,15 @@ CLASS_LEVELS = {"gasket2": 5, "gasket3": 4, "snowflake": 3,
 
 
 def class_invariants(maps, level):
-    """b_m and a_m for m = 1..level-1 of three harmonic functions and the
-    coordinate-free part of the corpus, from placement classes."""
+    """b_m and a_m for m = 1..level-1 of three harmonic functions, from
+    placement classes."""
     system = build(maps, level)
     hs = solve_ndhs(system)
     specs = random_corpus(system, 3, seed=7)[system.dim:]
     ms = list(range(1, level))
-    return np.concatenate([
-        class_coefficient_table(system, hs, specs, level, ms, default_params(system, hs, base)).ravel()
-        for base in ("L", 2.0)])
+    return np.concatenate([class_coefficient_table(system, hs, specs, level, ms,
+                                                   default_params(system, hs, base)).ravel()
+                           for base in ("L", 2.0)])
 
 
 @functools.cache
