@@ -33,9 +33,11 @@ from .lipschitz import (TIE_BAND, LipschitzParams, _below_sqrt, _check_scales,
 # cell; their pair sums come from placement classes.
 CLASS_KINDS = ("coord", "harmonic")
 # Placement keys round a cell pair's relative offset to KEY_STEP * c0 cell
-# units and its relative orthogonal part to KEY_STEP: far below the spacing
-# of distinct placements at any level under the point cap, far above the
-# rounding of the composed maps (about 1e-13 cell units at level 12).
+# units and its relative orthogonal part to KEY_STEP, far above the rounding
+# of the composed maps (below 1e-12 cell units at level 12).  A key may split
+# a class, which costs time; it must never merge two placements, and the
+# class path's agreement with the walk on the pentagasket, the one system
+# of examples/ off a lattice, shows none merged there.
 KEY_STEP = 1e-7
 # Most point pairs per block of the leaf stage, (classes, #V_1, #V_1), and
 # leaf classes per block of forms pulled back into their parents.  On the
@@ -339,10 +341,10 @@ def _class_forms(space: _Space, system: FractalSystem, n: int,
     shift = L * (space.shift[jj] - space.shift[ii])[:, None] @ space.rot[ii]
     self_pair = ii == jj
     rot[self_pair], shift[self_pair] = np.eye(N), 0.0
-    count = len(radii)
-    classes = _Classes(np.tile(space.child[0][ii], count), np.tile(space.child[0][jj], count),
-                       np.tile(self_pair, count), np.repeat(np.arange(count), len(ii)),
-                       np.tile(rot, (count, 1, 1)), np.tile(shift[:, 0], (count, 1)))
+    scales = len(radii)
+    classes = _Classes(np.tile(space.child[0][ii], scales), np.tile(space.child[0][jj], scales),
+                       np.tile(self_pair, scales), np.repeat(np.arange(scales), len(ii)),
+                       np.tile(rot, (scales, 1, 1)), np.tile(shift[:, 0], (scales, 1)))
     upper = np.triu(np.ones((M, M), dtype=bool))
     apart = 1.0 - np.eye(M)
     levels = []                      # (depth, classes, inside children, edges to the next level)
@@ -377,7 +379,7 @@ def _class_forms(space: _Space, system: FractalSystem, n: int,
     limit = np.array([_below_sqrt(r * L**(n - 1) * (1.0 - TIE_BAND)) for r in radii])
     if not levels:                   # n = 2: the level-1 pairs are the leaves
         forms = _leaf_forms(space, classes, limit[classes.r])
-        return forms.reshape(count, len(ii), *forms.shape[1:])
+        return forms.reshape(scales, len(ii), *forms.shape[1:])
     forms = None
     for d, parents, inside, edges in reversed(levels):
         below, forms = forms, _inside_forms((space.kcount[d], space.kmean[d], space.kcov[d]),
@@ -395,7 +397,7 @@ def _class_forms(space: _Space, system: FractalSystem, n: int,
             leaves = _leaf_forms(space, classes.take(rows), limit[classes.r[rows]])
             _pull_back(space, forms, leaves, parent[pick], k[pick], l[pick], self_parent[pick],
                        child[pick] - first)
-    return forms.reshape(count, len(ii), *forms.shape[1:])
+    return forms.reshape(scales, len(ii), *forms.shape[1:])
 
 
 def _pull_back(space: _Space, forms: np.ndarray, below: np.ndarray, parent: np.ndarray,
