@@ -462,14 +462,16 @@ def class_coefficient_table(system: FractalSystem, hs: HarmonicStructure,
     its coefficients do not depend on the other specs.  Data that are not
     all finite give NaN coefficients, as the walk does.  Scales are checked
     as in coefficient_table; a spec of another kind, a coordinate out of
-    range, harmonic data of a wrong length, or n outside [2, max_level]
-    raise ValueError.
+    range, harmonic data of a wrong length, no harmonic structure, or n
+    outside [2, max_level] raise ValueError.
     """
     _check_scales(ms, n)
     if n > system.max_level:
         raise ValueError(f"level {n} out of range [1, {system.max_level}]")
     if any(spec.kind not in CLASS_KINDS for spec in specs):
         raise ValueError(f"the class path takes only {' and '.join(CLASS_KINDS)} specs")
+    if hs is None:
+        raise ValueError("the class path requires a solved harmonic structure")
     levels = [spec.data_level(system, hs) for spec in specs]
     space = _Space(system, hs, n)
     forms = _class_forms(space, system, n, np.array([params.cutoff(m) for m in ms]))

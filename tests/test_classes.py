@@ -122,6 +122,19 @@ def test_non_finite_data_gives_nan_quietly(gasket2_l8, gasket2_hs, data):
     assert np.isnan(table).all()
 
 
+@pytest.mark.parametrize("spec, hs, message", [
+    ("perturb:coord:0:3:0.5", True, "takes only coord and harmonic"),
+    ("coord:2", True, "coordinate 2 out of range"),
+    ("harmonic:1,0", True, "harmonic data must have 3"),
+    ("coord:0", False, "requires a solved harmonic structure"),
+])
+def test_class_path_rejects_what_it_cannot_sum(gasket2_l8, gasket2_hs, spec, hs, message):
+    with pytest.raises(ValueError, match=message):
+        class_coefficient_table(gasket2_l8, gasket2_hs if hs else None,
+                                [parse_function_spec(spec)], 4, [1],
+                                default_params(gasket2_l8, gasket2_hs))
+
+
 def test_nan_corpus_line_is_excluded(tmp_path, capsys):
     corpus = tmp_path / "corpus.txt"
     corpus.write_text("harmonic:nan,0,0\nharmonic:1,0,0\n", encoding="utf-8")
