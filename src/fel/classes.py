@@ -26,7 +26,7 @@ import numpy as np
 from .energy import FunctionSpec
 from .harmonic import HarmonicStructure
 from .ifs import FractalSystem
-from .lipschitz import (TIE_BAND, LipschitzParams, _below_sqrt, _check_scales,
+from .lipschitz import (PAIR_CHUNK, TIE_BAND, LipschitzParams, _below_sqrt, _check_scales,
                         _coefficient_from_sum, _owners, coefficient_table)
 
 # Spec kinds whose functions lie in the space S of _Space on every level-1
@@ -39,11 +39,9 @@ CLASS_KINDS = ("coord", "harmonic")
 # class path's agreement with the walk on the pentagasket, the one system
 # of examples/ off a lattice, shows none merged there.
 KEY_STEP = 1e-7
-# Most point pairs per block of the leaf stage, (classes, #V_1, #V_1), and
-# leaf classes per block of forms pulled back into their parents.  On the
-# two snowflake L4 tables of one function, blocks of 2^10 classes and 2^16
-# pairs peaked 2.5 MiB higher, and blocks of 2^8 classes took 25 ms longer.
-LEAF_BLOCK = 1 << 15
+# Leaf classes per block of forms pulled back into their parents.  On the
+# two snowflake L4 tables of one function, blocks of 2^10 classes peaked
+# 2.5 MiB higher, and blocks of 2^8 classes took 25 ms longer.
 LEAF_CLASSES = 1 << 9
 
 
@@ -279,7 +277,8 @@ def _leaf_forms(space: _Space, classes: _Classes, limit: np.ndarray) -> np.ndarr
     (x of a, y of b): sum w (delta + phi_x.g_a - phi_y.g_b)^2, and for a
     self pair, over its pairs x < y, (phi_x.g - phi_y.g)^2 = phi'(deg - w)phi.
     Points a mask does not own are NaN, which compares as far.  Classes go
-    in blocks of at most LEAF_BLOCK point pairs, self pairs apart."""
+    in blocks of at most PAIR_CHUNK point pairs, as the walk's leaf chunks,
+    self pairs apart."""
     phi, nv = space.leaf_phi, len(space.leaf_phi)
     s1 = phi.shape[1]
     points = np.where(space.leaf_owned[:, :, None], space.leaf_points, np.nan)
@@ -288,7 +287,7 @@ def _leaf_forms(space: _Space, classes: _Classes, limit: np.ndarray) -> np.ndarr
     centred_outer = (centred[:, :, None] * centred[:, None, :]).reshape(nv, -1)
     ordered = np.triu(np.ones((nv, nv)), 1)
     forms = np.zeros((len(classes.a), 2 * s1 + 1, 2 * s1 + 1))
-    step = max(1, LEAF_BLOCK // nv**2)
+    step = max(1, PAIR_CHUNK // nv**2)
     for same in (False, True):
         picked = np.flatnonzero(classes.same == same)
         for lo in range(0, len(picked), step):
@@ -346,7 +345,6 @@ def _class_forms(space: _Space, system: FractalSystem, n: int,
                        np.tile(self_pair, scales), np.repeat(np.arange(scales), len(ii)),
                        np.tile(rot, (scales, 1, 1)), np.tile(shift[:, 0], (scales, 1)))
     upper = np.triu(np.ones((M, M), dtype=bool))
-    apart = 1.0 - np.eye(M)
     levels = []                      # (depth, classes, inside children, edges to the next level)
     for j in range(1, n - 1):
         d = n - j
@@ -357,7 +355,6 @@ def _class_forms(space: _Space, system: FractalSystem, n: int,
         for axis in range(N):
             gap += np.square(near_a[:, :, None, axis] - near_b[:, None, :, axis])
         np.sqrt(gap, out=gap)
-        gap[classes.same] *= apart
         live = (space.kcount[d][a] > 0)[:, :, None] & (space.kcount[d][b] > 0)[:, None]
         live[classes.same] &= upper
         inside, cross = _ball_test(gap, space.kradius[d][a][:, :, None]
@@ -462,12 +459,10 @@ def class_coefficient_table(system: FractalSystem, hs: HarmonicStructure,
     its coefficients do not depend on the other specs.  Data that are not
     all finite give NaN coefficients, as the walk does.  Scales are checked
     as in coefficient_table; a spec of another kind, a coordinate out of
-    range, harmonic data of a wrong length, no harmonic structure, or n
-    outside [2, max_level] raise ValueError.
+    range, harmonic data of a wrong length or no harmonic structure raise
+    ValueError.
     """
-    _check_scales(ms, n)
-    if n > system.max_level:
-        raise ValueError(f"level {n} out of range [1, {system.max_level}]")
+    _check_scales(ms, n, system)
     if any(spec.kind not in CLASS_KINDS for spec in specs):
         raise ValueError(f"the class path takes only {' and '.join(CLASS_KINDS)} specs")
     if hs is None:

@@ -19,11 +19,11 @@ a formula without cancellation (Chan, Golub & LeVeque 1983).  A dual-tree
 walk over cell pairs (Gray & Moore 2000) bounds each pair's distances by the
 cells' bounding balls: a pair wholly inside the cutoff is summed from its
 moments, one wholly outside is dropped, and a straddling one is refined into
-its child pairs.  The walk's leaves are buckets: the coarsest level whose
-cells each own at most LEAF_POINTS points, or level n if none does.  A
-straddling pair of leaf cells (A, B) is settled point against cell: each
-point u owned by A is tested against B's bounding ball, the same three ways,
-and only the points whose test straddles enumerate B's points.
+its child pairs.  The walk's leaves are the level-(n - 1) cells on every
+system, the leaf level of the class path too.  A straddling pair of leaf
+cells (A, B) is settled point against cell: each point u owned by A is
+tested against B's bounding ball, the same three ways, and only the points
+whose test straddles enumerate B's points.
 
 The walk takes raw vertex data: coefficient_table, b_coefficient and
 ``perturb:`` specs.  ``coord:`` and ``harmonic:`` specs take the class path
@@ -53,14 +53,11 @@ from .ifs import FractalSystem
 TIE_BAND = 1e-9
 # Slots of one buffer of the walk's workspace: cell pairs of a frontier
 # chunk, point rows or point pairs of a leaf chunk, or pairs x functions of a
-# gather.  2^15 slots (256 KiB of float64) had the lowest median wall time of
-# 2^14-2^17 on each pair workload of the benchmark.
+# gather; fel.classes blocks its leaf point pairs by it too.  On the gasket3
+# L7 walk of scale-sweep-g3 (2-core x86-64 Xeon), 2^14, 2^15 (256 KiB of
+# float64) and 2^16 slots ran within 0.03 s of each other in median wall
+# time, inside each one's 0.04-0.06 s IQR; peak RSS 47.8, 49.3, 52.5 MiB.
 PAIR_CHUNK = 1 << 15
-# Most points a leaf cell may own: level n-1 of the gaskets (6-10 points),
-# level n of the snowflake (6).  Level n-2 (gaskets 15-34, snowflake 198)
-# slows the gasket2 and snowflake walks; a bound of 40 (snowflake level n-1,
-# 30 points) speeds the snowflake but slows the gasket2 corpus walk.
-LEAF_POINTS = 12
 
 
 @dataclass(frozen=True)
@@ -119,9 +116,8 @@ class _Level(NamedTuple):
 class _CellTree:
     """Per-level moments and bounding balls of the points each cell owns.
 
-    Levels run from the root down to the leaf level, the first whose cells
-    each own at most LEAF_POINTS points (level n at the latest); the counts
-    only shrink with depth.  Points are sorted by their level-n owner, so
+    Levels run from the root down to the leaf level n - 1, whose cells own
+    at most #V_1 points each.  Points are sorted by their level-n owner, so
     every cell at every level owns a contiguous run, and each leaf cell's
     points are also kept by slot, padded to the widest leaf, for the
     point-against-cell tests.  The balls enclose the owned points
@@ -168,7 +164,7 @@ class _CellTree:
         self.points = system.points[n][order]
         self.values = np.ascontiguousarray(values[order].T)
         self.levels: list[_Level] = []
-        for k in range(n + 1):
+        for k in range(n):
             key = owner // system.M ** (n - k)
             starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
             held = key[starts]
@@ -187,9 +183,7 @@ class _CellTree:
             radius[held] = np.maximum.reduceat(dist, starts)
             self.levels.append(_Level(count, mean, fix, ss, np.ascontiguousarray(center.T),
                                       radius))
-            if count.max() <= LEAF_POINTS:
-                break
-        self.leaf = k
+        self.leaf = n - 1
         # Each leaf cell's points by slot, padded with -1 to the widest owned
         # set, and their coordinates axis by axis, padded with NaN.
         slot = np.arange(len(key)) - np.searchsorted(key, key)
@@ -476,13 +470,17 @@ def _check_scale(m, what: str) -> None:
         raise ValueError(f"{what} must be an integer >= 1 (got {m!r})")
 
 
-def _check_scales(ms: list[int], n: int) -> None:
+def _check_scales(ms: list[int], n: int, system: FractalSystem) -> None:
+    """Integer scales 1 <= m < n (else ValueError, or ResolutionTooCoarse
+    for m >= n) at a level n the system has built (else ValueError)."""
     if not ms:
         raise ValueError("need at least one scale m")
     for m in ms:
         _check_scale(m, "scale m")
     if any(m >= n for m in ms):
         raise ResolutionTooCoarse(f"need n > m for every m in {ms} (n = {n})")
+    if n > system.max_level:
+        raise ValueError(f"level {n} out of range [1, {system.max_level}]")
 
 
 def coefficient_table(system: FractalSystem, values: np.ndarray, n: int,
@@ -490,12 +488,13 @@ def coefficient_table(system: FractalSystem, values: np.ndarray, n: int,
     """Coefficients for several scales m at once; values as in pair_power_sums.
 
     Every m must be an integer (not a bool) with m >= 1, else ValueError;
-    m >= n raises ResolutionTooCoarse.  Each column is summed at a
-    power-of-two scale, which is exact: data whose squared increments would
-    overflow gets its finite coefficient, and data whose sums stay in the
-    float range gets the bits of an unscaled sum.
+    m >= n raises ResolutionTooCoarse, and n past max_level ValueError.
+    Each column is summed at a power-of-two scale, which is exact: data
+    whose squared increments would overflow gets its finite coefficient, and
+    data whose sums stay in the float range gets the bits of an unscaled
+    sum.
     """
-    _check_scales(ms, n)
+    _check_scales(ms, n, system)
     # Each column is summed as f 2^-e with max |f 2^-e| in [1/2, 1), so the
     # squared increments cannot overflow; a power of two scales exactly, and
     # the coefficient, homogeneous of degree 1, is multiplied back by 2^e.
@@ -540,16 +539,6 @@ def norm_report(system: FractalSystem, hs: HarmonicStructure, spec: FunctionSpec
     return batch_norm_reports(system, hs, [spec], m_max, n)[0]
 
 
-def _check_report_levels(system: FractalSystem, m_max: int, n: int) -> None:
-    _check_scale(m_max, "m_max")
-    if n <= m_max:
-        raise ResolutionTooCoarse(
-            f"norm report needs n > m_max (got m_max = {m_max}, n = {n})"
-        )
-    if n > system.max_level:
-        raise ValueError(f"level {n} not built")
-
-
 def batch_norm_reports(system: FractalSystem, hs: HarmonicStructure,
                        specs: list[FunctionSpec], m_max: int, n: int) -> list[NormReport]:
     """Norm reports for a whole corpus with one coefficient table per path.
@@ -558,13 +547,15 @@ def batch_norm_reports(system: FractalSystem, hs: HarmonicStructure,
     harmonic specs from placement classes, each column on its own, so their
     reports equal separate norm_report calls bit for bit; the other specs
     from one walk over their sampled values.  An empty corpus raises
-    ValueError.
+    ValueError; m_max and n are checked as the scales 1..m_max in
+    coefficient_table.
     """
     if not specs:
         raise ValueError("corpus is empty")
-    _check_report_levels(system, m_max, n)
-    values = np.column_stack([s.sample(system, hs, n).values for s in specs])
+    _check_scale(m_max, "m_max")
     ms = list(range(1, m_max + 1))
+    _check_scales(ms, n, system)
+    values = np.column_stack([s.sample(system, hs, n).values for s in specs])
     from .classes import spec_coefficient_table   # fel.classes imports this module
     b_table = spec_coefficient_table(system, hs, specs, n, ms,
                                      default_params(system, hs, base="L"), values)

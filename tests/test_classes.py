@@ -18,6 +18,8 @@ from fel.lipschitz import (LipschitzParams, b_coefficient, batch_norm_reports,
                            coefficient_table, default_params, norm_report)
 from fel.presets import load_maps
 
+from helpers import brute_force_degrees, degrees_match, walk_degrees
+
 EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
 
 
@@ -77,8 +79,10 @@ def test_flipped_gasket_matches_gasket2():
     np.testing.assert_allclose(tables[1], tables[0], rtol=1e-12, atol=0.0)
 
 
+# n = 2 makes the level-1 cell pairs the leaves, with no level between.
 CASES = [("gasket2", 7), ("gasket3", 5), ("snowflake", 4), ("vicsek", 4), ("pentagasket", 4),
-         ("hexagasket", 4), ("flipped-gasket", 4)]
+         ("hexagasket", 4), ("flipped-gasket", 4), ("gasket2", 2), ("gasket3", 2),
+         ("snowflake", 2)]
 
 
 @pytest.mark.parametrize("name, level", CASES)
@@ -97,6 +101,18 @@ def test_class_path_matches_walk(name, level):
         assert (by_class[:, -1] == 0.0).all()
         assert walk[:, -1].max() <= 1e-12 * walk[:, :-1].min()
         np.testing.assert_allclose(by_class[:, :-1], walk[:, :-1], rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("name, level", [("pentagasket", 3), ("hexagasket", 3), ("vicsek", 3),
+                                         ("flipped-gasket", 5)])
+def test_example_pair_sets_match_brute_force(name, level):
+    # The walk's pair set on the systems whose leaves moved up to level
+    # n - 1 (the gasket walks always ended there), off a lattice on the
+    # pentagasket and with orthogonal parts on the flipped gasket.
+    system = build(load_maps(EXAMPLES / f"{name}.json")[0], level)
+    for radius in system.c0 / np.array([2.0, system.L, system.L**2]):
+        assert degrees_match(walk_degrees(system, level, radius),
+                             brute_force_degrees(system, level, radius))
 
 
 @pytest.mark.parametrize("field", ["alpha", "d", "c0", "base"])

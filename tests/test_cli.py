@@ -486,6 +486,32 @@ def test_point_cap_env(capsys, monkeypatch):
     assert "cap" in err
 
 
+def test_point_cap_flag(capsys):
+    code, _, err = run(capsys, "describe", "gasket2", "--level", "9", "--max-points", "100")
+    assert code == 3
+    assert "error: level 4 needs 243 candidate points (cap 100)" in err
+
+
+def test_equivalence_with_every_function_excluded(tmp_path, capsys):
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("harmonic:0,0,0\n", encoding="utf-8")
+    code, out, err = run(capsys, "equivalence", "gasket2", "--corpus", str(corpus),
+                         "--mmax", "2", "--level", "5")
+    assert code == 0
+    assert out.splitlines()[-1] == "summary,nan,nan,nan"
+    assert err.splitlines()[-1] == "excluded (undefined ratio): harmonic:0,0,0"
+
+
+def test_equivalence_scale_at_level_exits_3(tmp_path, capsys):
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("harmonic:1,0,0\n", encoding="utf-8")
+    code, out, err = run(capsys, "equivalence", "gasket2", "--corpus", str(corpus),
+                         "--mmax", "5", "--level", "5")
+    assert code == 3
+    assert out == ""
+    assert "error: need n > m for every m in [1, 2, 3, 4, 5] (n = 5)" in err
+
+
 def test_export_roundtrip(tmp_path, capsys):
     exported = tmp_path / "g2.json"
     code, _, _ = run(capsys, "describe", "gasket2", "--export", str(exported))

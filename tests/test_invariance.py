@@ -29,6 +29,17 @@ from fel.presets import load_maps
 from helpers import assert_matches_geometric
 
 LEVELS = {"gasket2": 5, "gasket3": 4, "snowflake": 3}
+# The nested fractals of examples/, whose walks end at level n - 1 like the
+# gaskets': the flipped gasket's maps have orthogonal parts and the
+# pentagasket is not on a lattice.
+EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
+WALK_LEVELS = {**LEVELS, "flipped-gasket": 5, "hexagasket": 3, "pentagasket": 4, "vicsek": 4}
+
+
+def maps_of(name):
+    """The maps of a preset, or of a definition file in examples/."""
+    path = EXAMPLES / f"{name}.json"
+    return load_maps(path if path.exists() else name)[0]
 
 
 def conjugate(maps, s, q, t):
@@ -55,8 +66,8 @@ def invariants(maps, level):
 
 
 @functools.cache
-def reference(preset):
-    return invariants(load_maps(preset)[0], LEVELS[preset])
+def reference(name):
+    return invariants(maps_of(name), WALK_LEVELS[name])
 
 
 @st.composite
@@ -78,12 +89,12 @@ def motions(draw, dim):
     return s, q, t
 
 
-@pytest.mark.parametrize("preset", sorted(LEVELS))
+@pytest.mark.parametrize("preset", sorted(WALK_LEVELS))
 @given(data=st.data())
 def test_rigid_motion_and_rescaling_invariance(preset, data):
-    maps, _ = load_maps(preset)
+    maps = maps_of(preset)
     s, q, t = data.draw(motions(maps[0].dim))
-    moved = invariants(conjugate(maps, s, q, t), LEVELS[preset])
+    moved = invariants(conjugate(maps, s, q, t), WALK_LEVELS[preset])
     np.testing.assert_allclose(moved, reference(preset), rtol=1e-12, atol=0.0)
 
 
@@ -100,7 +111,6 @@ def test_moved_build_matches_geometric_oracle(preset, data):
 # Placement classes key cell pairs by their relative similitude in cell
 # units, so their coefficients must not move either; the flipped gasket's
 # maps have orthogonal parts and the pentagasket is not on a lattice.
-EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
 CLASS_LEVELS = {"gasket2": 5, "gasket3": 4, "snowflake": 3,
                 str(EXAMPLES / "flipped-gasket.json"): 5, str(EXAMPLES / "pentagasket.json"): 4}
 

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fel
-from fel import classes
+from fel import classes, lipschitz
 from fel.characteristics import dimensions
 from fel.energy import VertexFunction, harmonic_extension, parse_function_spec, random_corpus
 from fel.errors import ResolutionTooCoarse
@@ -56,48 +56,66 @@ class TestPairEnumeration:
 
     @pytest.mark.parametrize("n, leaf", [(1, 0), (2, 1)])
     def test_gasket_buckets_near_the_root(self, gasket2_l8, n, leaf):
-        # The 6 points of V_1 fill one bucket, so at n = 1 every pair is a
-        # self pair of the root, each to be counted once; at n = 2 the 15
-        # points split into level-1 buckets.
+        # At n = 1 the root is the leaf, so every pair of the 6 points of
+        # V_1 is a self pair of the root, each to be counted once; at n = 2
+        # the 15 points split into level-1 leaves.
         assert _CellTree(gasket2_l8, n, np.zeros((gasket2_l8.vertex_count(n), 1))).leaf == leaf
         for radius in np.array([0.25, 0.5, 0.75, 1.0, 2.0]) * gasket2_l8.c0:
             assert degrees_match(walk_degrees(gasket2_l8, n, radius),
                                  brute_force_degrees(gasket2_l8, n, radius))
 
-    def test_interval_leaf_climbs_three_levels(self, interval_l5):
+    def test_interval_leaf_is_level_n_minus_one(self, interval_l5):
         # Level-k cells of the interval own 2^(5-k) points (one more in cell
-        # 0): level 2, with 9, is the first to fit a bucket.
-        assert _CellTree(interval_l5, 5, np.zeros((interval_l5.vertex_count(5), 1))).leaf == 2
+        # 0), so the level-4 leaves own 2 or 3 points each.
+        assert _CellTree(interval_l5, 5, np.zeros((interval_l5.vertex_count(5), 1))).leaf == 4
         for m in range(5):
             radius = interval_l5.c0 / 2**m
             assert degrees_match(walk_degrees(interval_l5, 5, radius),
                                  brute_force_degrees(interval_l5, 5, radius))
 
-    def test_snowflake_keeps_level_n_leaves(self, snowflake_l5, snowflake_hs):
-        # Level-3 cells own up to 30 points, more than a bucket holds, so
-        # the walk ends at level-4 cells; the pinned bits are those of
-        # level-4 leaves.
+    def test_snowflake_leaves_at_level_n_minus_one(self, snowflake_l5, snowflake_hs):
+        # Level-3 cells own up to 30 points; the pinned bits are those of
+        # level-3 leaves, within 2.4e-16 relative of the exact all-pairs
+        # oracle (level-4 leaves gave 10 of them 1-3 ulps away).
         specs = random_corpus(snowflake_l5, 2, seed=1)
         cols = np.column_stack([s.sample(snowflake_l5, snowflake_hs, 4).values for s in specs])
-        assert _CellTree(snowflake_l5, 4, cols).leaf == 4
+        assert _CellTree(snowflake_l5, 4, cols).leaf == 3
         pinned = {
-            "L": [["0x1.07609895a9fc8p-1", "0x1.07609895a9fc8p-1",
+            "L": [["0x1.07609895a9fc9p-1", "0x1.07609895a9fc8p-1",
                    "0x1.726ac4dbfda5ap-2", "0x1.a78925770a81fp-1"],
                   ["0x1.41fae42e84768p-1", "0x1.41fae42e84768p-1",
-                   "0x1.c59e76178ec01p-2", "0x1.0bcdaa068baeep+0"],
-                  ["0x1.6349b2e451dd4p-1", "0x1.6349b2e451dd3p-1",
-                   "0x1.fd75ac2b4457ep-2", "0x1.34e85d7c82447p+0"]],
-            2.0: [["0x1.de62e0dd585d5p-2", "0x1.de62e0dd585d5p-2",
-                   "0x1.4aff27173e2abp-2", "0x1.63f87eec0749ep-1"],
-                  ["0x1.167076569dc2cp-1", "0x1.167076569dc2bp-1",
-                   "0x1.8a4a29516b95dp-2", "0x1.c4747f4bdb8ccp-1"],
+                   "0x1.c59e76178ec00p-2", "0x1.0bcdaa068baeep+0"],
+                  ["0x1.6349b2e451dd4p-1", "0x1.6349b2e451dd4p-1",
+                   "0x1.fd75ac2b4457ep-2", "0x1.34e85d7c82446p+0"]],
+            2.0: [["0x1.de62e0dd585d8p-2", "0x1.de62e0dd585d5p-2",
+                   "0x1.4aff27173e2abp-2", "0x1.63f87eec074a0p-1"],
+                  ["0x1.167076569dc2cp-1", "0x1.167076569dc2cp-1",
+                   "0x1.8a4a29516b95dp-2", "0x1.c4747f4bdb8cdp-1"],
                   ["0x1.36ebf1e281e82p-1", "0x1.36ebf1e281e82p-1",
-                   "0x1.b93447fe94e3fp-2", "0x1.0300b559f8867p+0"]],
+                   "0x1.b93447fe94e40p-2", "0x1.0300b559f8866p+0"]],
         }
         for base, table in pinned.items():
             params = default_params(snowflake_l5, snowflake_hs, base=base)
             got = coefficient_table(snowflake_l5, cols, 4, [1, 2, 3], params)
             assert [[v.hex() for v in row] for row in got.tolist()] == table
+
+    @pytest.mark.parametrize("name, n", [("gasket2", 5), ("gasket3", 4), ("snowflake", 3)])
+    def test_small_chunks_split_runs_and_grow_the_stack(self, request, monkeypatch, name, n):
+        # With 64-slot buffers every frontier run, block and leaf chunk
+        # splits, and the stack of pending cell pairs outgrows its 64 slots.
+        monkeypatch.setattr(lipschitz, "PAIR_CHUNK", 64)
+        system = request.getfixturevalue({"gasket2": "gasket2_l8", "gasket3": "gasket3_l8",
+                                          "snowflake": "snowflake_l5"}[name])
+        values = np.random.default_rng(n).uniform(-1.0, 1.0, (system.vertex_count(n), 3))
+        tree = _CellTree(system, n, values)
+        assert tree.leaf == n - 1
+        for m in range(n):
+            radius = system.c0 / system.L**m
+            np.testing.assert_allclose(tree.pair_sum(radius),
+                                       brute_force_pair_sums(system, n, radius, values),
+                                       rtol=1e-13, atol=0.0)
+        if name == "gasket2":
+            assert tree.stack.shape[1] > 64
 
 
 class TestPairSumInputs:

@@ -123,3 +123,11 @@ def test_benchmark_harness_names_resolve():
     assert {"fel.energy_m", "fel.load_maps", "fel.random_corpus", "fel.default_params",
             "fel.lipschitz.coefficient_table", "fel.cli.main"} <= chains
     assert not [chain for chain in sorted(chains) if not resolves(chain)]
+
+
+def test_readme_names_resolve():
+    # Every backticked fel name in the README must still exist.
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    names = set(re.findall(r"`(fel(?:\.\w+)+)`", readme.read_text(encoding="utf-8")))
+    assert "fel.lipschitz.PAIR_CHUNK" in names
+    assert not [name for name in sorted(names) if not resolves(name)]
