@@ -74,7 +74,7 @@ class _Space:
         v1 = system.vertex_count(1)
         ext = np.zeros((v1, M0))                 # h_q on V_1, column q
         ext[system.promote[0], np.arange(M0)] = 1.0
-        ext[np.setdiff1d(np.arange(v1), system.promote[0])] = hs.extension_matrix
+        ext[np.bincount(system.promote[0], minlength=v1) == 0] = hs.extension_matrix
         p0 = system.points[0][0]
         self.P = np.zeros((M, s, s))
         for i, psi in enumerate(system.maps):
@@ -263,7 +263,7 @@ def _inside_forms(kids, a: np.ndarray, b: np.ndarray, inside: np.ndarray,
 def _mixed(weight: np.ndarray, kcov: np.ndarray, masks: np.ndarray) -> np.ndarray:
     """sum_k weight[p, k] kcov[masks[p], k] for each parent p, one mask at a time."""
     out = np.empty((len(masks),) + kcov.shape[2:])
-    for mask in np.unique(masks):
+    for mask in np.flatnonzero(np.bincount(masks)):
         pick = masks == mask
         out[pick] = (weight[pick] @ kcov[mask].reshape(kcov.shape[1], -1)).reshape(
             -1, *kcov.shape[2:])

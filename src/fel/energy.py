@@ -119,7 +119,7 @@ def exact_sum(terms) -> float:
     totals = [(hi_bins[e], _BIG_SHIFT if e >= _BIG_EXPONENT else 0)
               for e in np.flatnonzero(hi_bins).tolist()]
     totals.extend((lo, 0) for lo in lo_bins[lo_bins != 0].tolist())
-    specials = np.unique(np.concatenate(special)).tolist() if special else []
+    specials = list(set(np.concatenate(special).tolist())) if special else []
     units = 0
     for total, shift in totals:
         num, den = total.as_integer_ratio()

@@ -94,7 +94,7 @@ def decimate(b: ConductivityMatrix, boundary: np.ndarray):
     """
     boundary = np.asarray(boundary)
     n = b.size
-    interior = np.setdiff1d(np.arange(n), boundary)
+    interior = np.flatnonzero(np.bincount(boundary, minlength=n) == 0)
     if len(interior) == 0:
         return b, np.zeros((0, len(boundary)))
     lap = -b.entries
@@ -151,7 +151,7 @@ def pair_orbit_classes(system: FractalSystem) -> list[list[tuple[int, int]]]:
              if r.perm is not None for k, (a, b) in enumerate(zip(first, second))]
     label = components(len(first), edges)
     return [[(int(first[k]), int(second[k])) for k in np.flatnonzero(label == r)]
-            for r in np.unique(label)]
+            for r in np.flatnonzero(label == np.arange(len(label)))]
 
 
 def _class_matrix(system, classes, values) -> np.ndarray:

@@ -75,7 +75,10 @@ class Similitude:
         x = np.asarray(x, dtype=float)
         if x.shape[-1] != self.dim:
             raise ValueError(f"expected points of dimension {self.dim}")
-        return x @ (self.rotation / self.scale).T + self.translation
+        out = x @ (self.rotation / self.scale).T
+        for axis, shift in enumerate(self.translation):   # faster than adding rows of N
+            out[..., axis] += shift
+        return out
 
     def fixed_point(self) -> np.ndarray:
         """The unique solution of psi(x) = x."""
@@ -178,17 +181,17 @@ class FractalSystem:
         self.c0 = c0
         self.reflections: list[Reflection] = reflections
 
-        ids, first = np.unique(cells[1].ravel(), return_index=True)
-        new_slots = first[~np.isin(ids, promote[0])]
+        first = np.full(self.vertex_count(1), cells[1].size)   # first slot of each V_1 id
+        np.minimum.at(first, cells[1].ravel(), np.arange(cells[1].size))
+        new_slots = first[np.bincount(promote[0], minlength=len(first)) == 0]
         self.new_vertices: list[np.ndarray] = [
             cells[k + 1].reshape(self.M**k, -1).take(new_slots, axis=1)
             for k in range(self.max_level)]
         for k, new in enumerate(self.new_vertices):
             n = self.vertex_count(k + 1)
-            targets = np.concatenate([promote[k], new.ravel()])
-            if targets.min() < 0 or targets.max() >= n:
+            if any(t.min(initial=0) < 0 or t.max(initial=0) >= n for t in (promote[k], new)):
                 raise InvariantViolation(f"level {k} tables name ids outside V_{k + 1}")
-            counts = np.bincount(targets, minlength=n)
+            counts = np.bincount(promote[k], minlength=n) + np.bincount(new.ravel(), minlength=n)
             if (counts != 1).any():
                 raise InvariantViolation(
                     f"level {k} tables write {(counts > 1).sum()} vertices of V_{k + 1} "
@@ -253,14 +256,29 @@ def _match(a: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray:
     return np.where(hit.any(axis=1), hit.argmax(axis=1), -1)
 
 
-def _merge(cand, label, M, cells, points):
-    """Append the next level from its candidates, each labelled with the
-    first candidate of its point; return (first candidates, candidate ids)."""
-    is_first = label == np.arange(len(label))
-    ids = (np.cumsum(is_first) - 1)[label]
-    cells.append(ids.reshape(M, -1)[:, cells[-1]].reshape(-1, cells[0].shape[1]))
-    points.append(cand[is_first])
-    return np.flatnonzero(is_first), ids
+def _merge(maps, cells, points, dup, to) -> np.ndarray:
+    """Append the next level from the M map images of the last one; dup
+    (ascending) are the candidates that repeat the earlier candidates to.
+    Return the (M, #V_m) candidate ids."""
+    M, n = len(maps), len(points[-1])
+    ids = np.arange(M * n)
+    for before, (lo, hi) in enumerate(zip(dup + 1, np.append(dup[1:], M * n)), start=1):
+        ids[lo:hi] -= before
+    ids[dup] = ids[to]
+    ids = ids.reshape(M, n)
+    cells.append(ids.take(cells[-1], axis=1).reshape(-1, cells[0].shape[1]))
+    points.append(_drop([s.apply(points[-1]) for s in maps], dup))
+    return ids
+
+
+def _drop(blocks, dup) -> np.ndarray:
+    """The blocks, each of length n, concatenated by slices without the rows
+    at the ascending indices dup of the concatenation."""
+    n, pieces = len(blocks[0]), []
+    for k, block in enumerate(blocks):
+        cut = dup[(dup >= k * n) & (dup < k * n + n)] - k * n
+        pieces += [block[lo:hi] for lo, hi in zip(np.append(0, cut + 1), np.append(cut, n))]
+    return np.concatenate(pieces)
 
 
 def _reflections_of(v0: np.ndarray, c0: float) -> list[Reflection]:
@@ -273,7 +291,7 @@ def _reflections_of(v0: np.ndarray, c0: float) -> list[Reflection]:
         h = np.eye(dim) - 2.0 * np.outer(normal, normal)
         t = mid - h @ mid
         perm: np.ndarray | None = _match(v0 @ h.T + t, v0, c0 / MERGE_BAND)
-        if perm.min() < 0 or len(np.unique(perm)) != len(v0):
+        if perm.min() < 0 or np.bincount(perm).max() > 1:
             perm = None
         refs.append(Reflection(matrix=h, translation=t, pair=(a, b), perm=perm))
     return refs
@@ -283,13 +301,14 @@ def build(maps: list[Similitude], max_level: int, *, max_points: int | None = No
           name: str | None = None, run_validation: bool = True) -> FractalSystem:
     """Enumerate V_m and symplex tables for m <= max_level and validate.
 
-    Candidate k*n + p of V_{m+1} is map k applied to point p of V_m; ids
-    follow the first candidate of each point, so they are dense and in
-    first-encounter order.  Level 1 merges its M*#V_0 candidates by distance
-    within c0 / (MERGE_BAND * L).  Every deeper level assumes nesting: only
-    the images of V_0 points can coincide, and (k, V_0 point a) coincides
-    with (j, b) iff cells[1][k, a] == cells[1][j, b].  The nesting check of
-    validate, geometric to depth 3, is the gate for that assumption.
+    Candidate k*n + p of V_{m+1} is map k applied to point p of V_m.  A
+    candidate that repeats an earlier one is dropped, and every other one
+    takes as id its index minus the number of dropped candidates before it,
+    so ids are dense and in first-encounter order.  Level 1 finds its
+    repeats among the M*#V_0 candidates by distance within
+    c0 / (MERGE_BAND * L).  Every deeper level assumes nesting and drops the
+    images of the same (map, V_0 point) pairs (_glue_levels).  The nesting
+    check of validate, geometric to depth 3, is the gate for that assumption.
 
     Validation failures raise ``ConditionViolation``; build with
     ``run_validation=False`` and call ``validate`` to inspect an invalid system.
@@ -325,14 +344,15 @@ def build(maps: list[Similitude], max_level: int, *, max_points: int | None = No
     if (label[label] != label).any():
         raise InvariantViolation("a level-1 point is within the merge tolerance of two "
                                  "distinct points")
+    dup = np.flatnonzero(label != np.arange(M * M0))
     points = [v0]
     cells = [np.arange(M0, dtype=np.int64)[None, :]]
-    first, _ = _merge(cand, label, M, cells, points)
+    _merge(maps, cells, points, dup, label[dup])
     promote = [_match(v0, points[1], tau)]
     if (promote[0] < 0).any():
         raise InvariantViolation("a vertex failed to persist to the next level")
 
-    _glue_levels(maps, max_level, first, points, cells, promote)
+    _glue_levels(maps, max_level, dup, label[dup], points, cells, promote)
     system = FractalSystem(maps=list(maps), name=name, points=points, cells=cells,
                            promote=promote, c0=float(c0), reflections=_reflections_of(v0, c0))
     if run_validation:
@@ -343,29 +363,25 @@ def build(maps: list[Similitude], max_level: int, *, max_points: int | None = No
     return system
 
 
-def _glue_levels(maps, max_level, first, points, cells, promote) -> None:
-    """Append levels 2..max_level from the V_1 gluing table; first holds the
-    first candidate of each V_1 point.  The candidates and labels of the
-    deepest level are the largest arrays of a build; they are freed on return,
-    before FractalSystem builds and checks its tables.
-
-    Candidate k*n + v0_at[a] is map k applied to V_0 point a, which is V_1
-    point glue[k*M0 + a]; each other candidate is a point of its own.
+def _glue_levels(maps, max_level, dup, to, points, cells, promote) -> None:
+    """Append levels 2..max_level from the V_1 gluing table: level-1
+    candidate dup[i] = k*M0 + a (map k applied to V_0 point a) repeats
+    candidate to[i].  Under nesting only images of V_0 points coincide, so at
+    level m + 1 candidate k*n + v0_at[a] (v0_at: the V_m ids of V_0) repeats
+    the image of to[i] in the same way, and no other candidate repeats one.
+    The deepest level's map images and ids, the largest arrays of a build,
+    are freed on return, before FractalSystem builds and checks its tables.
     """
-    M = len(maps)
-    glue = cells[1].ravel()
+    (k, a), (j, b) = np.divmod(dup, len(points[0])), np.divmod(to, len(points[0]))
     v0_at = promote[0]
     for m in range(1, max_level):
         n = len(points[m])
-        glued = (np.arange(M)[:, None] * n + v0_at).ravel()
-        first_of = np.full(len(points[1]), M * n)
-        np.minimum.at(first_of, glue, glued)
-        label = np.arange(M * n)
-        label[glued] = first_of[glue]
-        cand = np.concatenate([s.apply(points[m]) for s in maps], axis=0)
-        k, y = np.divmod(first, len(points[m - 1]))
-        first, ids = _merge(cand, label, M, cells, points)
-        promote.append(ids[k * n + promote[m - 1][y]])
+        glued, first = k * n + v0_at[a], j * n + v0_at[b]
+        order = np.argsort(glued)
+        ids = _merge(maps, cells, points, glued[order], first[order])
+        # V_m point i is candidate i of level m once that level's dup is dropped.
+        promote.append(_drop(ids.take(promote[m - 1], axis=1), dup))
+        dup = glued[order]
         v0_at = promote[m][v0_at]
 
 
@@ -381,27 +397,26 @@ def validate(system: FractalSystem) -> ValidationReport:
     depth = min(NESTING_DEPTH, system.max_level)
 
     nesting_ok = True
-    v0 = system.points[0]
+    M, v0_at = system.M, np.arange(system.M0)
     for k in range(1, depth + 1):
+        n, v0_at = system.vertex_count(k), system.promote[k - 1][v0_at]
         tol = system.merge_tolerance(k + 1)
-        vk = system.points[k]
-        images = [s.apply(vk) for s in system.maps]
-        images0 = [s.apply(v0) for s in system.maps]
-        for i, j in itertools.combinations(range(system.M), 2):
-            shared = _close_points(images[i], images[j], tol)
-            allowed = _close_points(images0[i], images0[j], tol)
-            if len(shared):
-                stray = shared if not len(allowed) else shared[
-                    np.linalg.norm(shared[:, None, :] - allowed[None, :, :], axis=2).min(axis=1)
-                    > tol
-                ]
-                if len(stray):
-                    nesting_ok = False
-                    failures.append(
-                        f"nesting: cells {i + 1} and {j + 1} meet off-vertex near "
-                        f"{np.round(stray[0], 6).tolist()} at depth {k}"
-                    )
-                    break
+        images = np.concatenate([s.apply(system.points[k]) for s in system.maps])
+        rows, other = _close_pairs(images, tol).T
+        (i, p), (j, q) = np.divmod(rows, n), np.divmod(other, n)
+        on_v0 = np.bincount(v0_at, minlength=n) > 0
+        pair = np.where(i < j, i * M + j, -1)
+        allowed = on_v0[p] & on_v0[q]
+        for ij in sorted(set(pair[pair >= 0].tolist())):
+            shared = images[np.sort(rows[pair == ij])]
+            near = images[rows[(pair == ij) & allowed]]
+            stray = shared if not len(near) else shared[
+                np.linalg.norm(shared[:, None, :] - near[None, :, :], axis=2).min(axis=1) > tol]
+            if len(stray):
+                nesting_ok = False
+                failures.append(f"nesting: cells {ij // M + 1} and {ij % M + 1} meet off-vertex "
+                                f"near {np.round(stray[0], 6).tolist()} at depth {k}")
+                break
         if not nesting_ok:
             break
 
@@ -451,19 +466,24 @@ def components(n: int, edges) -> np.ndarray:
             return label
 
 
-def _close_points(a: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray:
-    """Points of `a` coinciding (within grid tolerance tol) with a point of `b`.
-
-    Key matching on two half-cell-shifted grids: coincident copies differ by
-    float noise only, so they share a key on at least one of the grids.  The
-    grid origin is a multiple of tol, so points sitting exactly on grid
-    multiples stay at cell centers of the unshifted grid.
+def _close_pairs(points: np.ndarray, tol: float) -> np.ndarray:
+    """Row pairs (r, s), r < s, of points sharing a key on one of two
+    half-cell-shifted grids of spacing tol (twice if on both).  Coincident
+    copies differ by float noise only, so they share a key on at least one
+    grid.  The grid origin is a multiple of tol, so points sitting exactly on
+    grid multiples stay at cell centers of the unshifted grid.  Key rows are
+    sorted as rows, never packed into one integer, so no key range overflows.
     """
-    both = np.concatenate([a, b])
-    got = np.zeros(len(a), dtype=bool)
+    found = [np.empty((0, 2), dtype=np.int64)]
     for shift in (0.0, 0.5):
-        origin = np.floor(both.min(axis=0) / tol) * tol - (2.0 + shift) * tol
-        keys = np.rint((both - origin) / tol).astype(np.int64)
-        packed = np.ravel_multi_index(keys.T, keys.max(axis=0) + 1)
-        got |= np.isin(packed[:len(a)], packed[len(a):])
-    return a[got]
+        origin = np.floor(points.min(axis=0) / tol) * tol - (2.0 + shift) * tol
+        keys = np.rint((points - origin) / tol).astype(np.int64)
+        order = np.lexsort(keys.T)              # stable: rows of a key ascend
+        keys = keys[order]
+        group = np.cumsum(np.append(True, (keys[1:] != keys[:-1]).any(axis=1)))
+        for gap in range(1, len(points)):
+            same = group[gap:] == group[:-gap]
+            if not same.any():
+                break
+            found.append(np.column_stack([order[:-gap][same], order[gap:][same]]))
+    return np.concatenate(found)

@@ -1,6 +1,8 @@
+import hashlib
 import itertools
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -12,11 +14,33 @@ from fel.presets import load_maps
 WALK_COLUMNS = 128
 # Points per block of distance rows in brute_force_coefficient.
 ORACLE_ROWS = 128
+EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
 
 
 def make_system(name, level, **kw):
     maps, nm = load_maps(name)
     return build(maps, level, name=nm, **kw)
+
+
+def maps_of(name):
+    """The maps of a preset, or of a definition file in examples/."""
+    path = EXAMPLES / f"{name}.json"
+    return load_maps(path if path.exists() else name)[0]
+
+
+def build_digests(system):
+    """SHA-256 of each table of a build: the dtype, shape and C-order bytes
+    of every level's array in turn."""
+    out = {}
+    for table in ("points", "cells", "promote", "new_vertices", "fixing_maps"):
+        arrays = getattr(system, table)
+        digest = hashlib.sha256()
+        for a in [arrays] if isinstance(arrays, np.ndarray) else arrays:
+            a = np.ascontiguousarray(a)
+            digest.update(f"{a.dtype.str}{a.shape}".encode())
+            digest.update(a.tobytes())
+        out[table] = digest.hexdigest()
+    return out
 
 
 def perturbed_gasket_maps(dx=0.1, dy=0.0):

@@ -6,12 +6,14 @@ import numpy as np
 import pytest
 
 from fel.errors import ConditionViolation, PointCapExceeded
-from fel.ifs import Similitude, build, components, essential_fixed_points, validate
+from fel.ifs import (Similitude, _close_pairs, build, components, essential_fixed_points,
+                    validate)
 from fel.presets import load_maps
 
-from helpers import (assert_matches_geometric, cell_address, count_vertices, locate,
-                     make_system, overlapping_interval_maps, perturbed_gasket_maps,
-                     points_in_symplex, rotated_gasket_maps, symplex_neighborhoods)
+from helpers import (assert_matches_geometric, build_digests, cell_address, count_vertices,
+                     locate, make_system, maps_of, overlapping_interval_maps,
+                     perturbed_gasket_maps, points_in_symplex, rotated_gasket_maps,
+                     symplex_neighborhoods)
 
 SQ3 = math.sqrt(3.0)
 # essential_fixed_points(maps).tolist() and the V_0 permutation of each
@@ -20,6 +22,15 @@ SQ3 = math.sqrt(3.0)
 PINS = json.loads((Path(__file__).parent / "fixed_point_pins.json").read_text())
 INVALID_MAPS = {"perturbed": perturbed_gasket_maps, "rotated": rotated_gasket_maps,
                 "overlapping": overlapping_interval_maps}
+# SHA-256 of the build tables (helpers.build_digests) of the presets at their
+# benchmark levels and of the examples/ systems at the deepest level under the
+# default point cap, computed by the gluing that labelled every candidate:
+# the gluing that slices out the few repeated ones must keep every bit.
+BUILD_DIGESTS = json.loads((Path(__file__).parent / "build_digests.json").read_text())
+# The examples/ systems at levels the geometric oracle merges in a few
+# seconds: the flipped gasket's maps have orthogonal parts and the
+# pentagasket is not on a lattice.
+EXAMPLE_LEVELS = {"flipped-gasket": 5, "hexagasket": 3, "pentagasket": 4, "vicsek": 4}
 
 
 def closed_form_counts(system, up_to):
@@ -179,6 +190,11 @@ class TestBuild:
             assert np.array_equal(a.points[m], b.points[m])
             assert np.array_equal(a.cells[m], b.cells[m])
 
+    @pytest.mark.parametrize("name", sorted(BUILD_DIGESTS))
+    def test_build_digests_pinned(self, name):
+        pinned = dict(BUILD_DIGESTS[name])
+        assert build_digests(build(maps_of(name), pinned.pop("level"))) == pinned
+
     def test_count_vertices_agrees_with_stored(self, gasket2_l8):
         # The geometric oracle's counts equal the combinatorial build's.
         counts = count_vertices(gasket2_l8.maps, 8)
@@ -186,11 +202,11 @@ class TestBuild:
 
 
 class TestGeometricOracle:
-    @pytest.mark.parametrize("name", ["gasket2", "gasket3", "snowflake"])
+    @pytest.mark.parametrize("name", ["gasket2", "gasket3", "snowflake", *EXAMPLE_LEVELS])
     def test_build_matches_oracle(self, name):
         # Levels past 1 come from the V_1 gluing table; the oracle merges
         # every candidate by distance and must give the same bits.
-        assert_matches_geometric(make_system(name, 6))
+        assert_matches_geometric(build(maps_of(name), EXAMPLE_LEVELS.get(name, 6)))
 
     def test_locate_roundtrip(self, gasket2_l8):
         ids = locate(gasket2_l8, gasket2_l8.points[2], 2)
@@ -287,14 +303,26 @@ class TestComponents:
 
 
 class TestValidate:
-    @pytest.mark.parametrize("name", ["gasket2", "gasket3", "snowflake"])
+    @pytest.mark.parametrize("name", ["gasket2", "gasket3", "snowflake", *EXAMPLE_LEVELS])
     def test_presets_pass(self, name, request):
         fixture = {"gasket2": "gasket2_l8", "gasket3": "gasket3_l8",
-                   "snowflake": "snowflake_l5"}[name]
-        system = request.getfixturevalue(fixture)
+                   "snowflake": "snowflake_l5"}.get(name)
+        system = (request.getfixturevalue(fixture) if fixture else
+                  build(maps_of(name), EXAMPLE_LEVELS[name], run_validation=False))
         report = validate(system)
         assert report.all_ok
         assert report.nesting_depth == 3
+        assert report.failures == []
+
+    def test_close_pairs_far_apart_keys(self):
+        # Keys 1e10 apart on every axis: packing them into one int64 index
+        # overflowed; key rows are sorted as rows.
+        a = np.array([[0.0, 0.0, 0.0], [1e7, 1e7, 1e7]])
+        assert set(map(tuple, _close_pairs(np.concatenate([a, a]), 1e-3).tolist())) == {
+            (0, 2), (1, 3)}
+        assert _close_pairs(np.concatenate([a, a[1:] + 1.0]), 1e-3).shape == (0, 2)
+        assert set(map(tuple, _close_pairs(np.concatenate([a, a[1:] + 1e-4]), 1e-3).tolist())) \
+            == {(1, 2)}
 
     def test_perturbed_gasket_fails_symmetry(self):
         # A horizontal slide of psi_3 keeps the three cells meeting in single

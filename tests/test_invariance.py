@@ -11,7 +11,6 @@ float rounding decides none of those ties.
 
 import functools
 import math
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,20 +25,13 @@ from fel.classes import class_coefficient_table
 from fel.lipschitz import coefficient_table, default_params
 from fel.presets import load_maps
 
-from helpers import assert_matches_geometric
+from helpers import EXAMPLES, assert_matches_geometric, maps_of
 
 LEVELS = {"gasket2": 5, "gasket3": 4, "snowflake": 3}
 # The nested fractals of examples/, whose walks end at level n - 1 like the
 # gaskets': the flipped gasket's maps have orthogonal parts and the
 # pentagasket is not on a lattice.
-EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
 WALK_LEVELS = {**LEVELS, "flipped-gasket": 5, "hexagasket": 3, "pentagasket": 4, "vicsek": 4}
-
-
-def maps_of(name):
-    """The maps of a preset, or of a definition file in examples/."""
-    path = EXAMPLES / f"{name}.json"
-    return load_maps(path if path.exists() else name)[0]
 
 
 def conjugate(maps, s, q, t):

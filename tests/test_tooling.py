@@ -1,13 +1,18 @@
 """Package-level checks: the public namespace, the absence of bare asserts,
-the single exact-sum path, the README's library example and the names the
-benchmark harness reads."""
+the single exact-sum path, the README's library example, the names the
+benchmark harness reads and the modules a run imports."""
 
 import ast
 import contextlib
 import importlib
 import importlib.util
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import fel
 
@@ -131,3 +136,40 @@ def test_readme_names_resolve():
     names = set(re.findall(r"`(fel(?:\.\w+)+)`", readme.read_text(encoding="utf-8")))
     assert "fel.lipschitz.PAIR_CHUNK" in names
     assert not [name for name in sorted(names) if not resolves(name)]
+
+
+NUMPY_MA_PROBE = """
+import sys
+import fel
+from fel.classes import class_coefficient_table
+from fel.lipschitz import coefficient_table
+for preset, n in (("gasket2", 5), ("snowflake", 3)):
+    maps, name = fel.load_maps(preset)
+    system = fel.build(maps, n, name=name)
+    hs = fel.solve_ndhs(system)
+    specs = fel.random_corpus(system, 2, seed=1)
+    params = fel.default_params(system, hs)
+    class_coefficient_table(system, hs, specs, n, [1, 2], params)
+    for spec in specs:
+        f = spec.sample(system, hs, n)
+        fel.energy_sequence(system, hs, f)
+        coefficient_table(system, f.values[:, None], n, [1, 2], params)
+print("numpy.ma" in sys.modules)
+"""
+
+
+def run_python(code):
+    src = str(Path(fel.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120, check=True).stdout.strip()
+
+
+@pytest.mark.skipif(run_python("import sys, numpy; print('numpy.ma' in sys.modules)") == "True",
+                    reason="this numpy imports numpy.ma with numpy itself")
+def test_run_does_not_import_numpy_ma():
+    # numpy.ma takes 10-15 ms to import, and numpy's set routines (np.unique,
+    # np.setdiff1d, np.isin) import it on first use: build, solve_ndhs, both
+    # pair-sum paths and energy_sequence call none of them.
+    assert run_python(NUMPY_MA_PROBE) == "False"
