@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 
+from fel.energy import random_corpus
 from fel.ifs import MERGE_BAND, Similitude, build, essential_fixed_points
 from fel.lipschitz import pair_power_sums
 from fel.presets import load_maps
@@ -40,6 +41,19 @@ def build_digests(system):
             digest.update(f"{a.dtype.str}{a.shape}".encode())
             digest.update(a.tobytes())
         out[table] = digest.hexdigest()
+    return out
+
+
+def sample_digests(system, hs):
+    """SHA-256 of the sampled values of each function of
+    random_corpus(system, 4, seed=1) at the system's top level: the dtype,
+    shape and C-order bytes of the array."""
+    out = []
+    for spec in random_corpus(system, 4, seed=1):
+        a = np.ascontiguousarray(spec.sample(system, hs, system.max_level).values)
+        digest = hashlib.sha256(f"{a.dtype.str}{a.shape}".encode())
+        digest.update(a.tobytes())
+        out.append(digest.hexdigest())
     return out
 
 

@@ -17,14 +17,19 @@ from fel.energy import (ENERGY_BLOCK, EXACT_SUM_CHUNK, EXACT_SUM_MAX_TERMS, Vert
                         random_corpus)
 from fel.errors import InvariantViolation
 from fel.harmonic import energy0, solve_ndhs, unit_matrix
-from fel.ifs import FractalSystem
+from fel.ifs import FractalSystem, build
 
-from helpers import edge_sum_energy, lift_ids, locate, make_system
+from helpers import (edge_sum_energy, lift_ids, locate, make_system, maps_of,
+                     sample_digests)
 
 # float.hex of every energy_sequence entry of random_corpus(system, 4, seed=1),
 # sampled at the system's top level, as the unblocked edge-sum kernel and the
 # frexp/ldexp exact_sum computed them.
 ENERGY_BITS = json.loads((Path(__file__).parent / "energy_bits.json").read_text())
+# helpers.sample_digests of the presets at their benchmark levels and of the
+# examples/ systems at their build_digests.json levels, as the full-length
+# gather-matmul-scatter extension computed them.
+SAMPLE_DIGESTS = json.loads((Path(__file__).parent / "sample_digests.json").read_text())
 
 
 def gasket2_with_promote(k, corrupt):
@@ -169,6 +174,13 @@ class TestHarmonicExtension:
         with pytest.raises(ValueError):
             harmonic_extension(gasket2_l8, gasket2_hs,
                                VertexFunction(0, np.zeros(3)), 9)
+
+    @pytest.mark.parametrize("name", list(SAMPLE_DIGESTS))
+    def test_sample_digests_pinned(self, name):
+        # The blocked extension keeps every bit of the sampled values.
+        pinned = SAMPLE_DIGESTS[name]
+        system = build(maps_of(name), pinned["level"])
+        assert sample_digests(system, solve_ndhs(system)) == pinned["values"]
 
     @pytest.mark.parametrize("fixture", ["gasket2_l8", "gasket3_l8", "snowflake_l5"])
     def test_matches_global_minimizer_on_v2(self, fixture, request):
