@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,9 +30,10 @@ from .ifs import FractalSystem
 MONOTONE_SLACK = 1e-9
 EXACT_SUM_CHUNK = 1 << 16
 EXACT_SUM_MAX_TERMS = 1 << 26
-# Cells per block of _cells_energy: the block's slice of the edge sums and
-# its scratch buffer (128 KiB of float64 each) stay in L2.  2^14 had the
-# lowest median energy-deep wall time of 2^13-2^16, over three runs each.
+# Cells per block of _corner_blocks, the energy path's one kernel: a block's
+# corner gather (M0 x 128 KiB of float64) and scratch rows (128 KiB each)
+# stay in L2.  2^14 had the lowest median energy-deep wall time of
+# 2^13-2^16, over three runs each, when only the edge sums were blocked.
 ENERGY_BLOCK = 1 << 14
 # Float64 bit fields: the biased exponent starts at bit 52, and the high part
 # of a term keeps all but the low 26 mantissa bits.
@@ -70,6 +72,8 @@ def _check_level(system: FractalSystem, f: VertexFunction) -> None:
 def exact_sum(terms) -> float:
     """The correctly rounded sum of float64 terms: math.fsum(terms) wherever that returns.
 
+    terms is one array-like or an iterator of them, each binned as it arrives
+    (a generator may reuse one buffer); the sum is that of the concatenation.
     Each finite term x splits by its bits into a high part, x with the low
     26 mantissa bits cleared (an int64 view and a mask), and a low part
     x - high, which is exact.  Both parts go into the bin of the biased
@@ -78,14 +82,14 @@ def exact_sum(terms) -> float:
     multiple of 2^(max(E, 1) - 1049) and below 2^27 such units, and every
     low part a multiple of 2^(max(E, 1) - 1075) and below 2^26 such units
     (E = 0 holds the subnormals, which lie on the grid of E = 1).  So while
-    the input holds at most EXACT_SUM_MAX_TERMS = 2^26 terms, every partial
-    total of a bin is a multiple of its unit below 2^53 units, a float, and
-    each addition is exact in any order; longer input raises ValueError (the
-    point cap keeps cells and vertices far below it).  Only the high bins of
-    E >= 2020 (|x| >= 2^997) could leave the float range: their parts are
-    binned scaled by 2^-64, which is exact.  The bin totals, scaled back,
-    are added as integers in units of 2^-1074 and rounded once by integer
-    true division, which is also what math.fsum of the terms returns.
+    the input holds at most EXACT_SUM_MAX_TERMS = 2^26 terms in all, every
+    partial total of a bin is a multiple of its unit below 2^53 units, a
+    float, and each addition is exact in any order; longer input raises
+    ValueError (the point cap keeps cells and vertices far below it).  Only
+    the high bins of E >= 2020 (|x| >= 2^997) could leave the float range:
+    their parts are binned scaled by 2^-64, which is exact.  The bin totals,
+    scaled back, are added as integers in units of 2^-1074 and rounded once
+    by integer true division, which is also what math.fsum of the terms returns.
 
     Non-finite terms follow fsum: nan gives nan, inf gives inf, and +inf
     with -inf raises ValueError.  OverflowError is raised exactly when the
@@ -93,29 +97,32 @@ def exact_sum(terms) -> float:
     the terms, while fsum's overflow test depends on the order (1e308,
     1e308, -1e308 overflows; 1e308, -1e308, 1e308 does not).
     """
-    x = np.asarray(terms, dtype=float)
-    if x.size > EXACT_SUM_MAX_TERMS:
-        raise ValueError(f"exact_sum takes at most {EXACT_SUM_MAX_TERMS} terms (got {x.size})")
-    x = x.reshape(-1)
     hi_bins = np.zeros(_EXPONENT_BITS)
     lo_bins = np.zeros(_EXPONENT_BITS)
     special = []
-    for start in range(0, x.size, EXACT_SUM_CHUNK):
-        chunk = x[start:start + EXACT_SUM_CHUNK]
-        bits = chunk.view(np.int64)
-        exponent = (bits >> _EXPONENT_SHIFT) & _EXPONENT_BITS
-        top = exponent.max()
-        if top == _EXPONENT_BITS:
-            finite = exponent != _EXPONENT_BITS
-            special.append(chunk[~finite])
-            chunk, bits, exponent = chunk[finite], bits[finite], exponent[finite]
-            top = exponent.max(initial=0)
-        hi = (bits & _HIGH_PART_MASK).view(np.float64)
-        lo = chunk - hi
-        if top >= _BIG_EXPONENT:
-            hi[exponent >= _BIG_EXPONENT] *= 2.0**-_BIG_SHIFT
-        hi_bins += np.bincount(exponent, weights=hi, minlength=_EXPONENT_BITS)
-        lo_bins += np.bincount(exponent, weights=lo, minlength=_EXPONENT_BITS)
+    count = 0
+    for x in terms if isinstance(terms, Iterator) else [terms]:
+        x = np.asarray(x, dtype=float)
+        count += x.size
+        if count > EXACT_SUM_MAX_TERMS:
+            raise ValueError(f"exact_sum takes at most {EXACT_SUM_MAX_TERMS} terms (got {count})")
+        x = x.reshape(-1)
+        for start in range(0, x.size, EXACT_SUM_CHUNK):
+            chunk = x[start:start + EXACT_SUM_CHUNK]
+            bits = chunk.view(np.int64)
+            exponent = (bits >> _EXPONENT_SHIFT) & _EXPONENT_BITS
+            top = exponent.max()
+            if top == _EXPONENT_BITS:
+                finite = exponent != _EXPONENT_BITS
+                special.append(chunk[~finite])
+                chunk, bits, exponent = chunk[finite], bits[finite], exponent[finite]
+                top = exponent.max(initial=0)
+            hi = (bits & _HIGH_PART_MASK).view(np.float64)
+            lo = chunk - hi
+            if top >= _BIG_EXPONENT:
+                hi[exponent >= _BIG_EXPONENT] *= 2.0**-_BIG_SHIFT
+            hi_bins += np.bincount(exponent, weights=hi, minlength=_EXPONENT_BITS)
+            lo_bins += np.bincount(exponent, weights=lo, minlength=_EXPONENT_BITS)
     totals = [(hi_bins[e], _BIG_SHIFT if e >= _BIG_EXPONENT else 0)
               for e in np.flatnonzero(hi_bins).tolist()]
     totals.extend((lo, 0) for lo in lo_bins[lo_bins != 0].tolist())
@@ -136,34 +143,48 @@ def nonnegative_sum(terms) -> float:
         return math.inf
 
 
-def _cells_energy(hs: HarmonicStructure, cols: list[np.ndarray], level: int) -> float:
-    """rho^level times the exact sum of the cells' edge sums (inf beyond the
-    float range); cols[p] holds the values at corner p of every cell.
+def _row_blocks(array: np.ndarray) -> Iterator[np.ndarray]:
+    """Views of ENERGY_BLOCK consecutive rows of array at a time, in order."""
+    return (array[start:start + ENERGY_BLOCK] for start in range(0, len(array), ENERGY_BLOCK))
 
-    The edge sums are computed in blocks of ENERGY_BLOCK cells, through one
-    buffer reused by every block and pair, so the temporaries stay in cache.
-    Each cell takes the steps of one full-length pass in the same order:
-    from zero, add a_pq * (f_p - f_q)^2 for the pairs p < q in
-    itertools.combinations order, so every cell energy keeps its bits.  A
-    unit a_pq skips its multiply, which would leave every bit as it is.
+
+def _corner_blocks(table: np.ndarray, cells: np.ndarray) -> Iterator[np.ndarray]:
+    """table at the corners of each _row_blocks block of cells, gathered into
+    one buffer that every block reuses.  The ids are in range, and mode="clip"
+    lets np.take write straight into the buffer, where "raise" gathers a copy."""
+    buffer = np.empty((min(len(cells), ENERGY_BLOCK),) + cells.shape[1:] + table.shape[1:])
+    for rows in _row_blocks(cells):
+        yield np.take(table, rows, axis=0, out=buffer[:len(rows)], mode="clip")
+
+
+def _cells_energy(hs: HarmonicStructure, values: np.ndarray, cells: np.ndarray,
+                  level: int) -> float:
+    """rho^level times the exact sum of the edge sums of the cells (rows of
+    ids into values), inf beyond the float range.
+
+    Each _corner_blocks block forms its edge sums in buffers that every block
+    and pair reuses, and exact_sum bins them as they come.  Each cell takes
+    the steps of one full-length pass in the same order: from zero, add
+    a_pq * (f_p - f_q)^2 for the pairs p < q in itertools.combinations order,
+    so every cell energy keeps its bits.  A unit a_pq skips its multiply,
+    which would leave every bit as it is.
     """
     a = hs.matrix.entries
-    pairs = [(p, q, a[p, q]) for p, q in itertools.combinations(range(len(cols)), 2)]
-    n = cols[0].shape[0]
-    cell_energy = np.zeros(n)
-    buffer = np.empty(min(n, ENERGY_BLOCK))
-    for start in range(0, n, ENERGY_BLOCK):
-        stop = start + ENERGY_BLOCK
-        corners = [col[start:stop] for col in cols]
-        block = cell_energy[start:stop]
-        term = buffer[:len(block)]
-        for p, q, a_pq in pairs:
-            np.subtract(corners[p], corners[q], out=term)
-            np.square(term, out=term)
-            if a_pq != 1.0:
-                term *= a_pq
-            block += term
-    return float(hs.rho**level * nonnegative_sum(cell_energy))
+    pairs = [(p, q, a[p, q]) for p, q in itertools.combinations(range(cells.shape[1]), 2)]
+    energy, term = np.empty((2, min(len(cells), ENERGY_BLOCK)))
+
+    def edge_sums():
+        for corners in _corner_blocks(values, cells):
+            block, step = energy[:len(corners)], term[:len(corners)]
+            block.fill(0.0)
+            for p, q, a_pq in pairs:
+                np.square(np.subtract(corners[:, p], corners[:, q], out=step), out=step)
+                if a_pq != 1.0:
+                    step *= a_pq
+                block += step
+            yield block
+
+    return float(hs.rho**level * nonnegative_sum(edge_sums()))
 
 
 def energy_m(system: FractalSystem, hs: HarmonicStructure, f: VertexFunction) -> float:
@@ -176,20 +197,7 @@ def energy_m(system: FractalSystem, hs: HarmonicStructure, f: VertexFunction) ->
     math.fsum, so the result does not depend on the order of the cells.
     """
     _check_level(system, f)
-    return _cells_energy(hs, _corner_columns(system, f), f.level)
-
-
-def _corner_columns(system: FractalSystem, f: VertexFunction) -> list[np.ndarray]:
-    """Column p holds f at corner p of every cell of level f.level: strided
-    views of one (cells, M0) gather, which is faster than M0 column gathers."""
-    return list(f.values[system.cells[f.level]].T)
-
-
-def _restrict_corners(system: FractalSystem, cols: list[np.ndarray]) -> list[np.ndarray]:
-    """Corner columns one level up: corner p of cell w is corner p of its
-    child w*M + k_p, where map k_p = system.fixing_maps[p] fixes V_0 point p,
-    so column p restricts to the strided view col[k_p::M]."""
-    return [col[k::system.M] for col, k in zip(cols, system.fixing_maps)]
+    return _cells_energy(hs, f.values, system.cells[f.level], f.level)
 
 
 def harmonic_extension(system: FractalSystem, hs: HarmonicStructure,
@@ -199,9 +207,10 @@ def harmonic_extension(system: FractalSystem, hs: HarmonicStructure,
     Each level-k step is two scatters: the promoted level-k values keep their
     vertices, and each level-k cell writes its interior values, the
     extension matrix applied to its corner values, to its new vertices
-    system.new_vertices[k].  FractalSystem builds these tables once, checks
-    at construction that the two scatters write every vertex of level k + 1
-    exactly once, and keeps them, so no step rebuilds them.
+    system.new_vertices[k], one _corner_blocks block of cells at a time.
+    FractalSystem builds these tables once, checks at construction that the
+    two scatters write every vertex of level k + 1 exactly once, and keeps
+    them, so no step rebuilds them.
     """
     _check_level(system, f)
     if not f.level <= n <= system.max_level:
@@ -216,9 +225,11 @@ def _extend_one(system: FractalSystem, hs: HarmonicStructure,
                 values: np.ndarray, k: int) -> np.ndarray:
     out = np.empty(system.vertex_count(k + 1))
     out[system.promote[k]] = values
-    # Flat index and value arrays: numpy scatters them about twice as fast
-    # as the same (M**k, #new) pair.
-    out[system.new_vertices[k].ravel()] = (values[system.cells[k]] @ hs.extension_matrix.T).ravel()
+    for corners, new in zip(_corner_blocks(values, system.cells[k]),
+                            _row_blocks(system.new_vertices[k])):
+        # Flat index and value arrays: numpy scatters them about twice as
+        # fast as the same (cells, #new) pair.
+        out[new.ravel()] = (corners @ hs.extension_matrix.T).ravel()
     return out
 
 
@@ -235,22 +246,22 @@ def energy_sequence(system: FractalSystem, hs: HarmonicStructure, f: VertexFunct
                     m0: int = 0, tag: str = "") -> EnergySequence:
     """Evaluate E^(m) for m0 <= m <= f.level on the restrictions of f.
 
-    The corner values of every top-level cell are gathered once.  Each lower
-    level restricts them through child rows with _restrict_corners, whose
-    strided views copy no values.  Each level's energy is the same edge sum as
-    energy_m, combined by the same exact_sum, so every entry equals energy_m
-    of the restriction of f to V_m bit for bit.  m0 outside [0, f.level]
-    raises ValueError.
+    Each lower level restricts the values through promote, f on V_m being
+    f on V_{m+1} read at system.promote[m], so the sequence holds at most
+    the values of two levels beside its blocks.  Each level's energy is the
+    same blocked edge sum as energy_m, combined by the same exact_sum, so
+    every entry equals energy_m of the restriction of f to V_m bit for bit.
+    m0 outside [0, f.level] raises ValueError.
     """
     _check_level(system, f)
     if not 0 <= m0 <= f.level:
         raise ValueError(f"first level {m0} out of range [0, {f.level}]")
-    cols = _corner_columns(system, f)
+    values = f.values
     entries = []
     for m in range(f.level, m0 - 1, -1):
         if m < f.level:
-            cols = _restrict_corners(system, cols)
-        entries.append((m, _cells_energy(hs, cols, m)))
+            values = values.take(system.promote[m])
+        entries.append((m, _cells_energy(hs, values, system.cells[m], m)))
     entries.reverse()
     monotone_ok = all(
         e2 >= e1 - MONOTONE_SLACK * max(1.0, abs(e1))

@@ -43,8 +43,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .characteristics import dimensions
-from .energy import (FunctionSpec, VertexFunction, _check_level, _corner_columns,
-                     _restrict_corners, energy_sequence, nonnegative_sum)
+from .energy import (ENERGY_BLOCK, FunctionSpec, VertexFunction, _check_level,
+                     _corner_blocks, _row_blocks, energy_sequence, nonnegative_sum)
 from .errors import ResolutionTooCoarse
 from .harmonic import HarmonicStructure
 from .ifs import FractalSystem
@@ -563,7 +563,7 @@ def batch_norm_reports(system: FractalSystem, hs: HarmonicStructure,
     reports = []
     for col, spec in enumerate(specs):
         f_vals = values[:, col]
-        l2 = math.sqrt(nonnegative_sum(f_vals * f_vals * weight))
+        l2 = math.sqrt(nonnegative_sum(v * v * weight for v in _row_blocks(f_vals)))
         seq = energy_sequence(system, hs, VertexFunction(n, f_vals), m0=0, tag=spec.tag)
         energy = seq.entries[m_max][1]
         b_col = b_table[:, col]
@@ -620,23 +620,39 @@ def hoelder_estimate(system: FractalSystem, f: VertexFunction, gamma: float) -> 
 
     Pairs are subsampled per symplex: all corner pairs of every cell at every
     level from f's down to 1, which spans separations from diam/L down to the
-    finest resolved scale.  The values and coordinates of the top-level
-    corners are gathered once and restricted level by level, as in
-    energy_sequence.  A stability diagnostic, not a certified norm.
+    finest resolved scale.  The values and coordinates of V_m are those of
+    the level above read at system.promote[m], so every point keeps its
+    top-level coordinates.  A stability diagnostic, not a certified norm.
     """
     if not 0.0 < gamma < 1.0:
         raise ValueError("gamma must lie in (0, 1)")
     _check_level(system, f)
-    values = _corner_columns(system, f)
-    coords = list(system.points[f.level][system.cells[f.level]].transpose(1, 0, 2))
+    values, coords = f.values, system.points[f.level]
     best = 0.0
     for m in range(f.level, 0, -1):
         if m < f.level:
-            values, coords = _restrict_corners(system, values), _restrict_corners(system, coords)
-        for p, q in itertools.combinations(range(system.M0), 2):
-            dist = np.linalg.norm(coords[p] - coords[q], axis=1)
-            diff = np.abs(values[p] - values[q])
-            good = dist > 0
+            values, coords = values.take(system.promote[m]), coords.take(system.promote[m], axis=0)
+        best = max(best, _cells_hoelder(values, coords, system.cells[m], gamma))
+    return best
+
+
+def _cells_hoelder(values: np.ndarray, coords: np.ndarray, cells: np.ndarray,
+                   gamma: float) -> float:
+    """The largest |f_p - f_q| / |x_p - x_q|^gamma over the cells' corner
+    pairs at distinct points (0 if none), in buffers every block and pair
+    reuses; they are freed on return, before the next level is restricted."""
+    size = min(len(cells), ENERGY_BLOCK)
+    delta, (dist, ratio) = np.empty((size, coords.shape[1])), np.empty((2, size))
+    best = 0.0
+    for f, x in zip(_corner_blocks(values, cells), _corner_blocks(coords, cells)):
+        step, d, r = delta[:len(f)], dist[:len(f)], ratio[:len(f)]
+        for p, q in itertools.combinations(range(cells.shape[1]), 2):
+            # np.linalg.norm's square root of the summed squares.
+            np.square(np.subtract(x[:, p], x[:, q], out=step), out=step)
+            np.sqrt(np.sum(step, axis=1, out=d), out=d)
+            np.abs(np.subtract(f[:, p], f[:, q], out=r), out=r)
+            good = d > 0
             if good.any():
-                best = max(best, float((diff[good] / dist[good] ** gamma).max()))
+                np.divide(r, np.power(d, gamma, out=d), out=r, where=good)
+                best = max(best, float(r[good].max()))
     return best

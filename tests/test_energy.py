@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import struct
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -11,6 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import fel.energy as energy_module
 from fel.energy import (ENERGY_BLOCK, EXACT_SUM_CHUNK, EXACT_SUM_MAX_TERMS, VertexFunction,
                         _cells_energy, energy_m, energy_sequence, exact_sum,
                         harmonic_extension, nonnegative_sum, parse_function_spec,
@@ -18,6 +20,7 @@ from fel.energy import (ENERGY_BLOCK, EXACT_SUM_CHUNK, EXACT_SUM_MAX_TERMS, Vert
 from fel.errors import InvariantViolation
 from fel.harmonic import energy0, solve_ndhs, unit_matrix
 from fel.ifs import FractalSystem, build
+from fel.lipschitz import hoelder_estimate
 
 from helpers import (edge_sum_energy, lift_ids, locate, make_system, maps_of,
                      sample_digests)
@@ -291,6 +294,13 @@ def energy_outcome(value):
     return "nan" if math.isnan(value) else struct.pack("<d", value)
 
 
+def corner_table(cols):
+    """(values, cells) whose cells read column p at corner p: the columns
+    end to end, and cell w's corner p at the id of cols[p][w]."""
+    count = len(cols[0])
+    return np.concatenate(cols), np.arange(len(cols) * count).reshape(-1, count).T
+
+
 class TestBlockedEdgeSums:
     """_cells_energy against the unblocked formula, at cell counts around
     the block size ENERGY_BLOCK = B: every cell energy keeps its bits."""
@@ -306,16 +316,19 @@ class TestBlockedEdgeSums:
     def test_contiguous_columns(self, structure, count):
         hs, corners, _ = structure
         cols = list(np.random.default_rng(count).normal(size=(corners, count)))
-        assert _cells_energy(hs, cols, 5) == edge_sum_energy(hs, cols, 5)
+        assert _cells_energy(hs, *corner_table(cols), 5) == edge_sum_energy(hs, cols, 5)
 
     @pytest.mark.parametrize("count", COUNTS)
     def test_strided_columns(self, structure, count):
-        # energy_sequence's restricted columns: col[k::M] of a longer column.
+        # Corner p reads every M-th value of a longer column from offset
+        # k_p, as a cell's corner sits at one child's corner one level down.
         hs, corners, M = structure
         base = np.random.default_rng(count + 1).normal(size=(corners, M * count))
-        cols = [col[k::M] for k, col in zip(itertools.cycle(range(M)), base)]
+        offsets = np.resize(np.arange(M), corners)
+        cols = [col[k::M] for k, col in zip(offsets, base)]
         assert all(len(col) == count for col in cols)
-        assert _cells_energy(hs, cols, 4) == edge_sum_energy(hs, cols, 4)
+        cells = (np.arange(corners) * M * count + offsets)[None, :] + M * np.arange(count)[:, None]
+        assert _cells_energy(hs, base.ravel(), cells, 4) == edge_sum_energy(hs, cols, 4)
 
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, 1e200, 1e154])
     @pytest.mark.parametrize("count", [ENERGY_BLOCK - 1, ENERGY_BLOCK + 1, 3 * ENERGY_BLOCK + 7])
@@ -326,10 +339,51 @@ class TestBlockedEdgeSums:
         cols[1][rng.integers(count)] = bad
         cols[2][count - 1] = bad
         with np.errstate(over="ignore", invalid="ignore"):
-            got = _cells_energy(hs, cols, 3)
+            got = _cells_energy(hs, *corner_table(cols), 3)
             expected = edge_sum_energy(hs, cols, 3)
         assert energy_outcome(got) == energy_outcome(expected)
         assert math.isnan(got) or got == math.inf
+
+
+def traced_peak(call):
+    """Peak bytes traced by tracemalloc during call, above those held before it."""
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemoryBounds:
+    """The energy path streams its cells in blocks: beside its input and
+    output, no call holds as much as one (#cells, M0) corner gather of the
+    level it works on, 4.05 MiB on gasket2 L11."""
+
+    LEVEL = 11
+    GATHER = 3**LEVEL * 3 * 8
+
+    @pytest.fixture(scope="class")
+    def setup(self):
+        system = make_system("gasket2", self.LEVEL)
+        hs = solve_ndhs(system)
+        spec = random_corpus(system, 1, seed=4)[-1]
+        return system, hs, spec, spec.sample(system, hs, self.LEVEL)
+
+    def test_energy_sequence_and_energy_m(self, setup):
+        system, hs, _, f = setup
+        assert traced_peak(lambda: energy_sequence(system, hs, f)) < self.GATHER
+        assert traced_peak(lambda: energy_m(system, hs, f)) < self.GATHER
+
+    def test_hoelder_estimate(self, setup):
+        system, _, _, f = setup
+        assert traced_peak(lambda: hoelder_estimate(system, f, 0.5)) < self.GATHER
+
+    def test_sample_beyond_output_and_level_below(self, setup):
+        system, hs, spec, _ = setup
+        levels = system.vertex_count(self.LEVEL) + system.vertex_count(self.LEVEL - 1)
+        assert traced_peak(lambda: spec.sample(system, hs, self.LEVEL)) - 8 * levels < 2**20
 
 
 def fsum_outcome(total, terms):
@@ -407,6 +461,68 @@ class TestExactSum:
         # A zero-stride view: the count is checked before any term is read.
         with pytest.raises(ValueError, match="at most"):
             exact_sum(np.broadcast_to(1.0, (EXACT_SUM_MAX_TERMS + 1,)))
+
+
+def split_blocks(terms, cuts):
+    """terms cut at the sorted cuts, each block written in turn into one
+    reused buffer, as _cells_energy hands its edge sums to exact_sum."""
+    buffer = np.empty(len(terms))
+    for block in np.split(terms, sorted(cuts)):
+        out = buffer[:len(block)]
+        out[:] = block
+        yield out
+
+
+class TestExactSumBlocks:
+    """An iterator of arrays sums as their concatenation, bit for bit."""
+
+    @given(arrays(np.float64, st.integers(0, 40),
+                  elements=st.floats(-1e300, 1e300) | st.sampled_from(
+                      [0.0, -0.0, 5e-324, -2.5e-310, math.nan, math.inf, -math.inf])),
+           st.lists(st.integers(0, 40), max_size=5))
+    def test_blocks_match_one_array_and_fsum(self, terms, cuts):
+        blocked = fsum_outcome(exact_sum, split_blocks(terms, cuts))
+        assert blocked == fsum_outcome(exact_sum, terms)
+        assert blocked == fsum_outcome(math.fsum, terms.tolist())
+
+    @given(arrays(np.float64, st.integers(1, 40),
+                  elements=st.floats(2.0**1000, 2.0**1023) | st.floats(-2.0**1023, -2.0**1000)
+                  | st.sampled_from([0.0, 5e-324, -2.5e-310, 2.0**-1050, 1.0, -3.5,
+                                     math.inf, -math.inf, math.nan])),
+           st.integers(0, 40), st.lists(st.integers(0, 120), max_size=5))
+    def test_blocks_beyond_bins_match_one_array(self, terms, k, cuts):
+        # Overflowing high bins, partial sums beyond the float range and
+        # special terms in any block give the one array's outcome.
+        terms = np.concatenate([terms, -0.5 * np.repeat(terms[:k], 2)])
+        assert (fsum_outcome(exact_sum, split_blocks(terms, cuts))
+                == fsum_outcome(exact_sum, terms))
+        if np.isfinite(terms).all():
+            assert same_as_fraction(terms.tolist())
+
+    def test_overflow_across_blocks(self):
+        # Each block's sum, (2^16 + 3) 2^1007 < 2^1024, is in range; their
+        # total is not.
+        blocks = [np.full(EXACT_SUM_CHUNK + 3, 2.0**1007)] * 2
+        assert exact_sum(blocks[0]) == (EXACT_SUM_CHUNK + 3) * 2.0**1007
+        with pytest.raises(OverflowError):
+            exact_sum(iter(blocks))
+        assert nonnegative_sum(iter(blocks)) == math.inf
+        assert exact_sum(iter([blocks[0], -blocks[1]])) == 0.0
+
+    def test_special_terms_across_blocks(self):
+        big = np.full(EXACT_SUM_CHUNK + 3, 2.0**1000)
+        assert exact_sum(iter([big, [math.inf], [1.0]])) == math.inf
+        assert math.isnan(exact_sum(iter([[math.nan], big])))
+        with pytest.raises(ValueError):
+            exact_sum(iter([[math.inf], big, [-math.inf]]))
+
+    def test_term_count_spans_blocks(self, monkeypatch):
+        with pytest.raises(ValueError, match=r"at most \d+ terms \(got \d+\)"):
+            exact_sum(iter([np.ones(3), np.broadcast_to(1.0, (EXACT_SUM_MAX_TERMS - 2,))]))
+        monkeypatch.setattr(energy_module, "EXACT_SUM_MAX_TERMS", 10)
+        assert exact_sum(iter([np.ones(5), [], np.ones(5)])) == 10.0
+        with pytest.raises(ValueError, match=r"at most 10 terms \(got 11\)"):
+            exact_sum(iter([np.ones(5), np.ones(6)]))
 
 
 def fraction_sum(terms):
