@@ -191,8 +191,7 @@ class FractalSystem:
             n = self.vertex_count(k + 1)
             if any(t.min(initial=0) < 0 or t.max(initial=0) >= n for t in (promote[k], new)):
                 raise InvariantViolation(f"level {k} tables name ids outside V_{k + 1}")
-            counts = np.bincount(promote[k], minlength=n)
-            counts += np.bincount(new.ravel(), minlength=n)
+            counts = np.bincount(promote[k], minlength=n) + np.bincount(new.ravel(), minlength=n)
             if (counts != 1).any():
                 raise InvariantViolation(
                     f"level {k} tables write {(counts > 1).sum()} vertices of V_{k + 1} "
@@ -428,6 +427,7 @@ def validate(system: FractalSystem) -> ValidationReport:
         failures.append("connectivity: the level-1 neighbor graph is disconnected")
 
     symmetry_ok = True
+    cell_rows = np.sort(system.cells[1], axis=1)
     for ref in system.reflections:
         if ref.perm is None:
             symmetry_ok = False
@@ -436,7 +436,7 @@ def validate(system: FractalSystem) -> ValidationReport:
         # Each V_1 image matched once; an unmatched corner (-1) is in no cell row.
         ids = _match(ref.apply(system.points[1]), system.points[1], system.merge_tolerance(1))
         images = np.sort(ids[system.cells[1]], axis=1)
-        onto = (images[:, None] == np.sort(system.cells[1], axis=1)).all(axis=2).any(axis=1)
+        onto = (images[:, None] == cell_rows).all(axis=2).any(axis=1)
         if not onto.all():
             symmetry_ok = False
             failures.append(f"symmetry: reflection across pair {ref.pair} does not map cell "
