@@ -30,6 +30,9 @@ import numpy as np
 from .errors import ConditionViolation, InvariantViolation, PointCapExceeded
 
 DEFAULT_MAX_POINTS = 2_000_000
+# Vertex ids are int32: no level may have more candidates than int32 holds,
+# whatever the point cap.
+MAX_CANDIDATES = np.iinfo(np.int32).max
 
 # Merge tolerance at level m is c0 / (MERGE_BAND * L**m): distinct level-m
 # vertices are separated by order c0 / L**m, so a 1% band is unambiguous.
@@ -153,8 +156,8 @@ class ValidationReport:
 class FractalSystem:
     """Validated similitude family with indexed vertex sets and symplex tables.
 
-    Construction derives and checks two tables, raising InvariantViolation
-    if a check fails:
+    Construction derives one table and checks it, together with the fixing
+    maps, raising InvariantViolation if a check fails:
 
     * ``new_vertices``: for each level k < max_level, the (M**k, #V_1 - #V_0)
       ids of the V_{k+1} points off V_k, per level-k cell.  Column j reads,
@@ -163,8 +166,12 @@ class FractalSystem:
       of decimate's extension rows).  For every k, ``promote[k]`` and
       ``new_vertices[k]`` together name each V_{k+1} id exactly once.  The
       tables are built once, for this check, and kept for harmonic
-      extension: one int64 per vertex of V_max_level off V_0.
-    * ``fixing_maps``: for each V_0 point p, a map k_p with psi_{k_p}(p) = p.
+      extension: one int32 per vertex of V_max_level off V_0.
+    * every V_0 point p is the fixed point psi_k(p) = p of some map k.
+
+    Every id table (``cells``, ``promote``, ``new_vertices``) is int32 from
+    the moment it is made: ``build`` refuses any level with more than
+    MAX_CANDIDATES candidates, so every id fits.
 
     The system holds no validation result: ``build`` raises on a failed
     condition, and ``validate(system)`` gives the report.  Immutable after
@@ -197,10 +204,8 @@ class FractalSystem:
                     f"level {k} tables write {(counts > 1).sum()} vertices of V_{k + 1} "
                     f"more than once and leave {(counts == 0).sum()} unwritten"
                 )
-        fixes = cells[1] == promote[0]
-        if not fixes.any(axis=0).all():
+        if not (cells[1] == promote[0]).any(axis=0).all():
             raise InvariantViolation("a V_0 point is the fixed point of no map")
-        self.fixing_maps = fixes.argmax(axis=0)
 
     # -- basic attributes -------------------------------------------------
 
@@ -243,10 +248,16 @@ class FractalSystem:
 
 
 def _check_cap(M: int, m: int, M0: int, cap: int) -> None:
-    if M**m * M0 > cap:
+    need = M**m * M0
+    if need > cap:
         raise PointCapExceeded(
-            f"level {m} needs {M**m * M0} candidate points (cap {cap}); "
+            f"level {m} needs {need} candidate points (cap {cap}); "
             "raise the point cap to enumerate deeper"
+        )
+    if need > MAX_CANDIDATES:
+        raise PointCapExceeded(
+            f"level {m} needs {need} candidate points; int32 vertex ids "
+            f"allow at most {MAX_CANDIDATES}"
         )
 
 
@@ -261,7 +272,7 @@ def _merge(maps, cells, points, dup, to) -> np.ndarray:
     (ascending) are the candidates that repeat the earlier candidates to.
     Return the (M, #V_m) candidate ids."""
     M, n = len(maps), len(points[-1])
-    ids = np.arange(M * n)
+    ids = np.arange(M * n, dtype=np.int32)
     for before, (lo, hi) in enumerate(zip(dup + 1, np.append(dup[1:], M * n)), start=1):
         ids[lo:hi] -= before
     ids[dup] = ids[to]
@@ -346,9 +357,9 @@ def build(maps: list[Similitude], max_level: int, *, max_points: int | None = No
                                  "distinct points")
     dup = np.flatnonzero(label != np.arange(M * M0))
     points = [v0]
-    cells = [np.arange(M0, dtype=np.int64)[None, :]]
+    cells = [np.arange(M0, dtype=np.int32)[None, :]]
     _merge(maps, cells, points, dup, label[dup])
-    promote = [_match(v0, points[1], tau)]
+    promote = [_match(v0, points[1], tau).astype(np.int32)]
     if (promote[0] < 0).any():
         raise InvariantViolation("a vertex failed to persist to the next level")
 

@@ -33,10 +33,9 @@ def build_digests(system):
     """SHA-256 of each table of a build: the dtype, shape and C-order bytes
     of every level's array in turn."""
     out = {}
-    for table in ("points", "cells", "promote", "new_vertices", "fixing_maps"):
-        arrays = getattr(system, table)
+    for table in ("points", "cells", "promote", "new_vertices"):
         digest = hashlib.sha256()
-        for a in [arrays] if isinstance(arrays, np.ndarray) else arrays:
+        for a in getattr(system, table):
             a = np.ascontiguousarray(a)
             digest.update(f"{a.dtype.str}{a.shape}".encode())
             digest.update(a.tobytes())

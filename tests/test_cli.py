@@ -492,6 +492,19 @@ def test_point_cap_flag(capsys):
     assert "error: level 4 needs 243 candidate points (cap 100)" in err
 
 
+def test_int32_id_range_refused_whatever_the_cap(capsys, monkeypatch):
+    # The cap loop refuses level 19 (3^20 candidates) before any table is built.
+    def merge(*args):
+        raise AssertionError("a table was built past the id-range check")
+
+    monkeypatch.setattr(fel.ifs, "_merge", merge)
+    monkeypatch.setenv("FEL_MAX_POINTS", str(10**12))
+    code, _, err = run(capsys, "describe", "gasket2", "--level", "20")
+    assert code == 3
+    assert f"error: level 19 needs {3**20} candidate points; int32 vertex ids allow at most " \
+        f"{2**31 - 1}" in err
+
+
 def test_equivalence_with_every_function_excluded(tmp_path, capsys):
     corpus = tmp_path / "corpus.txt"
     corpus.write_text("harmonic:0,0,0\n", encoding="utf-8")

@@ -1,10 +1,12 @@
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fel.ifs
 from fel.errors import ConditionViolation, PointCapExceeded
 from fel.ifs import (Similitude, _close_pairs, build, components, essential_fixed_points,
                     validate)
@@ -25,7 +27,9 @@ INVALID_MAPS = {"perturbed": perturbed_gasket_maps, "rotated": rotated_gasket_ma
 # SHA-256 of the build tables (helpers.build_digests) of the presets at their
 # benchmark levels and of the examples/ systems at the deepest level under the
 # default point cap, computed by the gluing that labelled every candidate:
-# the gluing that slices out the few repeated ones must keep every bit.
+# the gluing that slices out the few repeated ones must keep every bit.  The
+# cells, promote and new_vertices pins are those of the int64 tables that
+# gluing made, cast to int32.
 BUILD_DIGESTS = json.loads((Path(__file__).parent / "build_digests.json").read_text())
 # The examples/ systems at levels the geometric oracle merges in a few
 # seconds: the flipped gasket's maps have orthogonal parts and the
@@ -183,6 +187,33 @@ class TestBuild:
         with pytest.raises(PointCapExceeded):
             build(maps, 9, max_points=100)
 
+    def test_int32_id_range_refused_whatever_the_cap(self, monkeypatch):
+        # Level 19 of gasket2 has 3^20 candidates, more than int32 ids can
+        # number.  The cap loop refuses it before the first level is merged.
+        def merge(*args):
+            raise AssertionError("a table was built past the id-range check")
+
+        monkeypatch.setattr(fel.ifs, "_merge", merge)
+        refused = f"level 19 needs {3**20} candidate points; .* at most {2**31 - 1}$"
+        with pytest.raises(PointCapExceeded, match=refused):
+            build(maps_of("gasket2"), 20, max_points=10**12)
+
+    def test_build_retains_int32_ids(self):
+        # What build(gasket2, 11) leaves allocated is its points, 4 bytes per
+        # id of cells, promote and new_vertices, and under 64 KiB besides.
+        maps = maps_of("gasket2")
+        tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            system = build(maps, 11)
+            retained = tracemalloc.get_traced_memory()[0] - held
+        finally:
+            tracemalloc.stop()
+        points = sum(p.nbytes for p in system.points)
+        ids = sum(a.size for table in (system.cells, system.promote, system.new_vertices)
+                  for a in table)
+        assert retained < points + 4 * ids + 2**16
+
     def test_build_reproducible_bitwise(self):
         a = make_system("gasket2", 4)
         b = make_system("gasket2", 4)
@@ -193,7 +224,10 @@ class TestBuild:
     @pytest.mark.parametrize("name", sorted(BUILD_DIGESTS))
     def test_build_digests_pinned(self, name):
         pinned = dict(BUILD_DIGESTS[name])
-        assert build_digests(build(maps_of(name), pinned.pop("level"))) == pinned
+        system = build(maps_of(name), pinned.pop("level"))
+        assert build_digests(system) == pinned
+        for table in (system.cells, system.promote, system.new_vertices):
+            assert all(a.dtype == np.int32 for a in table)
 
     def test_count_vertices_agrees_with_stored(self, gasket2_l8):
         # The geometric oracle's counts equal the combinatorial build's.

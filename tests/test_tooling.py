@@ -1,6 +1,6 @@
 """Package-level checks: the public namespace, the absence of bare asserts,
-the single exact-sum path, the README's library example, the names the
-benchmark harness reads and the modules a run imports."""
+the single exact-sum path, the tables a system keeps, the README's library
+example, the names the benchmark harness reads and the modules a run imports."""
 
 import ast
 import contextlib
@@ -64,6 +64,22 @@ def test_fsum_only_in_exact_sum():
                 allowed |= fsum_lines(node)
         found += [f"{path.name}:{line}" for line in sorted(fsum_lines(tree) - allowed)]
     assert not found
+
+
+def test_fractal_system_keeps_only_what_fel_reads():
+    # Every build keeps what FractalSystem.__init__ stores on self, so each
+    # stored attribute must be read somewhere in the package.
+    trees = {path.name: tree for path, tree in package_trees()}
+    system = next(node for node in trees["ifs.py"].body
+                  if isinstance(node, ast.ClassDef) and node.name == "FractalSystem")
+    init = next(node for node in system.body
+                if isinstance(node, ast.FunctionDef) and node.name == "__init__")
+    stored = {node.attr for node in ast.walk(init) if isinstance(node, ast.Attribute)
+              and isinstance(node.ctx, ast.Store) and getattr(node.value, "id", None) == "self"}
+    read = {node.attr for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    assert {"cells", "promote", "new_vertices"} <= stored
+    assert not stored - read
 
 
 def test_readme_library_example_runs():
