@@ -491,18 +491,18 @@ def spec_coefficient_table(system: FractalSystem, hs: HarmonicStructure,
 
     The coord and harmonic specs take the class path, in one
     class_coefficient_table call; the others (perturb:) take the walk on
-    their values on V_n, in one coefficient_table call.  ``values``, the
-    specs already sampled on V_n as (#V_n, len(specs)), spares the walk's
-    columns a second sampling.
+    their values on V_n, one coefficient_table call each: the walk's chunks
+    hold PAIR_CHUNK // F pairs of F columns, so bits would depend on F.
+    ``values``, the specs sampled on V_n as (#V_n, len(specs)), spares the
+    walk's columns a second sampling.
     """
     by_class = np.array([spec.kind in CLASS_KINDS for spec in specs], dtype=bool)
     table = np.empty((len(ms), len(specs)))
     if by_class.any():
         table[:, by_class] = class_coefficient_table(
             system, hs, [s for s, c in zip(specs, by_class) if c], n, ms, params)
-    if not by_class.all():
-        walked = np.flatnonzero(~by_class)
-        columns = (values[:, walked] if values is not None else
-                   np.column_stack([specs[k].sample(system, hs, n).values for k in walked]))
-        table[:, walked] = coefficient_table(system, columns, n, ms, params)
+    for k in np.flatnonzero(~by_class):
+        column = (values[:, [k]] if values is not None else
+                  specs[k].sample(system, hs, n).values[:, None])
+        table[:, [k]] = coefficient_table(system, column, n, ms, params)
     return table

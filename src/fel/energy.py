@@ -28,24 +28,12 @@ from .harmonic import HarmonicStructure
 from .ifs import FractalSystem
 
 MONOTONE_SLACK = 1e-9
-EXACT_SUM_CHUNK = 1 << 16
 EXACT_SUM_MAX_TERMS = 1 << 26
 # Cells per block of _corner_blocks, the energy path's one kernel: a block's
 # corner gather (M0 x 128 KiB of float64) and scratch rows (128 KiB each)
 # stay in L2.  2^14 had the lowest median energy-deep wall time of
 # 2^13-2^16, over three runs each, when only the edge sums were blocked.
 ENERGY_BLOCK = 1 << 14
-# Float64 bit fields: the biased exponent starts at bit 52, and the high part
-# of a term keeps all but the low 26 mantissa bits.
-_EXPONENT_SHIFT = 52
-_EXPONENT_BITS = 0x7FF
-_HIGH_PART_MASK = ~((1 << 26) - 1)
-# High parts of terms with a biased exponent of at least _BIG_EXPONENT
-# (|x| >= 2^997) are binned scaled by 2^-_BIG_SHIFT, so their bins stay finite.
-_BIG_EXPONENT = 2020
-_BIG_SHIFT = 64
-# Every float is an integer multiple of 2^-_UNIT_SHIFT, the subnormal spacing.
-_UNIT_SHIFT = 1074
 
 
 @dataclass(frozen=True)
@@ -69,78 +57,47 @@ def _check_level(system: FractalSystem, f: VertexFunction) -> None:
         )
 
 
-def exact_sum(terms) -> float:
-    """The correctly rounded sum of float64 terms: math.fsum(terms) wherever that returns.
+def nonnegative_sum(blocks) -> float:
+    """The correctly rounded sum of the nonnegative float64 terms of the
+    arrays in blocks, binned one at a time (a generator may reuse one
+    buffer); inf beyond the float range.
 
-    terms is one array-like or an iterator of them, each binned as it arrives
-    (a generator may reuse one buffer); the sum is that of the concatenation.
-    Each finite term x splits by its bits into a high part, x with the low
-    26 mantissa bits cleared (an int64 view and a mask), and a low part
-    x - high, which is exact.  Both parts go into the bin of the biased
-    exponent field E = (bits >> 52) & 0x7FF of x, added by np.bincount over
-    chunks of EXACT_SUM_CHUNK terms.  Within bin E every high part is a
-    multiple of 2^(max(E, 1) - 1049) and below 2^27 such units, and every
-    low part a multiple of 2^(max(E, 1) - 1075) and below 2^26 such units
-    (E = 0 holds the subnormals, which lie on the grid of E = 1).  So while
-    the input holds at most EXACT_SUM_MAX_TERMS = 2^26 terms in all, every
-    partial total of a bin is a multiple of its unit below 2^53 units, a
-    float, and each addition is exact in any order; longer input raises
-    ValueError (the point cap keeps cells and vertices far below it).  Only
-    the high bins of E >= 2020 (|x| >= 2^997) could leave the float range:
-    their parts are binned scaled by 2^-64, which is exact.  The bin totals,
-    scaled back, are added as integers in units of 2^-1074 and rounded once
-    by integer true division, which is also what math.fsum of the terms returns.
-
-    Non-finite terms follow fsum: nan gives nan, inf gives inf, and +inf
-    with -inf raises ValueError.  OverflowError is raised exactly when the
-    sum of the finite terms lies beyond the float range, in any order of
-    the terms, while fsum's overflow test depends on the order (1e308,
-    1e308, -1e308 overflows; 1e308, -1e308, 1e308 does not).
+    Each term x splits by its bits into a high part, x with the low 26
+    mantissa bits cleared, and an exact low part x - high, both binned by
+    np.bincount at the biased exponent field E = (bits >> 52) & 0x7FF of x.
+    In bin E (E = 0 holds the subnormals, on the grid of E = 1) high parts
+    are multiples of 2^(max(E, 1) - 1049) below 2^27 such units and low
+    parts multiples of 2^(max(E, 1) - 1075) below 2^26 such units, so with
+    at most EXACT_SUM_MAX_TERMS = 2^26 terms (more raise ValueError) every
+    partial bin total is exact until it passes 2^1024, where the sum does.
+    The finite bins are added as integers in units of 2^-1074 and rounded
+    once: math.fsum of them can overflow on a sum that rounds to the
+    largest float.  nan and inf fill the top bin, E = 0x7FF, and make a sum
+    in range nan or inf (the high part of a quiet nan is nan).
     """
-    hi_bins = np.zeros(_EXPONENT_BITS)
-    lo_bins = np.zeros(_EXPONENT_BITS)
-    special = []
+    bins = np.zeros((2, 2048))
     count = 0
-    for x in terms if isinstance(terms, Iterator) else [terms]:
-        x = np.asarray(x, dtype=float)
-        count += x.size
-        if count > EXACT_SUM_MAX_TERMS:
-            raise ValueError(f"exact_sum takes at most {EXACT_SUM_MAX_TERMS} terms (got {count})")
-        x = x.reshape(-1)
-        for start in range(0, x.size, EXACT_SUM_CHUNK):
-            chunk = x[start:start + EXACT_SUM_CHUNK]
-            bits = chunk.view(np.int64)
-            exponent = (bits >> _EXPONENT_SHIFT) & _EXPONENT_BITS
-            top = exponent.max()
-            if top == _EXPONENT_BITS:
-                finite = exponent != _EXPONENT_BITS
-                special.append(chunk[~finite])
-                chunk, bits, exponent = chunk[finite], bits[finite], exponent[finite]
-                top = exponent.max(initial=0)
-            hi = (bits & _HIGH_PART_MASK).view(np.float64)
-            lo = chunk - hi
-            if top >= _BIG_EXPONENT:
-                hi[exponent >= _BIG_EXPONENT] *= 2.0**-_BIG_SHIFT
-            hi_bins += np.bincount(exponent, weights=hi, minlength=_EXPONENT_BITS)
-            lo_bins += np.bincount(exponent, weights=lo, minlength=_EXPONENT_BITS)
-    totals = [(hi_bins[e], _BIG_SHIFT if e >= _BIG_EXPONENT else 0)
-              for e in np.flatnonzero(hi_bins).tolist()]
-    totals.extend((lo, 0) for lo in lo_bins[lo_bins != 0].tolist())
-    specials = list(set(np.concatenate(special).tolist())) if special else []
-    units = 0
-    for total, shift in totals:
-        num, den = total.as_integer_ratio()
-        units += (num << (_UNIT_SHIFT + shift)) // den
-    return math.fsum([units / (1 << _UNIT_SHIFT)] + specials)
-
-
-def nonnegative_sum(terms) -> float:
-    """exact_sum of nonnegative terms, inf where the exact sum of finite
-    terms leaves the float range (exact_sum raises OverflowError there)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        for x in blocks:
+            x = np.asarray(x, dtype=float)
+            count += x.size
+            if count > EXACT_SUM_MAX_TERMS:
+                raise ValueError(f"at most {EXACT_SUM_MAX_TERMS} terms (got {count})")
+            bits = x.reshape(-1).view(np.int64)
+            exponent = (bits >> 52) & 0x7FF
+            hi = (bits & ~((1 << 26) - 1)).view(np.float64)
+            lo = bits.view(np.float64) - hi
+            bins[0] += np.bincount(exponent, weights=hi, minlength=2048)
+            bins[1] += np.bincount(exponent, weights=lo, minlength=2048)
+    finite, units = bins[:, :-1], 0
     try:
-        return exact_sum(terms)
-    except OverflowError:
+        for total in finite[finite != 0].tolist():
+            num, den = total.as_integer_ratio()
+            units += (num << 1074) // den
+        total = units / (1 << 1074)
+    except OverflowError:   # an inf bin total, or a sum beyond the float range
         return math.inf
+    return float(bins[0, -1]) or total
 
 
 def _row_blocks(array: np.ndarray) -> Iterator[np.ndarray]:
@@ -163,8 +120,8 @@ def _cells_energy(hs: HarmonicStructure, values: np.ndarray, cells: np.ndarray,
     ids into values), inf beyond the float range.
 
     Each _corner_blocks block forms its edge sums in buffers that every block
-    and pair reuses, and exact_sum bins them as they come.  Each cell takes
-    the steps of one full-length pass in the same order: from zero, add
+    and pair reuses, and nonnegative_sum bins them as they come.  Each cell
+    takes the steps of one full-length pass in the same order: from zero, add
     a_pq * (f_p - f_q)^2 for the pairs p < q in itertools.combinations order,
     so every cell energy keeps its bits.  A unit a_pq skips its multiply,
     which would leave every bit as it is.
@@ -193,8 +150,8 @@ def energy_m(system: FractalSystem, hs: HarmonicStructure, f: VertexFunction) ->
     Each cell contributes the edge sum sum_{p<q} a_pq (f_p - f_q)^2 of the
     base form.  Its terms are nonnegative, so nothing cancels, and a
     near-constant function keeps full relative precision.  Per-cell energies
-    are combined by exact_sum, a binned exact accumulation equal to
-    math.fsum, so the result does not depend on the order of the cells.
+    are combined by nonnegative_sum, a binned exact accumulation rounded
+    once, so the result does not depend on the order of the cells.
     """
     _check_level(system, f)
     return _cells_energy(hs, f.values, system.cells[f.level], f.level)
@@ -263,8 +220,9 @@ def energy_sequence(system: FractalSystem, hs: HarmonicStructure, f: VertexFunct
     Each lower level restricts the values through promote, f on V_m being
     f on V_{m+1} read at system.promote[m], so the sequence holds at most
     the values of two levels beside its blocks.  Each level's energy is the
-    same blocked edge sum as energy_m, combined by the same exact_sum, so
-    every entry equals energy_m of the restriction of f to V_m bit for bit.
+    same blocked edge sum as energy_m, combined by the same nonnegative_sum,
+    so every entry equals energy_m of the restriction of f to V_m bit for
+    bit.
     m0 outside [0, f.level] raises ValueError.
     """
     _check_level(system, f)

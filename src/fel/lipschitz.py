@@ -541,14 +541,13 @@ def norm_report(system: FractalSystem, hs: HarmonicStructure, spec: FunctionSpec
 
 def batch_norm_reports(system: FractalSystem, hs: HarmonicStructure,
                        specs: list[FunctionSpec], m_max: int, n: int) -> list[NormReport]:
-    """Norm reports for a whole corpus with one coefficient table per path.
+    """Norm reports for a whole corpus, each equal to its own norm_report.
 
     The b_m come from fel.classes.spec_coefficient_table: the coord and
-    harmonic specs from placement classes, each column on its own, so their
-    reports equal separate norm_report calls bit for bit; the other specs
-    from one walk over their sampled values.  An empty corpus raises
-    ValueError; m_max and n are checked as the scales 1..m_max in
-    coefficient_table.
+    harmonic specs from placement classes and the other specs from the walk,
+    each column on its own, so every report equals a separate norm_report
+    call bit for bit.  An empty corpus raises ValueError; m_max and n are
+    checked as the scales 1..m_max in coefficient_table.
     """
     if not specs:
         raise ValueError("corpus is empty")

@@ -193,9 +193,17 @@ def test_raw_data_and_perturb_take_the_walk(gasket2_l8, gasket2_hs, monkeypatch)
     assert classed == [2] and len(walked) == 4
 
 
-def test_report_alone_equals_report_in_corpus(gasket2_l8, gasket2_hs):
+def test_report_alone_equals_report_in_corpus(gasket2_l8, gasket2_hs, snowflake_l5,
+                                              snowflake_hs):
     specs = random_corpus(gasket2_l8, 4, seed=3) + [
         parse_function_spec("perturb:harmonic:0,1,0:3:0.5")]
     corpus = batch_norm_reports(gasket2_l8, gasket2_hs, specs, 3, 6)
     for spec, report in zip(specs, corpus):
         assert norm_report(gasket2_l8, gasket2_hs, spec, 3, 6) == report
+    # A walk over several columns chunks its pairs by their number, so each
+    # perturb: spec of a corpus takes a walk of its own.
+    specs = [parse_function_spec(t) for t in ("perturb:harmonic:1,0,0,0,0,0:5:0.5",
+                                              "perturb:coord:0:7:-0.25", "perturb:coord:1:3:2.0")]
+    corpus = batch_norm_reports(snowflake_l5, snowflake_hs, specs, 3, 4)
+    for spec, report in zip(specs, corpus):
+        assert norm_report(snowflake_l5, snowflake_hs, spec, 3, 4) == report

@@ -8,17 +8,19 @@ import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fel
-from fel import classes, lipschitz
+from fel import classes, harmonic, lipschitz
 from fel.cli import main
 from fel.energy import parse_function_spec
 from fel.harmonic import solve_ndhs
 from fel.presets import definition_from_maps, load_maps, write_definition
 from fel.ifs import build, validate
+from fel.render import render_svg
 
 from helpers import (locate, make_system, overlapping_interval_maps, perturbed_gasket_maps,
                      rotated_gasket_maps)
@@ -195,6 +197,21 @@ def test_render_constant_function_single_color(tmp_path, capsys):
     fills = {line.split('fill="')[1].split('"')[0]
              for line in svg.splitlines() if "<circle" in line}
     assert len(fills) == 1
+
+
+def test_render_svg_rejects_unbuilt_level_and_wrong_values():
+    system = make_system("gasket2", 2)
+    with pytest.raises(ValueError, match="level 3 not built"):
+        render_svg(system, 3)
+    with pytest.raises(ValueError, match="vertex count"):
+        render_svg(system, 1, np.zeros(system.vertex_count(2)))
+
+
+def test_solve_ndhs_no_convergence_exits_2(capsys, monkeypatch):
+    monkeypatch.setattr(harmonic, "MAX_ITERATIONS", 1)
+    code, _, err = run(capsys, "solve-ndhs", "snowflake")
+    assert code == 2
+    assert "numerical failure" in err
 
 
 def test_render_rejects_3d(tmp_path, capsys):

@@ -3,20 +3,20 @@ import json
 import math
 import struct
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import fel.energy as energy_module
-from fel.energy import (ENERGY_BLOCK, EXACT_SUM_CHUNK, EXACT_SUM_MAX_TERMS, VertexFunction,
-                        _cells_energy, energy_m, energy_sequence, exact_sum,
-                        harmonic_extension, nonnegative_sum, parse_function_spec,
-                        random_corpus)
+from fel.energy import (ENERGY_BLOCK, EXACT_SUM_MAX_TERMS, VertexFunction, _cells_energy,
+                        energy_m, energy_sequence, harmonic_extension, nonnegative_sum,
+                        parse_function_spec, random_corpus)
 from fel.errors import InvariantViolation
 from fel.harmonic import energy0, solve_ndhs, unit_matrix
 from fel.ifs import FractalSystem, build
@@ -386,7 +386,12 @@ class TestMemoryBounds:
         assert traced_peak(lambda: spec.sample(system, hs, self.LEVEL)) - 8 * levels < 2**20
 
 
-def fsum_outcome(total, terms):
+# The largest float, and the run length whose 2^1010 terms overflow their bin.
+MAX = 1.7976931348623157e308
+RUN = 2**16 + 3
+
+
+def sum_outcome(total, terms):
     """The float's bits, "nan", or the exception type a sum yields."""
     try:
         value = total(terms)
@@ -395,77 +400,91 @@ def fsum_outcome(total, terms):
     return "nan" if math.isnan(value) else struct.pack("<d", value)
 
 
-def same_as_fsum(terms):
-    return fsum_outcome(exact_sum, terms) == fsum_outcome(math.fsum, terms.tolist())
+def oracle_sum(terms):
+    """The correctly rounded sum of a list of nonnegative floats: the finite
+    terms' exact sum, math.fsum or, where fsum's partial sums overflow, a
+    Fraction sum of equal terms grouped, rounded once; inf beyond the float
+    range, and otherwise nan if a term is nan and inf if one is."""
+    finite = [t for t in terms if math.isfinite(t)]
+    try:
+        total = math.fsum(finite)
+    except OverflowError:
+        try:
+            total = float(sum((Fraction(t) * k for t, k in Counter(finite).items()),
+                              Fraction(0)))
+        except OverflowError:
+            total = math.inf
+    if total == math.inf or len(finite) == len(terms):
+        return total
+    return math.nan if any(math.isnan(t) for t in terms) else math.inf
+
+
+def same_as_oracle(terms):
+    terms = np.asarray(terms, dtype=float)
+    return (sum_outcome(nonnegative_sum, [terms])
+            == sum_outcome(oracle_sum, terms.ravel().tolist()))
 
 
 class TestExactSum:
     @given(arrays(np.float64, st.integers(0, 40),
-                  elements=st.floats(-1e300, 1e300) | st.sampled_from(
-                      [0.0, -0.0, 5e-324, -2.5e-310, math.nan, math.inf, -math.inf])))
+                  elements=st.floats(0.0, 1e300) | st.sampled_from(
+                      [0.0, -0.0, 5e-324, 2.5e-310, math.nan, math.inf])))
     def test_small_arrays_match_fsum(self, terms):
-        assert same_as_fsum(terms)
+        assert same_as_oracle(terms)
 
     @given(st.integers(0, 2**32 - 1),
-           st.sampled_from([0, 1, 7, EXACT_SUM_CHUNK - 1, EXACT_SUM_CHUNK + 1,
-                            3 * EXACT_SUM_CHUNK + 11]),
+           st.sampled_from([0, 1, 7, ENERGY_BLOCK - 1, ENERGY_BLOCK + 1, 12 * ENERGY_BLOCK + 11]),
            st.sampled_from([(-310.0, 300.0), (-3.0, 3.0), (-320.0, -308.0),
-                            (296.0, 308.25)]),
-           st.booleans())
-    def test_large_arrays_match_fsum(self, seed, size, decades, signed):
+                            (296.0, 308.25)]))
+    def test_large_arrays_match_fsum(self, seed, size, decades):
         rng = np.random.default_rng(seed)
         terms = 10.0 ** rng.uniform(*decades, size=size)
         terms[rng.random(size) < 0.05] = 0.0
-        if signed:
-            terms *= rng.choice([-1.0, 1.0], size=size)
-        assert same_as_fsum(terms)
+        assert same_as_oracle(terms)
 
     @pytest.mark.parametrize("terms", [
-        [], [0.0], [-0.0, -0.0], [5e-324, 5e-324], [1.0, -1.0],
-        [math.nan], [1.0, math.nan, 2.0], [math.inf, 1.0], [-math.inf, -1.0],
-        [math.inf, -math.inf], [math.inf, math.nan, -math.inf],
+        [], [0.0], [-0.0, -0.0], [5e-324, 5e-324], [1.0 + 2.0**-52, 2.0**-53],
+        [math.nan], [1.0, math.nan, 2.0], [math.inf, 1.0], [math.nan, math.inf],
+        [math.inf, math.inf], [math.inf, math.nan, math.inf, 1.0],
         [1.7e308, 1.7e308], [1e308, 1e308, math.nan], [1.7e308, 1e292],
-        [2.0**1023, 2.0**1023 - 2.0**970], [2.0**1023, -(2.0**1023), 2.0**1023],
-        [2.0**1000, -0.0, 5e-324, -(2.0**997), 2.0**-1050], [-(2.0**1023), -(2.0**1020)],
+        [2.0**1023, 2.0**1023 - 2.0**970], [MAX, 2.0**970 - 2.0**918],
+        [2.0**1000, -0.0, 5e-324, 2.0**997, 2.0**-1050], [2.0**1023, 2.0**1020],
     ])
     def test_edge_cases_match_fsum(self, terms):
-        assert same_as_fsum(np.array(terms, dtype=float))
+        assert same_as_oracle(terms)
 
     @given(arrays(np.float64, st.integers(0, 40),
-                  elements=st.floats(2.0**997, 2.0**1000) | st.floats(-2.0**1000, -2.0**997)
-                  | st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.0**-1050, -2.5e-310, 1.0])))
+                  elements=st.floats(2.0**997, 2.0**1000)
+                  | st.sampled_from([0.0, -0.0, 5e-324, 2.0**-1050, 2.5e-310, 1.0])))
     def test_top_of_range_with_subnormals_matches_fsum(self, terms):
-        # Terms with |x| >= 2^997 take the scaled high bins.  At most 40
-        # terms of at most 2^1000 keep every partial sum and bin total finite.
-        assert same_as_fsum(terms)
+        # At most 40 terms of at most 2^1000 keep every bin total finite.
+        assert same_as_oracle(terms)
 
     def test_many_large_terms_stay_finite(self):
-        # (EXACT_SUM_CHUNK + 3) * 2^1000 < 2^1017: the scaled bins carry it.
-        terms = np.full(EXACT_SUM_CHUNK + 3, 2.0**1000)
-        assert exact_sum(terms) == (EXACT_SUM_CHUNK + 3) * 2.0**1000
-        assert same_as_fsum(terms)
+        # RUN * 2^1000 < 2^1017: one bin holds them all exactly.
+        terms = np.full(RUN, 2.0**1000)
+        assert nonnegative_sum([terms]) == RUN * 2.0**1000
+        assert same_as_oracle(terms)
 
     def test_many_large_terms_overflow(self):
-        # (EXACT_SUM_CHUNK + 3) * 2^1010 > 2^1026 leaves the float range.
-        terms = np.full(EXACT_SUM_CHUNK + 3, 2.0**1010)
-        with pytest.raises(OverflowError):
-            exact_sum(terms)
-        assert nonnegative_sum(terms) == math.inf
-        assert same_as_fsum(terms)
+        # RUN * 2^1010 > 2^1026: the bin total overflows, and so does the sum.
+        terms = np.full(RUN, 2.0**1010)
+        assert nonnegative_sum([terms]) == math.inf
+        assert same_as_oracle(terms)
 
     def test_two_dimensional_input_is_flattened(self):
-        terms = np.random.default_rng(26).normal(size=(300, 7))
-        assert exact_sum(terms) == math.fsum(terms.ravel().tolist())
+        terms = np.random.default_rng(26).random((300, 7))
+        assert nonnegative_sum([terms]) == math.fsum(terms.ravel().tolist())
 
     def test_too_many_terms_rejected(self):
         # A zero-stride view: the count is checked before any term is read.
         with pytest.raises(ValueError, match="at most"):
-            exact_sum(np.broadcast_to(1.0, (EXACT_SUM_MAX_TERMS + 1,)))
+            nonnegative_sum([np.broadcast_to(1.0, (EXACT_SUM_MAX_TERMS + 1,))])
 
 
 def split_blocks(terms, cuts):
     """terms cut at the sorted cuts, each block written in turn into one
-    reused buffer, as _cells_energy hands its edge sums to exact_sum."""
+    reused buffer, as _cells_energy hands its edge sums to nonnegative_sum."""
     buffer = np.empty(len(terms))
     for block in np.split(terms, sorted(cuts)):
         out = buffer[:len(block)]
@@ -474,103 +493,91 @@ def split_blocks(terms, cuts):
 
 
 class TestExactSumBlocks:
-    """An iterator of arrays sums as their concatenation, bit for bit."""
+    """Blocks sum as their concatenation, bit for bit."""
 
     @given(arrays(np.float64, st.integers(0, 40),
-                  elements=st.floats(-1e300, 1e300) | st.sampled_from(
-                      [0.0, -0.0, 5e-324, -2.5e-310, math.nan, math.inf, -math.inf])),
+                  elements=st.floats(0.0, 1e300) | st.sampled_from(
+                      [0.0, -0.0, 5e-324, 2.5e-310, math.nan, math.inf])),
            st.lists(st.integers(0, 40), max_size=5))
     def test_blocks_match_one_array_and_fsum(self, terms, cuts):
-        blocked = fsum_outcome(exact_sum, split_blocks(terms, cuts))
-        assert blocked == fsum_outcome(exact_sum, terms)
-        assert blocked == fsum_outcome(math.fsum, terms.tolist())
+        blocked = sum_outcome(nonnegative_sum, split_blocks(terms, cuts))
+        assert blocked == sum_outcome(nonnegative_sum, [terms])
+        assert same_as_oracle(terms)
 
     @given(arrays(np.float64, st.integers(1, 40),
-                  elements=st.floats(2.0**1000, 2.0**1023) | st.floats(-2.0**1023, -2.0**1000)
-                  | st.sampled_from([0.0, 5e-324, -2.5e-310, 2.0**-1050, 1.0, -3.5,
-                                     math.inf, -math.inf, math.nan])),
+                  elements=st.floats(2.0**1000, MAX)
+                  | st.sampled_from([0.0, 5e-324, 2.5e-310, 2.0**-1050, 1.0, 3.5,
+                                     math.inf, math.nan])),
            st.integers(0, 40), st.lists(st.integers(0, 120), max_size=5))
     def test_blocks_beyond_bins_match_one_array(self, terms, k, cuts):
-        # Overflowing high bins, partial sums beyond the float range and
-        # special terms in any block give the one array's outcome.
-        terms = np.concatenate([terms, -0.5 * np.repeat(terms[:k], 2)])
-        assert (fsum_outcome(exact_sum, split_blocks(terms, cuts))
-                == fsum_outcome(exact_sum, terms))
-        if np.isfinite(terms).all():
-            assert same_as_fraction(terms.tolist())
+        # Overflowing bins, sums beyond the float range and special terms in
+        # any block give the one array's outcome.
+        terms = np.concatenate([terms, np.repeat(terms[:k], 2)])
+        assert (sum_outcome(nonnegative_sum, split_blocks(terms, cuts))
+                == sum_outcome(nonnegative_sum, [terms]))
+        assert same_as_oracle(terms)
+
+    @settings(max_examples=200)
+    @given(arrays(np.float64, st.integers(0, 40),
+                  elements=st.floats(1e-320, 2.0**1023) | st.sampled_from(
+                      [0.0, 5e-324, 2.0**-1050, MAX, 2.0**970, 2.0**970 - 2.0**918,
+                       math.nan, math.inf])),
+           st.sampled_from([None, 2.0**1000, 2.0**1010]), st.integers(0, 40),
+           st.lists(st.integers(0, RUN + 40), max_size=3))
+    def test_blocks_match_oracle(self, terms, big, at, cuts):
+        # A run of RUN terms of 2^1000 fills one bin to 2^1016; one of 2^1010
+        # overflows it.
+        if big is not None:
+            terms = np.insert(terms, min(at, len(terms)), np.full(RUN, big))
+        assert (sum_outcome(nonnegative_sum, split_blocks(terms, cuts))
+                == sum_outcome(oracle_sum, terms.tolist()))
 
     def test_overflow_across_blocks(self):
-        # Each block's sum, (2^16 + 3) 2^1007 < 2^1024, is in range; their
-        # total is not.
-        blocks = [np.full(EXACT_SUM_CHUNK + 3, 2.0**1007)] * 2
-        assert exact_sum(blocks[0]) == (EXACT_SUM_CHUNK + 3) * 2.0**1007
-        with pytest.raises(OverflowError):
-            exact_sum(iter(blocks))
+        # Each block's sum, RUN * 2^1007 < 2^1024, is in range; their total
+        # is not.
+        blocks = [np.full(RUN, 2.0**1007)] * 2
+        assert nonnegative_sum(blocks[:1]) == RUN * 2.0**1007
         assert nonnegative_sum(iter(blocks)) == math.inf
-        assert exact_sum(iter([blocks[0], -blocks[1]])) == 0.0
 
     def test_special_terms_across_blocks(self):
-        big = np.full(EXACT_SUM_CHUNK + 3, 2.0**1000)
-        assert exact_sum(iter([big, [math.inf], [1.0]])) == math.inf
-        assert math.isnan(exact_sum(iter([[math.nan], big])))
-        with pytest.raises(ValueError):
-            exact_sum(iter([[math.inf], big, [-math.inf]]))
+        big = np.full(RUN, 2.0**1000)
+        assert nonnegative_sum(iter([big, [math.inf], [1.0]])) == math.inf
+        assert math.isnan(nonnegative_sum(iter([[math.nan], big])))
+        assert math.isnan(nonnegative_sum(iter([[math.inf], big, [math.nan]])))
 
     def test_term_count_spans_blocks(self, monkeypatch):
         with pytest.raises(ValueError, match=r"at most \d+ terms \(got \d+\)"):
-            exact_sum(iter([np.ones(3), np.broadcast_to(1.0, (EXACT_SUM_MAX_TERMS - 2,))]))
+            nonnegative_sum(iter([np.ones(3), np.broadcast_to(1.0, (EXACT_SUM_MAX_TERMS - 2,))]))
         monkeypatch.setattr(energy_module, "EXACT_SUM_MAX_TERMS", 10)
-        assert exact_sum(iter([np.ones(5), [], np.ones(5)])) == 10.0
+        assert nonnegative_sum(iter([np.ones(5), [], np.ones(5)])) == 10.0
         with pytest.raises(ValueError, match=r"at most 10 terms \(got 11\)"):
-            exact_sum(iter([np.ones(5), np.ones(6)]))
-
-
-def fraction_sum(terms):
-    """The exact sum of finite terms, rounded once to a float by int true
-    division (OverflowError beyond the float range)."""
-    return float(sum(map(Fraction, terms), Fraction(0)))
-
-
-def same_as_fraction(terms):
-    return fsum_outcome(exact_sum, terms) == fsum_outcome(fraction_sum, terms)
+            nonnegative_sum(iter([np.ones(5), np.ones(6)]))
 
 
 class TestExactSumBeyondBins:
-    """Sums whose high-bin totals or fsum partial sums overflow while the
-    exact sum may lie in the float range, against a Fraction oracle."""
+    """Sums at the top of the float range, where math.fsum of the terms or
+    of the bin totals may overflow while the sum rounds to the largest
+    float, against the oracle's Fraction sum."""
 
     @pytest.mark.parametrize("terms", [
-        [2.0**1023, -(2.0**997), 2.0**1023], [1e308, 1e308, -1e308],
-        [2.0**1023, 2.0**1023, 2.0**1023, -(2.0**1023), -(2.0**1023), 5e-324],
-        [2.0**1023, 2.0**1023 - 2.0**970], [-(2.0**1023), -(2.0**1023), 2.0**970],
-        [2.0**1023, 2.0**1023, -(2.0**1022), -(2.0**1022), -(2.0**1022), 1.0],
-        [2.0**1023, 2.0**1023] + [-(2.0**1022)] * 4 + [-3.5, 5e-324],
-        [2.0**1023, 2.0**1023] + [-(2.0**1022)] * 4 + [5e-324],
+        [MAX, 2.0**970 - 2.0**918], [1e308, 1e308, 1e308], [MAX, 2.0**970],
+        [2.0**1023, 2.0**1023 - 2.0**970], [MAX, 2.0**969, 2.0**968, 2.0**968],
+        [MAX, 2.0**969, 2.0**968, 2.0**968 - 2.0**916],
+        [MAX, 2.0**970 - 2.0**918, 5e-324], [2.0**1023, 2.0**1023, 5e-324],
     ])
     def test_cases_match_fraction(self, terms):
-        assert same_as_fraction(terms)
-
-    def test_cancelled_high_bin(self):
-        assert exact_sum([2.0**1023, -(2.0**997), 2.0**1023]) == 1.7976931214684583e308
-
-    @given(arrays(np.float64, st.integers(1, 40),
-                  elements=st.floats(2.0**1000, 2.0**1023) | st.floats(-2.0**1023, -2.0**1000)
-                  | st.sampled_from([0.0, 5e-324, -2.5e-310, 2.0**-1050, 1.0, -3.5])),
-           st.integers(0, 40))
-    def test_mixed_signs_match_fraction(self, terms, k):
-        # Twice the negated half of each of the first k terms cancels it from
-        # one bin lower, so high bins overflow while the sum stays in range.
-        terms = np.concatenate([terms, -0.5 * np.repeat(terms[:k], 2)])
-        assert same_as_fraction(terms.tolist())
+        # MAX + 2^970 is the tie between MAX and 2^1024, which rounds to
+        # even: beyond the float range.
+        assert same_as_oracle(terms)
 
     def test_special_terms_after_overflowing_bins(self):
-        big = [2.0**1023, -(2.0**997), 2.0**1023]
-        assert exact_sum(big + [math.inf]) == math.inf
-        assert math.isnan(exact_sum(big + [math.nan]))
-        with pytest.raises(ValueError):
-            exact_sum(big + [math.inf, -math.inf])
-        with pytest.raises(OverflowError):
-            exact_sum(big + [2.0**1023, math.inf])
+        big = [2.0**1023, 2.0**1023]
+        assert nonnegative_sum([big + [math.inf]]) == math.inf
+        assert nonnegative_sum([big + [math.nan]]) == math.inf
+        near = [MAX, 2.0**970 - 2.0**918]
+        assert nonnegative_sum([near]) == MAX
+        assert nonnegative_sum([near + [math.inf]]) == math.inf
+        assert math.isnan(nonnegative_sum([near + [math.nan]]))
 
 
 class TestFunctionSpecs:
@@ -593,6 +600,11 @@ class TestFunctionSpecs:
     def test_harmonic_data_length_checked(self, gasket2_l8, gasket2_hs):
         with pytest.raises(ValueError):
             parse_function_spec("harmonic:1,0,0,0").sample(gasket2_l8, gasket2_hs, 3)
+
+    def test_v1_data_not_sampled_at_level_0(self, gasket2_l8, gasket2_hs):
+        spec = parse_function_spec("harmonic:1,0,0,0.5,0.5,0")
+        with pytest.raises(ValueError, match="sampling level below the data level"):
+            spec.sample(gasket2_l8, gasket2_hs, 0)
 
     def test_v1_data_supported(self, gasket2_l8, gasket2_hs):
         spec = parse_function_spec("harmonic:1,0,0,0.5,0.5,0")
@@ -621,9 +633,6 @@ class TestFunctionSpecs:
 
 
 def test_nonnegative_sum_beyond_float_range_is_inf():
-    # exact_sum stays fsum and raises; energies and L2 norms read inf.
-    big = np.array([1e308, 1e308])
-    with pytest.raises(OverflowError):
-        exact_sum(big)
-    assert nonnegative_sum(big) == math.inf
-    assert nonnegative_sum(np.array([1.5, 2.5, 0.0])) == 4.0
+    # Energies and L2 norms read inf there.
+    assert nonnegative_sum([np.array([1e308, 1e308])]) == math.inf
+    assert nonnegative_sum([np.array([1.5, 2.5, 0.0])]) == 4.0

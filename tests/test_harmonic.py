@@ -3,8 +3,9 @@ import dataclasses
 import numpy as np
 import pytest
 
+from fel import harmonic
 from fel.energy import VertexFunction, harmonic_extension
-from fel.errors import InvariantViolation, SingularInterior
+from fel.errors import InvariantViolation, NoConvergence, SingularInterior
 from fel.harmonic import (ConductivityMatrix, HarmonicStructure, _class_values_of,
                           decimate, energy0, from_off_diagonal, pair_orbit_classes,
                           reproduce, solve_ndhs, unit_matrix)
@@ -91,6 +92,10 @@ class TestReproduce:
         assert np.abs(e - e.T).max() <= 1e-13
         assert np.abs(e.sum(axis=1)).max() <= 1e-13
         assert (e - np.diag(np.diag(e))).min() >= 0.0
+
+    def test_matrix_off_v0_rejected(self, gasket2_l8):
+        with pytest.raises(ValueError, match="matrix must live on V_0"):
+            reproduce(gasket2_l8, unit_matrix(4))
 
     def test_gasket_unit_weights(self, gasket2_l8):
         b = reproduce(gasket2_l8, unit_matrix(3))
@@ -222,6 +227,13 @@ class TestSolveNdhs:
         b1 = reproduce(gasket2_l8, unit_matrix(3))
         dec1, _ = decimate(b1, gasket2_l8.promote[0])
         assert np.abs(dec7.entries - 7.0 * dec1.entries).max() <= 1e-12
+
+    def test_no_convergence_carries_trace(self, snowflake_l5, monkeypatch):
+        # The snowflake's three orbit classes do not settle in one step.
+        monkeypatch.setattr(harmonic, "MAX_ITERATIONS", 1)
+        with pytest.raises(NoConvergence, match="no fixed point after 1 iterations") as info:
+            solve_ndhs(snowflake_l5)
+        assert len(info.value.trace) == 1
 
     def test_interval_rho_is_two(self, interval_l5):
         hs = solve_ndhs(interval_l5)

@@ -77,6 +77,11 @@ class TestSimilitude:
                 rhs = np.linalg.norm(x - y) / s.scale
                 assert abs(lhs - rhs) <= 1e-12 * rhs
 
+    def test_apply_rejects_wrong_dimension(self):
+        maps, _ = load_maps("gasket2")
+        with pytest.raises(ValueError, match="expected points of dimension 2"):
+            maps[0].apply(np.zeros((4, 3)))
+
     def test_rejects_bad_rotation(self):
         with pytest.raises(ValueError):
             Similitude(scale=2.0, rotation=np.array([[1.0, 0.5], [0.0, 1.0]]),
@@ -137,6 +142,18 @@ class TestEssentialFixedPoints:
         maps, _ = load_maps("gasket2")
         with pytest.raises(ValueError, match="identical"):
             build([maps[0], maps[0], maps[1]], 2)
+
+    def test_mixed_dimensions_rejected_by_build(self):
+        maps, _ = load_maps("gasket2")
+        line = Similitude(scale=2.0, rotation=np.eye(1), translation=np.zeros(1))
+        with pytest.raises(ValueError, match="ambient dimension"):
+            build(maps + [line], 2)
+
+    def test_mixed_scales_rejected_by_build(self):
+        maps, _ = load_maps("gasket2")
+        third = Similitude(scale=3.0, rotation=np.eye(2), translation=np.zeros(2))
+        with pytest.raises(ValueError, match="scaling factor"):
+            build(maps + [third], 2)
 
 
 class TestBuild:

@@ -1,6 +1,7 @@
 """Package-level checks: the public namespace, the absence of bare asserts,
-the single exact-sum path, the tables a system keeps, the README's library
-example, the names the benchmark harness reads and the modules a run imports."""
+the single exact-sum path, the files git tracks in examples/, the tables a
+system keeps, the README's library example, the names the benchmark harness
+reads and the modules a run imports."""
 
 import ast
 import contextlib
@@ -8,6 +9,7 @@ import importlib
 import importlib.util
 import os
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -49,21 +51,26 @@ def test_no_assertion_error_raised_in_package():
 
 
 def test_fsum_only_in_exact_sum():
-    # Every exact accumulation goes through fel.energy.exact_sum, whose
-    # final step is the package's only math.fsum call.
-    def fsum_lines(node):
-        return {call.lineno for call in ast.walk(node) if isinstance(call, ast.Call)
-                and getattr(call.func, "attr", getattr(call.func, "id", None)) == "fsum"}
-
-    found = []
-    for path, tree in package_trees():
-        allowed = set()
-        for node in ast.walk(tree):
-            if isinstance(node, ast.FunctionDef) and node.name == "exact_sum" \
-                    and path.name == "energy.py":
-                allowed |= fsum_lines(node)
-        found += [f"{path.name}:{line}" for line in sorted(fsum_lines(tree) - allowed)]
+    # Every exact accumulation goes through fel.energy.nonnegative_sum, which
+    # rounds its bin totals as integers: a math.fsum call anywhere in the
+    # package would be a second sum path.
+    found = [f"{path.name}:{call.lineno}" for path, tree in package_trees()
+             for call in ast.walk(tree) if isinstance(call, ast.Call)
+             and getattr(call.func, "attr", getattr(call.func, "id", None)) == "fsum"]
     assert not found
+
+
+def test_examples_not_ignored_by_git():
+    # The tests read the definition files of examples/, so a new one must
+    # not be left out of a commit by .gitignore.
+    root = Path(__file__).resolve().parents[1]
+    if shutil.which("git") is None or subprocess.run(
+            ["git", "rev-parse", "--is-inside-work-tree"], cwd=root,
+            capture_output=True, text=True).stdout.strip() != "true":
+        pytest.skip("not a git work tree")
+    ignored = subprocess.run(["git", "check-ignore", "-q", "examples/new-system.json"],
+                             cwd=root)
+    assert ignored.returncode == 1
 
 
 def test_fractal_system_keeps_only_what_fel_reads():
