@@ -485,16 +485,14 @@ def class_coefficient_table(system: FractalSystem, hs: HarmonicStructure,
 
 def spec_coefficient_table(system: FractalSystem, hs: HarmonicStructure,
                            specs: list[FunctionSpec], n: int, ms: list[int],
-                           params: LipschitzParams,
-                           values: np.ndarray | None = None) -> np.ndarray:
+                           params: LipschitzParams) -> np.ndarray:
     """Coefficients of each spec's function at the scales ms: (len(ms), len(specs)).
 
     The coord and harmonic specs take the class path, in one
-    class_coefficient_table call; the others (perturb:) take the walk on
-    their values on V_n, one coefficient_table call each: the walk's chunks
-    hold PAIR_CHUNK // F pairs of F columns, so bits would depend on F.
-    ``values``, the specs sampled on V_n as (#V_n, len(specs)), spares the
-    walk's columns a second sampling.
+    class_coefficient_table call; the others (perturb:) are sampled on V_n
+    and take the walk, one column and one coefficient_table call each: the
+    walk's chunks hold PAIR_CHUNK // F pairs of F columns, so bits would
+    depend on F.
     """
     by_class = np.array([spec.kind in CLASS_KINDS for spec in specs], dtype=bool)
     table = np.empty((len(ms), len(specs)))
@@ -502,7 +500,6 @@ def spec_coefficient_table(system: FractalSystem, hs: HarmonicStructure,
         table[:, by_class] = class_coefficient_table(
             system, hs, [s for s, c in zip(specs, by_class) if c], n, ms, params)
     for k in np.flatnonzero(~by_class):
-        column = (values[:, [k]] if values is not None else
-                  specs[k].sample(system, hs, n).values[:, None])
+        column = specs[k].sample(system, hs, n).values[:, None]
         table[:, [k]] = coefficient_table(system, column, n, ms, params)
     return table

@@ -38,13 +38,13 @@ ENERGY_BLOCK = 1 << 14
 
 @dataclass(frozen=True)
 class VertexFunction:
-    """Real values indexed by the vertex ids of some V_m."""
+    """Real values indexed by the vertex ids of some V_m, held C-contiguous."""
 
     level: int
     values: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
+        object.__setattr__(self, "values", np.ascontiguousarray(self.values, dtype=float))
 
 
 def _check_level(system: FractalSystem, f: VertexFunction) -> None:
@@ -167,7 +167,7 @@ def harmonic_extension(system: FractalSystem, hs: HarmonicStructure,
     system.new_vertices[k], one _corner_blocks block of cells at a time.
     FractalSystem builds these int32 tables once, checks at construction
     that the two scatters write every vertex of level k + 1 exactly once,
-    and keeps them, so no step rebuilds them.
+    and keeps them, so no step rebuilds them.  The result never shares f's memory.
     """
     _check_level(system, f)
     if not f.level <= n <= system.max_level:
@@ -175,7 +175,7 @@ def harmonic_extension(system: FractalSystem, hs: HarmonicStructure,
     values = f.values
     for k in range(f.level, n):
         values = _extend_one(system, hs, values, k)
-    return VertexFunction(level=n, values=values)
+    return VertexFunction(level=n, values=values.copy() if n == f.level else values)
 
 
 def _extend_one(system: FractalSystem, hs: HarmonicStructure,
@@ -259,8 +259,8 @@ class FunctionSpec:
 
     def sample(self, system: FractalSystem, hs: HarmonicStructure | None,
                level: int) -> VertexFunction:
-        """The function on V_level; a level outside [0, system.max_level]
-        raises ValueError."""
+        """The function on V_level, in an array of its own; a level outside
+        [0, system.max_level] raises ValueError."""
         if not 0 <= level <= system.max_level:
             raise ValueError(f"sampling level {level} out of range [0, {system.max_level}]")
         if self.kind == "coord":
@@ -272,7 +272,7 @@ class FunctionSpec:
                 raise ValueError("sampling level below the data level")
             return harmonic_extension(system, hs, VertexFunction(data_level, self.data), level)
         if self.kind == "perturb":
-            out = self.base.sample(system, hs, level).values.copy()
+            out = self.base.sample(system, hs, level).values
             if not 0 <= self.vertex_index < len(out):
                 raise ValueError(f"vertex index {self.vertex_index} out of range at level {level}")
             out[self.vertex_index] += self.delta

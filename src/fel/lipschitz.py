@@ -27,10 +27,11 @@ whose test straddles enumerate B's points.
 
 The walk takes raw vertex data: coefficient_table, b_coefficient and
 ``perturb:`` specs.  ``coord:`` and ``harmonic:`` specs take the class path
-of fel.classes, which needs no V_n values: batch_norm_reports (and so
-norm_report and equivalence_experiment) routes each spec through
-fel.classes.spec_coefficient_table.  Its coefficients agree with the walk's
-to about 1e-15 relative, not bit for bit.
+of fel.classes, which needs no V_n values and agrees with the walk to about
+1e-15 relative, not bit for bit.  batch_norm_reports (and so norm_report and
+equivalence_experiment) passes the specs alone to
+fel.classes.spec_coefficient_table, then samples one spec at a time on V_n,
+so the reports hold one column of #V_n values however large the corpus.
 """
 
 from __future__ import annotations
@@ -545,27 +546,26 @@ def batch_norm_reports(system: FractalSystem, hs: HarmonicStructure,
 
     The b_m come from fel.classes.spec_coefficient_table: the coord and
     harmonic specs from placement classes and the other specs from the walk,
-    each column on its own, so every report equals a separate norm_report
-    call bit for bit.  An empty corpus raises ValueError; m_max and n are
-    checked as the scales 1..m_max in coefficient_table.
+    each column on its own; the L2 norm and energies from one spec sampled
+    on V_n at a time.  So every report equals a separate norm_report call
+    bit for bit, and the reports hold one column of #V_n values.  An empty
+    corpus raises ValueError; m_max and n are checked as in coefficient_table.
     """
     if not specs:
         raise ValueError("corpus is empty")
     _check_scale(m_max, "m_max")
     ms = list(range(1, m_max + 1))
     _check_scales(ms, n, system)
-    values = np.column_stack([s.sample(system, hs, n).values for s in specs])
     from .classes import spec_coefficient_table   # fel.classes imports this module
     b_table = spec_coefficient_table(system, hs, specs, n, ms,
-                                     default_params(system, hs, base="L"), values)
+                                     default_params(system, hs, base="L"))
     weight = 1.0 / system.vertex_count(n)
     reports = []
-    for col, spec in enumerate(specs):
-        f_vals = values[:, col]
-        l2 = math.sqrt(nonnegative_sum(v * v * weight for v in _row_blocks(f_vals)))
-        seq = energy_sequence(system, hs, VertexFunction(n, f_vals), m0=0, tag=spec.tag)
+    for spec, b_col in zip(specs, b_table.T):
+        f = spec.sample(system, hs, n)
+        l2 = math.sqrt(nonnegative_sum(v * v * weight for v in _row_blocks(f.values)))
+        seq = energy_sequence(system, hs, f, m0=0, tag=spec.tag)
         energy = seq.entries[m_max][1]
-        b_col = b_table[:, col]
         sup_b = float(np.max(b_col))
         lip = l2 + sup_b
         dirichlet = math.sqrt(max(energy, 0.0) + l2 * l2)

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+import tracemalloc
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -16,6 +17,17 @@ WALK_COLUMNS = 128
 # Points per block of distance rows in brute_force_coefficient.
 ORACLE_ROWS = 128
 EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
+
+
+def traced_peak(call):
+    """Peak bytes traced by tracemalloc during call, above those held before it."""
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
 
 
 def make_system(name, level, **kw):

@@ -2,7 +2,6 @@ import itertools
 import json
 import math
 import struct
-import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -23,7 +22,7 @@ from fel.ifs import FractalSystem, build
 from fel.lipschitz import hoelder_estimate
 
 from helpers import (edge_sum_energy, lift_ids, locate, make_system, maps_of,
-                     sample_digests)
+                     sample_digests, traced_peak)
 
 # float.hex of every energy_sequence entry of random_corpus(system, 4, seed=1),
 # sampled at the system's top level, as the unblocked edge-sum kernel and the
@@ -267,6 +266,19 @@ class TestEnergySequence:
                         for m in range(m0, n + 1)]
             assert seq.entries == expected
 
+    def test_strided_values_stored_contiguous(self, gasket2_l8, gasket2_hs):
+        # A column of a (#V_n, F) table is a strided view; the energy
+        # sequence reads it several times as slowly as a contiguous one.
+        specs = random_corpus(gasket2_l8, 2, seed=5)
+        table = np.column_stack([s.sample(gasket2_l8, gasket2_hs, 6).values for s in specs])
+        f = VertexFunction(6, table[:, 3])
+        assert f.values.flags.c_contiguous
+        own = table[:, 3].copy()
+        assert VertexFunction(6, own).values is own
+        hexes = [[e.hex() for _, e in energy_sequence(gasket2_l8, gasket2_hs, g).entries]
+                 for g in (f, VertexFunction(6, own))]
+        assert hexes[0] == hexes[1]
+
     @pytest.mark.parametrize("m0", [-2, -1, 4])
     def test_first_level_out_of_range_rejected(self, gasket2_l8, gasket2_hs, m0):
         # m0 > f.level used to give no entries, and m0 = -2 a numpy
@@ -343,17 +355,6 @@ class TestBlockedEdgeSums:
             expected = edge_sum_energy(hs, cols, 3)
         assert energy_outcome(got) == energy_outcome(expected)
         assert math.isnan(got) or got == math.inf
-
-
-def traced_peak(call):
-    """Peak bytes traced by tracemalloc during call, above those held before it."""
-    tracemalloc.start()
-    try:
-        held = tracemalloc.get_traced_memory()[0]
-        call()
-        return tracemalloc.get_traced_memory()[1] - held
-    finally:
-        tracemalloc.stop()
 
 
 class TestMemoryBounds:
@@ -624,6 +625,21 @@ class TestFunctionSpecs:
         for level in (-1, 4):
             with pytest.raises(ValueError, match=rf"sampling level {level} out of range \[0, 3\]"):
                 spec.sample(system, hs, level)
+
+    @pytest.mark.parametrize("text, level", [("harmonic:1,0,0", 0),
+                                             ("harmonic:1,0,0,0.5,0.5,0", 1),
+                                             ("perturb:harmonic:1,0,0:1:0.5", 0)])
+    def test_sample_shares_no_memory_with_its_spec(self, gasket2_l8, gasket2_hs, text, level):
+        # A sample at the data level that shared the spec's data array would
+        # pass a write to it on to every later sample of the spec.
+        spec = parse_function_spec(text)
+        before = spec.sample(gasket2_l8, gasket2_hs, 3).values.copy()
+        f = spec.sample(gasket2_l8, gasket2_hs, level)
+        f.values[0] = 9.0
+        assert spec.sample(gasket2_l8, gasket2_hs, 3).values.tolist() == before.tolist()
+        g = harmonic_extension(gasket2_l8, gasket2_hs, f, level)
+        assert not np.shares_memory(g.values, f.values)
+        assert g.values.tolist() == f.values.tolist()
 
     def test_corpus_seeded_deterministic(self, gasket2_l8):
         a = [s.tag for s in random_corpus(gasket2_l8, 5, seed=123)]

@@ -16,13 +16,15 @@ from fel import classes, lipschitz
 from fel.characteristics import dimensions
 from fel.energy import VertexFunction, harmonic_extension, parse_function_spec, random_corpus
 from fel.errors import ResolutionTooCoarse
+from fel.harmonic import solve_ndhs
 from fel.classes import class_coefficient_table
 from fel.lipschitz import (_below_sqrt, _CellTree, b_coefficient, batch_norm_reports,
                            coefficient_table, default_params, equivalence_experiment,
                            hoelder_estimate, norm_report, pair_power_sums)
 
 from helpers import (brute_force_coefficient, brute_force_degrees, brute_force_pair_sums,
-                     degrees_match, neighbor_pair_hoelder, walk_degrees)
+                     degrees_match, make_system, neighbor_pair_hoelder, traced_peak,
+                     walk_degrees)
 
 # float.hex of two walk shapes, as the walk that allocated its temporaries
 # per chunk computed them: coefficient_table of random_corpus(gasket2, 4,
@@ -397,6 +399,17 @@ class TestNormReport:
         monkeypatch.setattr(classes, "class_coefficient_table", counted)
         norm_report(snowflake_l5, snowflake_hs, parse_function_spec("coord:0"), 2, 4)
         assert calls == [3.0]
+
+    def test_memory_does_not_grow_with_the_corpus(self):
+        # The reports hold one sampled column at a time: 20 specs peak less
+        # than one V_10 column above 4 specs, where a (#V_10, F) table of
+        # all samples would peak 16 columns higher.
+        system = make_system("gasket2", 10)
+        hs = solve_ndhs(system)
+        peaks = [traced_peak(lambda: batch_norm_reports(
+                     system, hs, random_corpus(system, count, seed=1), 3, 10))
+                 for count in (18, 2)]
+        assert peaks[0] - peaks[1] < 8 * system.vertex_count(10)
 
     def test_harmonic_energy_two(self, gasket2_l8, gasket2_hs):
         rep = norm_report(gasket2_l8, gasket2_hs,
