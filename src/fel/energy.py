@@ -247,7 +247,8 @@ def energy_sequence(system: FractalSystem, hs: HarmonicStructure, f: VertexFunct
 
 @dataclass(frozen=True)
 class FunctionSpec:
-    """A function samplable on any V_n, parsed from the mini-language."""
+    """A function samplable on any V_n, parsed from the mini-language.  The
+    data of a harmonic spec is read-only, so it stays the values its tag names."""
 
     tag: str
     kind: str
@@ -309,6 +310,7 @@ def parse_function_spec(text: str) -> FunctionSpec:
         data = np.array([float(v) for v in rest.split(",")])
         if len(data) < 2:
             raise ValueError("harmonic spec needs at least #V_0 values")
+        data.flags.writeable = False   # the tag names these values
         return FunctionSpec(tag=text, kind="harmonic", data=data)
     if head == "perturb":
         base_text, idx, delta = rest.rsplit(":", 2)

@@ -164,7 +164,9 @@ class FractalSystem:
       from the M child rows of the cell in cells[k + 1], the first slot of
       the j-th V_1 point off V_0 in cells[1] (ascending id order, the order
       of decimate's extension rows).  For every k, ``promote[k]`` and
-      ``new_vertices[k]`` together name each V_{k+1} id exactly once.  The
+      ``new_vertices[k]`` together name each V_{k+1} id exactly once: they
+      hold #V_{k+1} ids, and a one-byte mask written through both is all
+      true (the per-id counts are taken only for the failure message).  The
       tables are built once, for this check, and kept for harmonic
       extension: one int32 per vertex of V_max_level off V_0.
     * every V_0 point p is the fixed point psi_k(p) = p of some map k.
@@ -198,8 +200,11 @@ class FractalSystem:
             n = self.vertex_count(k + 1)
             if any(t.min(initial=0) < 0 or t.max(initial=0) >= n for t in (promote[k], new)):
                 raise InvariantViolation(f"level {k} tables name ids outside V_{k + 1}")
-            counts = np.bincount(promote[k], minlength=n) + np.bincount(new.ravel(), minlength=n)
-            if (counts != 1).any():
+            seen = np.zeros(n, dtype=bool)
+            seen[promote[k]] = seen[new] = True
+            if len(promote[k]) + new.size != n or not seen.all():
+                counts = (np.bincount(promote[k], minlength=n)
+                          + np.bincount(new.ravel(), minlength=n))
                 raise InvariantViolation(
                     f"level {k} tables write {(counts > 1).sum()} vertices of V_{k + 1} "
                     f"more than once and leave {(counts == 0).sum()} unwritten"
@@ -270,7 +275,10 @@ def _match(a: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray:
 def _merge(maps, cells, points, dup, to) -> np.ndarray:
     """Append the next level from the M map images of the last one; dup
     (ascending) are the candidates that repeat the earlier candidates to.
-    Return the (M, #V_m) candidate ids."""
+    The level's points are allocated once, and each map's image is made,
+    copied into them without its rows in dup, and freed before the next
+    one, so no more than one image is held.  Return the (M, #V_m)
+    candidate ids."""
     M, n = len(maps), len(points[-1])
     ids = np.arange(M * n, dtype=np.int32)
     for before, (lo, hi) in enumerate(zip(dup + 1, np.append(dup[1:], M * n)), start=1):
@@ -278,18 +286,16 @@ def _merge(maps, cells, points, dup, to) -> np.ndarray:
     ids[dup] = ids[to]
     ids = ids.reshape(M, n)
     cells.append(ids.take(cells[-1], axis=1).reshape(-1, cells[0].shape[1]))
-    points.append(_drop([s.apply(points[-1]) for s in maps], dup))
-    return ids
-
-
-def _drop(blocks, dup) -> np.ndarray:
-    """The blocks, each of length n, concatenated by slices without the rows
-    at the ascending indices dup of the concatenation."""
-    n, pieces = len(blocks[0]), []
-    for k, block in enumerate(blocks):
+    out, at = np.empty((M * n - len(dup), points[-1].shape[1])), 0
+    for k, s in enumerate(maps):
+        image = s.apply(points[-1])
         cut = dup[(dup >= k * n) & (dup < k * n + n)] - k * n
-        pieces += [block[lo:hi] for lo, hi in zip(np.append(0, cut + 1), np.append(cut, n))]
-    return np.concatenate(pieces)
+        for lo, hi in zip(np.append(0, cut + 1), np.append(cut, n)):
+            out[at:at + hi - lo] = image[lo:hi]
+            at += hi - lo
+        del image
+    points.append(out)
+    return ids
 
 
 def _reflections_of(v0: np.ndarray, c0: float) -> list[Reflection]:
@@ -320,6 +326,9 @@ def build(maps: list[Similitude], max_level: int, *, max_points: int | None = No
     c0 / (MERGE_BAND * L).  Every deeper level assumes nesting and drops the
     images of the same (map, V_0 point) pairs (_glue_levels).  The nesting
     check of validate, geometric to depth 3, is the gate for that assumption.
+    Each level's points are allocated once and filled one map image at a
+    time (_merge), so beyond its kept tables a build holds at most one map
+    image of V_{max_level - 1} and the candidate ids of V_max_level.
 
     Validation failures raise ``ConditionViolation``; build with
     ``run_validation=False`` and call ``validate`` to inspect an invalid system.
@@ -380,7 +389,7 @@ def _glue_levels(maps, max_level, dup, to, points, cells, promote) -> None:
     candidate to[i].  Under nesting only images of V_0 points coincide, so at
     level m + 1 candidate k*n + v0_at[a] (v0_at: the V_m ids of V_0) repeats
     the image of to[i] in the same way, and no other candidate repeats one.
-    The deepest level's map images and ids, the largest arrays of a build,
+    _merge holds one map image at a time; the deepest level's candidate ids
     are freed on return, before FractalSystem builds and checks its tables.
     """
     (k, a), (j, b) = np.divmod(dup, len(points[0])), np.divmod(to, len(points[0]))
@@ -391,7 +400,7 @@ def _glue_levels(maps, max_level, dup, to, points, cells, promote) -> None:
         order = np.argsort(glued)
         ids = _merge(maps, cells, points, glued[order], first[order])
         # V_m point i is candidate i of level m once that level's dup is dropped.
-        promote.append(_drop(ids.take(promote[m - 1], axis=1), dup))
+        promote.append(np.delete(ids.take(promote[m - 1], axis=1), dup))
         dup = glued[order]
         v0_at = promote[m][v0_at]
 

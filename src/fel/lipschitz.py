@@ -621,7 +621,8 @@ def hoelder_estimate(system: FractalSystem, f: VertexFunction, gamma: float) -> 
     level from f's down to 1, which spans separations from diam/L down to the
     finest resolved scale.  The values and coordinates of V_m are those of
     the level above read at system.promote[m], so every point keeps its
-    top-level coordinates.  A stability diagnostic, not a certified norm.
+    top-level coordinates.  A stability diagnostic, not a certified norm;
+    nan if a compared pair has a nan value.
     """
     if not 0.0 < gamma < 1.0:
         raise ValueError("gamma must lie in (0, 1)")
@@ -631,15 +632,16 @@ def hoelder_estimate(system: FractalSystem, f: VertexFunction, gamma: float) -> 
     for m in range(f.level, 0, -1):
         if m < f.level:
             values, coords = values.take(system.promote[m]), coords.take(system.promote[m], axis=0)
-        best = max(best, _cells_hoelder(values, coords, system.cells[m], gamma))
-    return best
+        best = np.maximum(best, _cells_hoelder(values, coords, system.cells[m], gamma))
+    return float(best)
 
 
 def _cells_hoelder(values: np.ndarray, coords: np.ndarray, cells: np.ndarray,
                    gamma: float) -> float:
     """The largest |f_p - f_q| / |x_p - x_q|^gamma over the cells' corner
-    pairs at distinct points (0 if none), in buffers every block and pair
-    reuses; they are freed on return, before the next level is restricted."""
+    pairs at distinct points (0 if none, nan if one has a nan value), in
+    buffers every block and pair reuses; they are freed on return, before
+    the next level is restricted."""
     size = min(len(cells), ENERGY_BLOCK)
     delta, (dist, ratio) = np.empty((size, coords.shape[1])), np.empty((2, size))
     best = 0.0
@@ -653,5 +655,5 @@ def _cells_hoelder(values: np.ndarray, coords: np.ndarray, cells: np.ndarray,
             good = d > 0
             if good.any():
                 np.divide(r, np.power(d, gamma, out=d), out=r, where=good)
-                best = max(best, float(r[good].max()))
+                best = np.maximum(best, r[good].max())   # max() would drop a nan
     return best

@@ -172,6 +172,17 @@ class TestHarmonicExtension:
         with pytest.raises(InvariantViolation, match="V_2 more than once and leave 1 unwritten"):
             gasket2_with_promote(1, glue_first_two)
 
+    def test_unwritten_vertex_detected_by_count(self):
+        # One extra row in V_2: every table names each id once, but the two
+        # tables together fall one write short of #V_2.
+        system = make_system("gasket2", 2)
+        points = [*system.points[:2], np.vstack([system.points[2], system.points[2][:1]])]
+        with pytest.raises(InvariantViolation,
+                           match="write 0 vertices of V_2 more than once and leave 1 unwritten"):
+            FractalSystem(maps=system.maps, name=system.name, points=points,
+                          cells=system.cells, promote=system.promote, c0=system.c0,
+                          reflections=system.reflections)
+
     def test_level_overflow(self, gasket2_l8, gasket2_hs):
         with pytest.raises(ValueError):
             harmonic_extension(gasket2_l8, gasket2_hs,
@@ -597,6 +608,18 @@ class TestFunctionSpecs:
         for text in ("mystery:1", "coord:x", "harmonic:1", "perturb:coord:0"):
             with pytest.raises(ValueError):
                 parse_function_spec(text)
+
+    def test_harmonic_data_read_only(self, gasket2_l8, gasket2_hs):
+        # A write would change the spec's energy (2 to 162 here) under its tag;
+        # samples, perturb's included, are copies the caller may write.
+        spec = parse_function_spec("harmonic:1,0,0")
+        with pytest.raises(ValueError, match="read-only"):
+            spec.data[0] = 9
+        f = spec.sample(gasket2_l8, gasket2_hs, 0)
+        f.values[0] = 9
+        bumped = parse_function_spec("perturb:harmonic:1,0,0:0:8").sample(gasket2_l8, gasket2_hs, 0)
+        assert np.array_equal(bumped.values, f.values)
+        assert spec.data.tolist() == [1, 0, 0]
 
     def test_harmonic_data_length_checked(self, gasket2_l8, gasket2_hs):
         with pytest.raises(ValueError):

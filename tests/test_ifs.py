@@ -231,6 +231,20 @@ class TestBuild:
                   for a in table)
         assert retained < points + 4 * ids + 2**16
 
+    def test_build_peaks_at_its_tables(self):
+        # Beyond what it keeps, build(gasket2, 11) holds at most one map image
+        # of V_10 and the M * #V_10 int32 candidate ids of V_11, plus 256 KiB.
+        # Holding all M images, or bincounts of a level, breaks the bound.
+        maps = maps_of("gasket2")
+        tracemalloc.start()
+        try:
+            system = build(maps, 11)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        n = system.vertex_count(10)
+        assert peak - retained < 8 * system.dim * n + 4 * system.M * n + 2**18
+
     def test_build_reproducible_bitwise(self):
         a = make_system("gasket2", 4)
         b = make_system("gasket2", 4)

@@ -519,6 +519,15 @@ class TestHoelder:
         assert high > low
         assert math.isfinite(high)
 
+    def test_nan_value_gives_nan(self, gasket2_l8):
+        # Python's max(best, nan) keeps best, which dropped the blocks whose
+        # ratios held the nan: 0.721 here against 1.410 without it.
+        values = np.linspace(0.0, 1.0, gasket2_l8.vertex_count(4))
+        assert hoelder_estimate(gasket2_l8, VertexFunction(4, values), 0.5) \
+            == pytest.approx(1.4098360655737705, rel=1e-15)
+        values[0] = math.nan
+        assert math.isnan(hoelder_estimate(gasket2_l8, VertexFunction(4, values), 0.5))
+
     def test_gamma_range_checked(self, gasket2_l8):
         f = VertexFunction(2, np.zeros(gasket2_l8.vertex_count(2)))
         for gamma in (0.0, 1.0, -0.3):
