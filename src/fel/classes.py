@@ -43,6 +43,9 @@ KEY_STEP = 1e-7
 # two snowflake L4 tables of one function, blocks of 2^10 classes peaked
 # 2.5 MiB higher, and blocks of 2^8 classes took 25 ms longer.
 LEAF_CLASSES = 1 << 9
+# Parents, and child pairs of one (k, l), per block on the way up; the
+# largest level of the benchmark's runs, 1,886 classes, fits in one.
+UP_CLASSES = 1 << 11
 
 
 class _Space:
@@ -86,6 +89,7 @@ class _Space:
             self.P[i, M0:, M0:] = (psi.rotation / psi.scale).T
         self.rot = np.array([psi.rotation for psi in system.maps])
         self.shift = np.array([psi.translation for psi in system.maps])
+        self.orth = np.eye(system.dim)[None]     # grown by turn
         self.leaf_points = system.points[1]
         self.leaf_phi = np.concatenate([ext[:, 1:], system.points[1] - p0], axis=1)
         self._masks(system)
@@ -101,6 +105,20 @@ class _Space:
                 self.pull_pair[k, l, 1:s, 1:s] = A[k]
                 self.pull_pair[k, l, s:, s:] = A[l]
                 self.pull_self[k, l] = np.concatenate([[p[k] - p[l]], A[k], A[l]])
+
+    def turn(self, k: np.ndarray, g: np.ndarray, l: np.ndarray) -> np.ndarray:
+        """Index of R_k' orth[g] R_l in ``orth``, the distinct orthogonal parts
+        by KEY_STEP rounding (the identity first), for each (k, g, l)."""
+        hs, known = np.flatnonzero(np.bincount(g, minlength=1)), len(self.orth)
+        turned = np.einsum("kba,hbc,lcd->hklad", self.rot, self.orth[hs], self.rot)
+        parts = np.concatenate([self.orth, turned.reshape(-1, *self.orth.shape[1:])])
+        index, at = {}, []
+        for part, key in zip(parts, np.rint(parts / KEY_STEP).astype(np.int64)):
+            at.append(index.setdefault(key.tobytes(), (len(index), part))[0])
+        self.orth = np.array([part for _, part in index.values()])
+        table = np.zeros((known, self.M, self.M), dtype=np.int32)
+        table[hs] = np.reshape(at[known:], (len(hs), self.M, self.M))
+        return table[g, k, l]
 
     def _masks(self, system: FractalSystem) -> None:
         """The masks reachable from the root, which owns all of V_0, as rows
@@ -124,7 +142,7 @@ class _Space:
                     masks.append(kid)
                 row.append(index[kid])
             child.append(row)
-        self.child = np.array(child)
+        self.child = np.array(child, dtype=np.int32)
         self.owns = (np.array(masks)[:, None] >> np.arange(system.M0)) & 1 == 1
 
     def _moments(self, system: FractalSystem, depth: int) -> None:
@@ -176,13 +194,13 @@ class _Space:
 
 
 class _Classes(NamedTuple):
-    """Cell pairs (a, b) of one level, one row each, with a <= b."""
+    """Cell pairs (a, b) of one level, one row each, with a <= b: 41 bytes on 3-D maps."""
 
     a: np.ndarray            # mask of a
     b: np.ndarray            # mask of b
     same: np.ndarray         # a = b, summed over its unordered pairs
     r: np.ndarray            # radius index
-    rot: np.ndarray          # (pairs, N, N) orthogonal part of psi_a^-1 psi_b
+    g: np.ndarray            # its orthogonal part psi_a^-1 psi_b, index in _Space.orth
     shift: np.ndarray        # (pairs, N) its offset, in cell units
 
     def take(self, pick) -> "_Classes":
@@ -190,38 +208,70 @@ class _Classes(NamedTuple):
 
 
 def _placements(pairs: _Classes, c0: float) -> tuple[_Classes, np.ndarray]:
-    """The placement classes of ``pairs``, and the class of each pair: pairs
-    agree in their masks, self flag, radius and rounded relative similitude."""
-    key = np.column_stack([pairs.a, pairs.b, pairs.same, pairs.r,
-                           np.rint(pairs.rot.reshape(len(pairs.a), -1) / KEY_STEP),
-                           np.rint(pairs.shift / (KEY_STEP * c0))]).astype(np.int64)
+    """The placement classes of ``pairs`` and each pair's int32 class, keyed by one
+    mixed-radix column (masks, self flag, radius, part) and the rounded offset."""
+    key = np.zeros((len(pairs.a), 1 + pairs.shift.shape[1]), dtype=np.int64)
+    for column in (pairs.a, pairs.b, pairs.same, pairs.r, pairs.g):
+        key[:, 0] = key[:, 0] * (int(column.max(initial=0)) + 1) + column
+    key[:, 1:] = np.rint(pairs.shift / (KEY_STEP * c0))
     order = np.lexsort(key.T[::-1])
-    first = np.r_[True, (key[order[1:]] != key[order[:-1]]).any(axis=1)]
-    klass = np.empty(len(key), dtype=np.int64)
+    key = key[order]
+    first = np.r_[True, (key[1:] != key[:-1]).any(axis=1)]
+    klass = np.empty(len(key), dtype=np.int32)
     klass[order] = np.cumsum(first) - 1
     return pairs.take(order[first]), klass
 
 
-def _ball_test(gap: np.ndarray, reach: np.ndarray,
-               cutoff: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The walk's tests of balls ``gap`` apart with radii summing to ``reach``:
-    wholly inside the cutoff, and straddling it."""
-    inside = gap + reach < cutoff * (1.0 - TIE_BAND)
-    return inside, ~inside & (gap - reach < cutoff * (1.0 + TIE_BAND))
+def _ball_tests(space: _Space, classes: _Classes, cutoff: np.ndarray,
+                d: int) -> tuple[np.ndarray, np.ndarray]:
+    """The walk's tests of each class's live child pairs (k, l) at depth d,
+    k <= l in a self class: wholly inside the cutoff, and straddling it."""
+    a, b, M = classes.a, classes.b, space.M
+    near_a = space.kcenter[d][a]
+    near_b = space.kcenter[d][b] @ space.orth[classes.g].transpose(0, 2, 1) + classes.shift[:, None]
+    gap = np.zeros((len(a), M, M))
+    for axis in range(near_a.shape[2]):
+        gap += np.square(near_a[:, :, None, axis] - near_b[:, None, :, axis])
+    np.sqrt(gap, out=gap)
+    reach = space.kradius[d][a][:, :, None] + space.kradius[d][b][:, None]
+    live = (space.kcount[d][a] > 0)[:, :, None] & (space.kcount[d][b] > 0)[:, None]
+    live[classes.same] &= np.triu(np.ones((M, M), dtype=bool))
+    inside = gap + reach < cutoff[:, None, None] * (1.0 - TIE_BAND)
+    return inside & live, ~inside & live & (gap - reach < cutoff[:, None, None] * (1.0 + TIE_BAND))
 
 
-def _inside_forms(kids, a: np.ndarray, b: np.ndarray, inside: np.ndarray,
-                  same: np.ndarray, mean: np.ndarray) -> np.ndarray:
+def _descend(space: _Space, classes: _Classes, cutoff: np.ndarray, d: int,
+             c0: float) -> tuple[tuple, _Classes]:
+    """One level down from ``classes``: (d, masks and self flags, inside
+    child pairs, int32 and uint8 edges (parent, k, l, child) of straddling
+    ones), and their placement classes.  A child pair (k, l) of a class with
+    part G and offset t has part R_k' G R_l and offset L (G t_l + t - t_k) R_k."""
+    inside, cross = _ball_tests(space, classes, cutoff, d)
+    kind = np.min_scalar_type(space.M - 1)
+    parent, k, l = (x.astype(t) for x, t in zip(np.nonzero(cross), (np.int32, kind, kind)))
+    g = classes.g[parent]
+    moved = (space.orth @ space.shift.T).transpose(0, 2, 1)[g, l] + classes.shift[parent]
+    moved -= space.shift[k]
+    for kk in range(space.M):
+        moved[k == kk] = space.L * moved[k == kk] @ space.rot[kk]
+    kids = _Classes(space.child[classes.a[parent], k], space.child[classes.b[parent], l],
+                    classes.same[parent] & (k == l), classes.r[parent], space.turn(k, g, l),
+                    moved)
+    kid_classes, child = _placements(kids, c0)
+    return (d, classes[:3], inside, (parent, k, l, child)), kid_classes
+
+
+def _inside_forms(space: _Space, d: int, a: np.ndarray, b: np.ndarray, inside: np.ndarray,
+                  same: np.ndarray) -> np.ndarray:
     """Forms of the inside child pairs (k, l) of each parent, summed in the
     parent's frame: n_k n_l (delta + mu_k.g_a - mu_l.g_b)^2 + n_l g_a'C_k g_a
     + n_k g_b'C_l g_b, _block_sum's formula as a quadratic form in
-    z = (delta, g_a, g_b), with the constant difference delta.  ``kids``
-    holds the count, mean and centred moments of each mask's children,
-    (masks, children, ...); ``a`` and ``b`` are the parents' masks and
-    ``inside`` is (parents, k, l).  A self parent sums k <= l, and its form,
-    in the a-block, uses the child means less the parent's ``mean``, which
-    leaves its value unchanged."""
-    count, kmean, kcov = kids
+    z = (delta, g_a, g_b), with the constant difference delta, from the
+    count, mean and centred moments of each mask's children at depth d;
+    ``a`` and ``b`` are the parents' masks and ``inside`` is (parents, k,
+    l).  A self parent sums k <= l, and its form, in the a-block, uses the
+    child means less the parent's mean, which leaves its value unchanged."""
+    count, kmean, kcov = space.kcount[d], space.kmean[d], space.kcov[d]
     s1 = kmean.shape[2]
     forms = np.zeros((len(a), 2 * s1 + 1, 2 * s1 + 1))
     pair = np.flatnonzero(~same)
@@ -252,7 +302,7 @@ def _inside_forms(kids, a: np.ndarray, b: np.ndarray, inside: np.ndarray,
         n = count[a[own]]
         w = hit * n[:, :, None] * n[:, None, :]
         w[:, diag, diag] = 0.0
-        mu = kmean[a[own]] - mean[own][:, None]
+        mu = kmean[a[own]] - space.mean[d][a[own]][:, None]
         forms[own, 1:s1 + 1, 1:s1 + 1] = (
             mu.transpose(0, 2, 1) @ (w.sum(axis=2)[:, :, None] * mu)
             - mu.transpose(0, 2, 1) @ w @ mu
@@ -294,7 +344,7 @@ def _leaf_forms(space: _Space, classes: _Classes, limit: np.ndarray) -> np.ndarr
             rows = picked[lo:lo + step]
             c = classes.take(rows)
             x = points[c.a]
-            y = points[c.b] @ c.rot.transpose(0, 2, 1) + c.shift[:, None]
+            y = points[c.b] @ space.orth[c.g].transpose(0, 2, 1) + c.shift[:, None]
             w = np.square(x[:, :, None, 0] - y[:, None, :, 0])
             for axis in range(1, x.shape[2]):
                 w += np.square(x[:, :, None, axis] - y[:, None, :, axis])
@@ -325,75 +375,48 @@ def _class_forms(space: _Space, system: FractalSystem, n: int,
     radius: (radii, pairs, D, D), D = 2s - 1, in z = (delta, g_i', g_j').
 
     Levels run down from 1, where every cell pair is its own class.  At each
-    level, the ball test sorts each class's child pairs (k, l): one inside
-    the cutoff adds its moment form (_inside_forms), one outside adds
-    nothing, and the straddling ones fall into the placement classes of the
-    next level.  Classes at level n - 1 are the leaves (_leaf_forms).  The
-    forms then come back up: each class's form is its inside children's plus
-    its straddling children's, pulled back through P (_pull_back).  Leaf
-    forms, the most numerous, go into their parents LEAF_CLASSES at a time,
-    so no more of them are held.
+    level (_descend), the ball test sorts each class's child pairs (k, l):
+    one inside the cutoff adds its moment form (_inside_forms), one outside
+    adds nothing, and the straddling ones fall into the placement classes of
+    the next level.  Classes at level n - 1 are the leaves (_leaf_forms).
+    The forms then come back up, UP_CLASSES at a time and the leaves
+    LEAF_CLASSES at a time: each class's form is its inside children's plus
+    its straddling children's, pulled back through P (_pull_back).  A level
+    keeps its masks, self and inside flags, and 10 bytes a straddling child
+    pair, so the forms of two levels, D^2 float64 a class, are the largest
+    arrays held: gasket3 L9 at m = 1..6 peaks at 856 MiB RSS, not 1,867.
     """
-    M, N, L = space.M, system.dim, space.L
+    M, L, D = space.M, space.L, 2 * space.s - 1
     ii, jj = np.triu_indices(M)
-    rot = space.rot[ii].transpose(0, 2, 1) @ space.rot[jj]
     shift = L * (space.shift[jj] - space.shift[ii])[:, None] @ space.rot[ii]
-    self_pair = ii == jj
-    rot[self_pair], shift[self_pair] = np.eye(N), 0.0
-    scales = len(radii)
-    classes = _Classes(np.tile(space.child[0][ii], scales), np.tile(space.child[0][jj], scales),
-                       np.tile(self_pair, scales), np.repeat(np.arange(scales), len(ii)),
-                       np.tile(rot, (scales, 1, 1)), np.tile(shift[:, 0], (scales, 1)))
-    upper = np.triu(np.ones((M, M), dtype=bool))
-    levels = []                      # (depth, classes, inside children, edges to the next level)
+    scales, pair = len(radii), np.tile(np.arange(len(ii)), len(radii))
+    classes = _Classes(space.child[0][ii][pair], space.child[0][jj][pair], (ii == jj)[pair],
+                       np.repeat(np.arange(scales, dtype=np.int32), len(ii)),
+                       space.turn(ii, 0 * ii, jj)[pair], shift[pair, 0])
+    levels = []                      # (depth, masks and self flags, inside children, edges)
     for j in range(1, n - 1):
-        d = n - j
-        a, b = classes.a, classes.b
-        near_a = space.kcenter[d][a]
-        near_b = space.kcenter[d][b] @ classes.rot.transpose(0, 2, 1) + classes.shift[:, None]
-        gap = np.zeros((len(a), M, M))
-        for axis in range(N):
-            gap += np.square(near_a[:, :, None, axis] - near_b[:, None, :, axis])
-        np.sqrt(gap, out=gap)
-        live = (space.kcount[d][a] > 0)[:, :, None] & (space.kcount[d][b] > 0)[:, None]
-        live[classes.same] &= upper
-        inside, cross = _ball_test(gap, space.kradius[d][a][:, :, None]
-                                   + space.kradius[d][b][:, None],
-                                   (radii[classes.r] * L**j)[:, None, None])
-        inside &= live
-        cross &= live
-        parent, k, l = np.nonzero(cross)
-        same = classes.same[parent] & (k == l)
-        rot = (space.rot[k].transpose(0, 2, 1) @ classes.rot[parent] @ space.rot[l])
-        shift = L * ((classes.rot[parent] @ space.shift[l][:, :, None])[:, :, 0]
-                     + classes.shift[parent] - space.shift[k])[:, None] @ space.rot[k]
-        rot[same], shift[same] = np.eye(N), 0.0
-        kids = _Classes(space.child[a[parent], k], space.child[b[parent], l], same,
-                        classes.r[parent], rot, shift[:, 0])
-        kid_classes, child = _placements(kids, system.c0)
-        levels.append((d, classes, inside, (parent, k, l, classes.same[parent], child)))
-        classes = kid_classes
+        level, classes = _descend(space, classes, radii[classes.r] * L**j, n - j, system.c0)
+        levels.append(level)
     limit = np.array([_below_sqrt(r * L**(n - 1) * (1.0 - TIE_BAND)) for r in radii])
-    if not levels:                   # n = 2: the level-1 pairs are the leaves
-        forms = _leaf_forms(space, classes, limit[classes.r])
-        return forms.reshape(scales, len(ii), *forms.shape[1:])
-    forms = None
-    for d, parents, inside, edges in reversed(levels):
-        below, forms = forms, _inside_forms((space.kcount[d], space.kmean[d], space.kcov[d]),
-                                            parents.a, parents.b, inside, parents.same,
-                                            space.mean[d][parents.a])
+    forms = None if levels else _leaf_forms(space, classes, limit[classes.r])    # n = 2
+    while levels:
+        d, (a, b, same), inside, (parent, k, l, child) = levels.pop()
+        below, forms = forms, np.empty((len(a), D, D))
+        for lo in range(0, len(a), UP_CLASSES):
+            rows = slice(lo, lo + UP_CLASSES)
+            forms[rows] = _inside_forms(space, d, a[rows], b[rows], inside[rows], same[rows])
         if below is not None:
-            _pull_back(space, forms, below, *edges)
+            _pull_back(space, forms, below, parent, k, l, same[parent], child)
             continue
-        parent, k, l, self_parent, child = edges
         order = np.argsort(child, kind="stable")
         starts = np.arange(0, len(classes.a) + LEAF_CLASSES, LEAF_CLASSES)
         cuts = np.searchsorted(child[order], starts)
         for first, lo, hi in zip(starts, cuts[:-1], cuts[1:]):
             rows, pick = slice(first, first + LEAF_CLASSES), order[lo:hi]
             leaves = _leaf_forms(space, classes.take(rows), limit[classes.r[rows]])
-            _pull_back(space, forms, leaves, parent[pick], k[pick], l[pick], self_parent[pick],
+            _pull_back(space, forms, leaves, parent[pick], k[pick], l[pick], same[parent[pick]],
                        child[pick] - first)
+        del classes, order           # the leaves are done
     return forms.reshape(scales, len(ii), *forms.shape[1:])
 
 
@@ -402,23 +425,23 @@ def _pull_back(space: _Space, forms: np.ndarray, below: np.ndarray, parent: np.n
                child: np.ndarray) -> None:
     """Add each child form below[child], pulled back through maps k and l,
     to forms[parent]: P' Q P with P = pull_pair[k, l], or pull_self[k, l]
-    into the a-block of a self parent."""
+    into the a-block of a self parent; UP_CLASSES child pairs at a time."""
     s = space.s
-    group = (k * space.M + l) * 2 + self_parent
+    group = (k.astype(np.int64) * space.M + l) * 2 + self_parent
     order = np.argsort(group, kind="stable")
     bounds = np.flatnonzero(np.diff(group[order], prepend=-1, append=-1))
     for lo, hi in zip(bounds[:-1], bounds[1:]):
-        pick = order[lo:hi]
-        first = pick[0]
-        lift = (space.pull_self if self_parent[first] else space.pull_pair)[k[first], l[first]]
-        q = below[child[pick]]
-        size, dim = q.shape[:2]
-        half = (q.reshape(-1, dim) @ lift).reshape(size, dim, -1)
-        pulled = (half.transpose(0, 2, 1).reshape(-1, dim) @ lift).reshape(size, lift.shape[1], -1)
-        if self_parent[first]:
-            forms[parent[pick], 1:s, 1:s] += pulled
-        else:
-            forms[parent[pick]] += pulled
+        for pick in np.split(order[lo:hi], np.arange(UP_CLASSES, hi - lo, UP_CLASSES)):
+            first = pick[0]
+            lift = (space.pull_self if self_parent[first] else space.pull_pair)[k[first], l[first]]
+            q = below[child[pick]]
+            size, dim = q.shape[:2]
+            half = (q.reshape(-1, dim) @ lift).reshape(size, dim, -1).transpose(0, 2, 1)
+            pulled = (half.reshape(-1, dim) @ lift).reshape(size, lift.shape[1], -1)
+            if self_parent[first]:
+                forms[parent[pick], 1:s, 1:s] += pulled
+            else:
+                forms[parent[pick]] += pulled
 
 
 def _cell_coefficients(space: _Space, system: FractalSystem, spec: FunctionSpec,

@@ -147,7 +147,7 @@ def _cmd_energy(args) -> int:
     m0, n = args.levels
     if m0 < 0 or n < m0:
         raise ValueError(f"bad level range {m0}..{n}")
-    system = _build_system(args.fractal, n, _max_points(args))
+    system = _build_system(args.fractal, max(n, 1), _max_points(args))
     hs = solve_ndhs(system)
     spec = energy_mod.parse_function_spec(args.function)
     f = spec.sample(system, hs, n)

@@ -321,9 +321,11 @@ def parse_function_spec(text: str) -> FunctionSpec:
 
 def random_corpus(system: FractalSystem, count: int, seed: int) -> list[FunctionSpec]:
     """Seeded corpus: the coordinate functions, then harmonic extensions of
-    uniform data on V_0 and V_1; a negative count raises ValueError."""
+    uniform data on V_0 and V_1; a negative count or seed raises ValueError."""
     if count < 0:
         raise ValueError(f"corpus size must be >= 0 (got {count})")
+    if seed < 0:
+        raise ValueError(f"corpus seed must be >= 0 (got {seed})")
     rng = np.random.default_rng(seed)
     specs = [parse_function_spec(f"coord:{k}") for k in range(system.dim)]
     n1 = system.vertex_count(1)

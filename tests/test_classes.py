@@ -1,6 +1,7 @@
 """Pair sums by placement class against the walk, and the nested fractals of
 examples/ (Vicsek set, pentagasket, hexagasket, flipped gasket)."""
 
+import json
 import math
 import warnings
 from pathlib import Path
@@ -18,7 +19,7 @@ from fel.lipschitz import (LipschitzParams, b_coefficient, batch_norm_reports,
                            coefficient_table, default_params, norm_report)
 from fel.presets import load_maps
 
-from helpers import brute_force_degrees, degrees_match, walk_degrees
+from helpers import brute_force_degrees, degrees_match, traced_peak, walk_degrees
 
 EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
 
@@ -27,6 +28,20 @@ def solved(name, level):
     source = EXAMPLES / f"{name}.json" if (EXAMPLES / f"{name}.json").exists() else name
     system = build(load_maps(source)[0], level)
     return system, solve_ndhs(system)
+
+
+# The .hex() of class_coefficient_table for random_corpus(system, 6, seed=3),
+# m = 1..n-1, at bases L and 2: class_bits(name, level) for each pinned case.
+CLASS_BITS = json.loads((Path(__file__).parent / "class_bits.json").read_text())
+
+
+def class_bits(name, level):
+    system, hs = solved(name, level)
+    specs = random_corpus(system, 6, seed=3)
+    ms = list(range(1, level))
+    return {base: [[v.hex() for v in row] for row in class_coefficient_table(
+        system, hs, specs, level, ms, default_params(system, hs, base)).tolist()]
+        for base in ("L", "2")}
 
 
 # rho from decimation-reproduction, against its closed form.  Two of them by
@@ -77,6 +92,24 @@ def test_flipped_gasket_matches_gasket2():
     tables = [class_coefficient_table(s, h, specs, level, ms, default_params(s, h))
               for s, h in ((plain, plain_hs), (flipped, flipped_hs))]
     np.testing.assert_allclose(tables[1], tables[0], rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("case", sorted(CLASS_BITS))
+def test_class_bits_pinned(case):
+    name, level = case.rsplit(" L", 1)
+    assert class_bits(name, int(level)) == CLASS_BITS[case]
+
+
+def test_class_table_memory_is_bounded():
+    # Per crossing child pair, the down pass holds an interned orthogonal part
+    # and 10 bytes of edges, and its temporaries die with each level; the way
+    # up goes in blocks.  With a (pairs, N, N) float64 part per pair, full
+    # int64 edges and one full-level up pass this call traced 106.6 MiB.
+    system, hs = solved("gasket3", 7)
+    specs = random_corpus(system, 18, seed=1)
+    peak = traced_peak(lambda: class_coefficient_table(system, hs, specs, 7, list(range(1, 7)),
+                                                       default_params(system, hs)))
+    assert peak <= 64 * 2**20
 
 
 # n = 2 makes the level-1 cell pairs the leaves, with no level between.

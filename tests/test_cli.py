@@ -72,6 +72,14 @@ def test_energy_csv(capsys):
         assert mono == "true"
 
 
+def test_energy_at_level_zero(capsys):
+    # V_0 alone: the system is built to level 1, as render builds it.
+    code, out, _ = run(capsys, "energy", "gasket2", "--function", "harmonic:1,0,0",
+                       "--levels", "0..0")
+    assert code == 0
+    assert out == "m,E_m,monotone_ok\n0,2,true\n"
+
+
 @pytest.mark.parametrize("data, energy", [("nan,0,0", "nan"), ("1e200,0,0", "inf")])
 def test_energy_csv_non_finite(capsys, data, energy):
     # nan and overflowing data give nan and inf energies, not numbers.
@@ -407,6 +415,16 @@ def test_negative_corpus_size_exits_3(tmp_path):
     assert proc.returncode == 3
     assert "Traceback" not in proc.stderr
     assert "corpus size must be >= 0" in proc.stderr
+    assert not corpus.exists()
+
+
+def test_negative_corpus_seed_exits_3(tmp_path):
+    corpus = tmp_path / "c.txt"
+    proc = run_fresh("equivalence", "gasket2", "--corpus", str(corpus), "--generate-corpus",
+                     "2", "--seed", "-3", "--mmax", "1", "--level", "3")
+    assert proc.returncode == 3
+    assert "Traceback" not in proc.stderr
+    assert "corpus seed must be >= 0 (got -3)" in proc.stderr
     assert not corpus.exists()
 
 

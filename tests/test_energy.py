@@ -670,6 +670,12 @@ class TestFunctionSpecs:
         assert a == b
         assert a[0] == "coord:0" and a[1] == "coord:1"
 
+    @pytest.mark.parametrize("count, seed, message", [(-1, 0, "corpus size must be >= 0"),
+                                                      (2, -3, r"corpus seed must be >= 0 \(got -3\)")])
+    def test_corpus_rejects_negative_count_and_seed(self, gasket2_l8, count, seed, message):
+        with pytest.raises(ValueError, match=message):
+            random_corpus(gasket2_l8, count, seed=seed)
+
 
 def test_nonnegative_sum_beyond_float_range_is_inf():
     # Energies and L2 norms read inf there.
