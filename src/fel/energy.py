@@ -92,8 +92,8 @@ def nonnegative_sum(blocks) -> float:
     finite, units = bins[:, :-1], 0
     try:
         for total in finite[finite != 0].tolist():
-            num, den = total.as_integer_ratio()
-            units += (num << 1074) // den
+            num, den = total.as_integer_ratio()   # den = 2^k, k <= 1074
+            units += num << (1075 - den.bit_length())
         total = units / (1 << 1074)
     except OverflowError:   # an inf bin total, or a sum beyond the float range
         return math.inf
@@ -321,16 +321,19 @@ def parse_function_spec(text: str) -> FunctionSpec:
 
 def random_corpus(system: FractalSystem, count: int, seed: int) -> list[FunctionSpec]:
     """Seeded corpus: the coordinate functions, then harmonic extensions of
-    uniform data on V_0 and V_1; a negative count or seed raises ValueError."""
+    data on V_0 and V_1 drawn uniformly from [-1, 1), in order, from the
+    stream of numpy's default_rng(seed), which fel makes without importing
+    numpy.random; a negative count or seed raises ValueError."""
     if count < 0:
         raise ValueError(f"corpus size must be >= 0 (got {count})")
     if seed < 0:
         raise ValueError(f"corpus seed must be >= 0 (got {seed})")
-    rng = np.random.default_rng(seed)
+    from ._pcg64 import uniform_stream   # only corpus runs compile the generator
+    draws = uniform_stream(seed)
     specs = [parse_function_spec(f"coord:{k}") for k in range(system.dim)]
     n1 = system.vertex_count(1)
     for k in range(count):
         size = system.M0 if k % 2 == 0 else n1
-        data = rng.uniform(-1.0, 1.0, size=size)
+        data = itertools.islice(draws, size)
         specs.append(parse_function_spec("harmonic:" + ",".join(f"{v:.17g}" for v in data)))
     return specs

@@ -349,6 +349,23 @@ class MergeTable:
                 self._flagged.append((block[idx].copy(), int(block_ids[idx])))
         return block_ids
 
+    def add_unordered(self, block: np.ndarray) -> None:
+        """Register a block of points in an empty table, with ids in key order
+        and no id returned per row: one unstable sort of the keys, where
+        add_block's first-encounter ids need np.unique with its index and
+        inverse and three stable argsorts."""
+        keys, flagged = self.q.keys(block)
+        flagged_keys = keys[flagged]
+        order = np.argsort(keys)
+        keys = keys[order]
+        first = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+        self.sorted_keys = keys[first]
+        self.sorted_ids = np.arange(len(first), dtype=np.int64)
+        self.points = [block[order[first]]]
+        self.count = len(first)
+        ids = np.searchsorted(self.sorted_keys, flagged_keys)
+        self._flagged.extend(zip(block[flagged], ids.tolist()))
+
     def lookup(self, points: np.ndarray) -> np.ndarray:
         """Ids of points already in the table; -1 where not found."""
         keys, flagged = self.q.keys(points)
@@ -421,21 +438,6 @@ class MergeTable:
         return remap
 
 
-def _level_step(maps, prev_points, bbox, tau):
-    """One enumeration level: images of all maps merged under tolerance tau.
-
-    Returns (table, candidate ids) where candidate k*n_prev + p is map k
-    applied to previous point p.
-    """
-    cand = np.concatenate([s.apply(prev_points) for s in maps], axis=0)
-    table = MergeTable(Quantizer(bbox[0], bbox[1], tau))
-    ids = table.add_block(cand)
-    remap = table.resolve_flagged()
-    if remap is not None:
-        ids = remap[ids]
-    return table, ids
-
-
 def _invariant_bbox(maps, v0):
     """Axis box around a ball that every similitude maps into itself."""
     center = v0.mean(axis=0)
@@ -446,15 +448,32 @@ def _invariant_bbox(maps, v0):
     return center - 1.1 * radius, center + 1.1 * radius
 
 
-def _merged_levels(maps, n):
-    """Yield (V_{m-1} points, candidate ids, merge table) for m = 1..n."""
+def _level_quantizers(maps, n):
+    """V_0 and the Quantizer of each level m = 1..n, with the cell size
+    c0 / (MERGE_BAND * L**m) over the invariant box."""
     v0 = essential_fixed_points(maps)
     dists = np.linalg.norm(v0[:, None, :] - v0[None, :, :], axis=2)
     c0 = dists[np.triu_indices(len(v0), k=1)].min()
     bbox = _invariant_bbox(maps, v0)
-    points = v0
-    for m in range(1, n + 1):
-        table, ids = _level_step(maps, points, bbox, c0 / (MERGE_BAND * maps[0].scale**m))
+    return v0, [Quantizer(bbox[0], bbox[1], c0 / (MERGE_BAND * maps[0].scale**m))
+                for m in range(1, n + 1)]
+
+
+def _candidates(maps, points):
+    """Candidate k * len(points) + p is map k applied to point p."""
+    return np.concatenate([s.apply(points) for s in maps], axis=0)
+
+
+def _merged_levels(maps, n):
+    """Yield (V_{m-1} points, candidate ids, merge table) for m = 1..n, the
+    ids in first-encounter order."""
+    points, quantizers = _level_quantizers(maps, n)
+    for quantizer in quantizers:
+        table = MergeTable(quantizer)
+        ids = table.add_block(_candidates(maps, points))
+        remap = table.resolve_flagged()
+        if remap is not None:
+            ids = remap[ids]
         yield points, ids, table
         points = table.point_array()
 
@@ -475,9 +494,18 @@ def geometric_levels(maps, n):
 
 
 def count_vertices(maps, up_to):
-    """#V_m for m = 0..up_to from the geometric merge, storing no tables."""
-    counts = [len(essential_fixed_points(maps))]
-    counts.extend(table.count for _, _, table in _merged_levels(maps, up_to))
+    """#V_m for m = 0..up_to from the geometric merge, storing no tables: the
+    same keys and GUARD-flagged neighbour merge as _merged_levels, but each
+    level's candidates go in by MergeTable.add_unordered, so its points, one
+    per merged class, come in key order."""
+    points, quantizers = _level_quantizers(maps, up_to)
+    counts = [len(points)]
+    for quantizer in quantizers:
+        table = MergeTable(quantizer)
+        table.add_unordered(_candidates(maps, points))
+        table.resolve_flagged()
+        points = table.point_array()
+        counts.append(table.count)
     return counts
 
 

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import fel.energy as energy_module
+from fel._pcg64 import uniform_stream
 from fel.energy import (ENERGY_BLOCK, EXACT_SUM_MAX_TERMS, VertexFunction, _cells_energy,
                         energy_m, energy_sequence, harmonic_extension, nonnegative_sum,
                         parse_function_spec, random_corpus)
@@ -32,6 +33,9 @@ ENERGY_BITS = json.loads((Path(__file__).parent / "energy_bits.json").read_text(
 # examples/ systems at their build_digests.json levels, as the full-length
 # gather-matmul-scatter extension computed them.
 SAMPLE_DIGESTS = json.loads((Path(__file__).parent / "sample_digests.json").read_text())
+# Seeds of more than one uint32 word, up to ones beyond the SeedSequence pool.
+MULTI_WORD_SEEDS = [2**32 - 1, 2**32, 2**40 + 12345, 2**64 - 1, 2**64, 2**70 + 5, 10**30,
+                    2**127 + 3, 2**200 + 7]
 
 
 def gasket2_with_promote(k, corrupt):
@@ -675,6 +679,43 @@ class TestFunctionSpecs:
     def test_corpus_rejects_negative_count_and_seed(self, gasket2_l8, count, seed, message):
         with pytest.raises(ValueError, match=message):
             random_corpus(gasket2_l8, count, seed=seed)
+
+
+def numpy_corpus_tags(system, count, seed):
+    """The tags of random_corpus(system, count, seed) as numpy.random draws
+    them: one default_rng(seed).uniform(-1, 1, size) call per function."""
+    rng = np.random.default_rng(seed)
+    tags = [f"coord:{k}" for k in range(system.dim)]
+    for k in range(count):
+        size = system.M0 if k % 2 == 0 else system.vertex_count(1)
+        tags.append("harmonic:" + ",".join(f"{v:.17g}" for v in rng.uniform(-1.0, 1.0, size)))
+    return tags
+
+
+class TestCorpusStream:
+    @pytest.mark.parametrize("seeds", [range(500), range(500, 1000), MULTI_WORD_SEEDS,
+                                       [True, np.int64(3), np.uint8(7)]])
+    def test_stream_equals_numpy(self, seeds):
+        for seed in seeds:
+            want = np.random.default_rng(seed).uniform(-1.0, 1.0, size=24).tolist()
+            assert list(itertools.islice(uniform_stream(seed), 24)) == want, seed
+
+    @pytest.mark.parametrize("seed", [1, 3, 4, 5, 99, 123, 505])
+    def test_corpus_equals_numpy_construction(self, gasket2_l8, snowflake_l5, seed):
+        # The seeds of the README, the tests and the benchmark, on M0 = 3 and 6.
+        for system in (gasket2_l8, snowflake_l5):
+            tags = [s.tag for s in random_corpus(system, 5, seed=seed)]
+            assert tags == numpy_corpus_tags(system, 5, seed)
+
+    @pytest.mark.parametrize("seed", [1.0, 2.5, np.float64(3.0), "3", "0x10"])
+    def test_float_and_str_seeds_rejected(self, gasket2_l8, seed):
+        with pytest.raises(TypeError):
+            random_corpus(gasket2_l8, 0, seed=seed)
+
+    @pytest.mark.parametrize("seed", [-1, -2.5, np.int64(-3), -2**70])
+    def test_negative_seeds_rejected(self, gasket2_l8, seed):
+        with pytest.raises(ValueError, match="corpus seed must be >= 0"):
+            random_corpus(gasket2_l8, 0, seed=seed)
 
 
 def test_nonnegative_sum_beyond_float_range_is_inf():

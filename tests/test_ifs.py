@@ -12,8 +12,9 @@ from fel.ifs import (Similitude, _close_pairs, build, components, essential_fixe
                     validate)
 from fel.presets import load_maps
 
-from helpers import (assert_matches_geometric, build_digests, cell_address, count_vertices,
-                     locate, make_system, maps_of, overlapping_interval_maps,
+from helpers import (MergeTable, Quantizer, assert_matches_geometric, build_digests,
+                     cell_address, count_vertices, locate, make_system, maps_of,
+                     overlapping_interval_maps,
                      perturbed_gasket_maps, points_in_symplex, rotated_gasket_maps,
                      symplex_neighborhoods)
 
@@ -272,6 +273,16 @@ class TestGeometricOracle:
         # Levels past 1 come from the V_1 gluing table; the oracle merges
         # every candidate by distance and must give the same bits.
         assert_matches_geometric(build(maps_of(name), EXAMPLE_LEVELS.get(name, 6)))
+
+    @pytest.mark.parametrize("add", [MergeTable.add_block, MergeTable.add_unordered])
+    def test_boundary_split_copies_merge(self, add):
+        # Two copies of one point on either side of a rounding boundary get
+        # different keys; the GUARD-flagged neighbour merge joins them on the
+        # id path and on the count path alike.
+        table = MergeTable(Quantizer(np.zeros(1), np.ones(1), 0.1))
+        add(table, np.array([[0.05 - 1e-9], [0.3], [0.05 + 1e-9]]))
+        assert table.count == 3
+        assert table.resolve_flagged() is not None and table.count == 2
 
     def test_locate_roundtrip(self, gasket2_l8):
         ids = locate(gasket2_l8, gasket2_l8.points[2], 2)

@@ -177,15 +177,24 @@ for preset, n in (("gasket2", 5), ("snowflake", 3)):
         f = spec.sample(system, hs, n)
         fel.energy_sequence(system, hs, f)
         coefficient_table(system, f.values[:, None], n, [1, 2], params)
-print("numpy.ma" in sys.modules)
+print("numpy.ma" in sys.modules, "numpy.random" in sys.modules)
+"""
+# The README experiment's CLI run, small: it generates a corpus, writes it to
+# the file named by argv[1] and its CSV to argv[2].
+CORPUS_RUN_PROBE = """
+import sys
+from fel.cli import main
+main(["equivalence", "gasket2", "--corpus", sys.argv[1], "--generate-corpus", "2",
+      "--seed", "1", "--mmax", "2", "--level", "4", "--out", sys.argv[2]])
+print("numpy.random" in sys.modules)
 """
 
 
-def run_python(code):
+def run_python(code, *args):
     src = str(Path(fel.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+    return subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True,
                           env=env, timeout=120, check=True).stdout.strip()
 
 
@@ -194,5 +203,14 @@ def run_python(code):
 def test_run_does_not_import_numpy_ma():
     # numpy.ma takes 10-15 ms to import, and numpy's set routines (np.unique,
     # np.setdiff1d, np.isin) import it on first use: build, solve_ndhs, both
-    # pair-sum paths and energy_sequence call none of them.
-    assert run_python(NUMPY_MA_PROBE) == "False"
+    # pair-sum paths and energy_sequence call none of them.  numpy.random
+    # costs about 16 ms and 6 MiB, and random_corpus makes its stream itself.
+    assert run_python(NUMPY_MA_PROBE) == "False False"
+
+
+@pytest.mark.skipif(run_python("import sys, numpy; print('numpy.random' in sys.modules)")
+                    == "True", reason="this numpy imports numpy.random with numpy itself")
+def test_corpus_run_does_not_import_numpy_random(tmp_path):
+    corpus, out = tmp_path / "corpus.txt", tmp_path / "out.csv"
+    assert run_python(CORPUS_RUN_PROBE, str(corpus), str(out)) == "False"
+    assert len(corpus.read_text().splitlines()) == 4 and out.exists()
