@@ -2,18 +2,21 @@
 
 The space S holds the harmonic functions and the coordinates, and composition
 with any map sends it into itself.  A ``coord:`` or ``harmonic:`` spec lies in
-S on every level-1 cell, so on each cell pair its pair sum is a quadratic form
-in the two cells' coefficients.  That form depends only on the pair's
-placement class: the owned-corner masks of the two cells, their depth, the
-cutoff in cell units and the relative similitude psi_a^-1 psi_b (orthogonal
-part and offset in cell units).  Each class is worked out once, from the
-moment forms of the owned sets where the pair lies inside the cutoff, from
-its child pairs' forms pulled back through the maps where it straddles, and
-from point pairs of local V_1 at level n - 1, under the walk's tie rule.  So
-the cost follows the number of classes, not #V_n pairs or the number of
-functions, and the coefficients agree with the walk of fel.lipschitz to about
-1e-15 relative, not bit for bit.  Raw vertex data and ``perturb:`` specs
-still take the walk.
+S on every level-1 cell, so on each cell pair its pair sum, each point
+weighted by its share of the cell, is a quadratic form in the two cells'
+coefficients.  A cell's weight of a point is split evenly among the children
+that contain it, so the weighted pair sums of all cell pairs add up to the
+pair sum over V_n, and a cell's weights follow from its corners' weights, its
+weight pattern.  The form depends only on the pair's placement class: the two
+cells' weight patterns, their depth, the cutoff in cell units and the
+relative similitude psi_a^-1 psi_b (orthogonal part and offset in cell
+units).  Each class is worked out once, from weighted moment forms where the
+pair lies inside the cutoff, from its child pairs' forms pulled back through
+the maps where it straddles, and from weighted point pairs of local V_1 at
+level n - 1, under the walk's tie rule.  So the cost follows the number of
+classes, not #V_n pairs or the number of functions, and the coefficients
+agree with the walk of fel.lipschitz to about 1e-15 relative, not bit for
+bit.  Raw vertex data and ``perturb:`` specs still take the walk.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from .energy import FunctionSpec
 from .harmonic import HarmonicStructure
 from .ifs import FractalSystem
 from .lipschitz import (PAIR_CHUNK, TIE_BAND, LipschitzParams, _below_sqrt, _check_scales,
-                        _coefficient_from_sum, _owners, coefficient_table)
+                        _coefficient_from_sum, coefficient_table)
 
 # Spec kinds whose functions lie in the space S of _Space on every level-1
 # cell; their pair sums come from placement classes.
@@ -40,16 +43,17 @@ CLASS_KINDS = ("coord", "harmonic")
 # of examples/ off a lattice, shows none merged there.
 KEY_STEP = 1e-7
 # Leaf classes per block of forms pulled back into their parents.  On the
-# two snowflake L4 tables of one function, blocks of 2^10 classes peaked
-# 2.5 MiB higher, and blocks of 2^8 classes took 25 ms longer.
+# two snowflake L4 tables of one function, blocks of 2^10 classes traced a
+# 1.8 MiB higher peak, and blocks of 2^8 classes 0.6 MiB less but no faster.
 LEAF_CLASSES = 1 << 9
 # Parents, and child pairs of one (k, l), per block on the way up; the
-# largest level of the benchmark's runs, 1,886 classes, fits in one.
+# largest level above the leaves in the benchmark's runs, 835 classes, fits
+# in one.
 UP_CLASSES = 1 << 11
 
 
 class _Space:
-    """The function space S of one system and the owned sets of its cells.
+    """The function space S of one system and the weighted point sets of its cells.
 
     S is spanned by the harmonic functions and the coordinates, in the basis
     1, h_1, ..., h_{M0-1}, x - p_0 (h_q harmonic with V_0 data the indicator
@@ -59,15 +63,19 @@ class _Space:
     offset psi_i(p_0) - p_0 in the constant.  Pair sums never see the
     constant, so moments and forms act on the other s - 1 coordinates.
 
-    A level-j cell owns its local V_{n-j} less the corners that a smaller
-    cell owns.  The corners it owns, its mask, follow from its parent's mask
-    and its map index alone (``child``), so its owned set depends only on the
-    mask and the depth n - j.  Per depth d and mask (lists over d of arrays
-    over masks) the space keeps the count, mean and centred second moments
-    of the basis over the owned set and the ball of the owned points, in the
-    cell's frame; for d >= 1, the same of each child's owned set in the
-    parent's frame (``kcount`` ... ``kradius``, with a map axis); and the
-    owned points of local V_1 for the leaf stage.
+    Every point weighs 1 in the root, and a cell's weight of a point is split
+    evenly among the children that contain it, so a point shared by c
+    children of a cell weighs 1/c in each, and the weights of each point add
+    up to 1 over the cells of any level.  On a nested fractal cells meet only
+    in corners, so a cell's points weigh 1 but for its corners, whose
+    weights, its pattern, follow from its parent's pattern and its map index
+    alone (``child``).  Per depth d and pattern (lists over d of arrays over
+    patterns) the space keeps the weighted count, mean and centred second
+    moments of the basis over local V_d, in the cell's frame; for d >= 1, the
+    same of each child in the parent's frame (``kcount``, ``kmean``,
+    ``kcov``, with a map axis) and each child's ball, which holds all its
+    points whatever its pattern (``kcenter``, ``kradius``); and local V_1,
+    its V_0 points first, for the leaf stage.
     """
 
     def __init__(self, system: FractalSystem, hs: HarmonicStructure, n: int):
@@ -77,7 +85,8 @@ class _Space:
         v1 = system.vertex_count(1)
         ext = np.zeros((v1, M0))                 # h_q on V_1, column q
         ext[system.promote[0], np.arange(M0)] = 1.0
-        ext[np.bincount(system.promote[0], minlength=v1) == 0] = hs.extension_matrix
+        new = np.bincount(system.promote[0], minlength=v1) == 0
+        ext[new] = hs.extension_matrix
         p0 = system.points[0][0]
         self.P = np.zeros((M, s, s))
         for i, psi in enumerate(system.maps):
@@ -90,9 +99,10 @@ class _Space:
         self.rot = np.array([psi.rotation for psi in system.maps])
         self.shift = np.array([psi.translation for psi in system.maps])
         self.orth = np.eye(system.dim)[None]     # grown by turn
-        self.leaf_points = system.points[1]
-        self.leaf_phi = np.concatenate([ext[:, 1:], system.points[1] - p0], axis=1)
-        self._masks(system)
+        first = np.r_[system.promote[0], np.flatnonzero(new)]     # V_0, then the rest of V_1
+        self.leaf_points = system.points[1][first]
+        self.leaf_phi = np.concatenate([ext[:, 1:], system.points[1] - p0], axis=1)[first]
+        self._patterns(system)
         self._moments(system, n - 1)
         # Pullbacks of a child pair (k, l)'s z = (f_a - f_b constant, g_a', g_b')
         # from its parent's z; a self parent's z is its g', its form the a-block.
@@ -120,84 +130,65 @@ class _Space:
         table[hs] = np.reshape(at[known:], (len(hs), self.M, self.M))
         return table[g, k, l]
 
-    def _masks(self, system: FractalSystem) -> None:
-        """The masks reachable from the root, which owns all of V_0, as rows
-        of ``owns``, and ``child[mask, k]``, the mask of child k.  A child
-        owns a V_1 point off V_0 if it is the smallest child containing it,
-        and a V_0 point if, besides, the parent owns that point."""
-        owner = _owners(system, 1)
+    def _patterns(self, system: FractalSystem) -> None:
+        """The weight patterns reachable from the root, whose V_0 points weigh
+        1, as rows of ``weight``, and ``child[pattern, k]``, the pattern of
+        child k.  Corner q of child k, u = cells[1][k, q], weighs w / c_u: c_u
+        is the number of level-1 cells that contain u, and w the parent's
+        weight of u if u is a V_0 point, 1 otherwise."""
+        cells = system.cells[1]
+        share = np.bincount(cells.ravel())[cells]
         corner_of = np.full(system.vertex_count(1), -1)
         corner_of[system.promote[0]] = np.arange(system.M0)
-        full = (1 << system.M0) - 1
-        masks, index, child = [full], {full: 0}, []
-        for mask in masks:                       # grows while it is read
+        at = corner_of[cells]
+        weights, index, child = [np.ones(system.M0)], {}, []
+        index[weights[0].tobytes()] = 0
+        for w in weights:                        # grows while it is read
             row = []
-            for k, ids in enumerate(system.cells[1].tolist()):
-                kid = 0
-                for q, u in enumerate(ids):
-                    if owner[u] == k and (corner_of[u] < 0 or mask >> corner_of[u] & 1):
-                        kid |= 1 << q
-                if kid not in index:
-                    index[kid] = len(masks)
-                    masks.append(kid)
-                row.append(index[kid])
+            for kid in np.where(at >= 0, w[at], 1.0) / share:
+                row.append(index.setdefault(kid.tobytes(), len(weights)))
+                if row[-1] == len(weights):
+                    weights.append(kid)
             child.append(row)
         self.child = np.array(child, dtype=np.int32)
-        self.owns = (np.array(masks)[:, None] >> np.arange(system.M0)) & 1 == 1
+        self.weight = np.array(weights)
 
     def _moments(self, system: FractalSystem, depth: int) -> None:
-        """Moments by depth from depth 0 up, children combined as in Chan,
-        Golub & LeVeque; balls from the points of V_d, as the walk's."""
+        """Weighted moments by depth from depth 0 up, children combined as in
+        Chan, Golub & LeVeque; each child's ball from all points of V_{d-1},
+        as the walk's."""
         A, p, M0 = self.P[:, 1:, 1:], self.P[:, 0, 1:], system.M0
-        nm = len(self.owns)
-        ids = np.arange(M0)                      # V_0 in V_d
-        self.count, self.mean, self.cov, self.center, self.radius = [], [], [], [], []
+        w = self.weight
+        phi = np.concatenate([np.eye(M0)[:, 1:], system.points[0] - system.points[0][0]], axis=1)
+        count = w.sum(axis=1)
+        mean = w @ phi / count[:, None]
+        dev = phi - mean[:, None]
+        self.count, self.mean = [count], [mean]
+        self.cov = [np.einsum("mq,mqt,mqu->mtu", w, dev, dev)]
         self.kcount, self.kmean, self.kcov, self.kcenter, self.kradius = ([None] for _ in range(5))
-        for d in range(depth + 1):
-            if d:
-                ids = system.promote[d - 1][ids]
-            pts = system.points[d]
-            owned = np.ones((nm, len(pts)), dtype=bool)
-            owned[:, ids] = self.owns
-            if d == 1:
-                self.leaf_owned = owned
-            count = owned.sum(axis=1).astype(float)
-            center, radius = np.zeros((nm, system.dim)), np.zeros(nm)
-            for mask in np.flatnonzero(count):
-                x = pts[owned[mask]]
-                center[mask] = x.mean(axis=0)
-                radius[mask] = np.sqrt(((x - center[mask]) ** 2).sum(axis=1)).max()
-            if d == 0:
-                phi = np.concatenate([np.eye(M0)[:, 1:], pts - system.points[0][0]], axis=1)
-                mean, cov = np.zeros((nm, self.s - 1)), np.zeros((nm, self.s - 1, self.s - 1))
-                for mask in np.flatnonzero(count):
-                    mean[mask] = phi[self.owns[mask]].mean(axis=0)
-                    dev = phi[self.owns[mask]] - mean[mask]
-                    cov[mask] = dev.T @ dev
-            else:
-                kids = self.child
-                kcount = self.count[-1][kids]
-                kmean = p + np.einsum("kut,mku->mkt", A, self.mean[-1][kids])
-                kcov = A.transpose(0, 2, 1) @ self.cov[-1][kids] @ A
-                mean = np.einsum("mk,mkt->mt", kcount, kmean) / count[:, None]
-                dev = kmean - mean[:, None]
-                cov = kcov.sum(axis=1) + np.einsum("mk,mkt,mku->mtu", kcount, dev, dev)
-                self.kcount.append(kcount)
-                self.kmean.append(kmean)
-                self.kcov.append(kcov)
-                self.kcenter.append(np.einsum("kab,mkb->mka", self.rot / self.L,
-                                              self.center[-1][kids]) + self.shift)
-                self.kradius.append(self.radius[-1][kids] / self.L)
-            for store, value in zip((self.count, self.mean, self.cov, self.center, self.radius),
-                                    (count, mean, cov, center, radius)):
+        for d in range(1, depth + 1):
+            kids, pts = self.child, system.points[d - 1]
+            center = pts.mean(axis=0)
+            radius = np.sqrt(((pts - center) ** 2).sum(axis=1)).max()
+            kcount = self.count[-1][kids]
+            kmean = p + np.einsum("kut,mku->mkt", A, self.mean[-1][kids])
+            kcov = A.transpose(0, 2, 1) @ self.cov[-1][kids] @ A
+            count = kcount.sum(axis=1)
+            mean = np.einsum("mk,mkt->mt", kcount, kmean) / count[:, None]
+            dev = kmean - mean[:, None]
+            cov = kcov.sum(axis=1) + np.einsum("mk,mkt,mku->mtu", kcount, dev, dev)
+            for store, value in zip((self.kcount, self.kmean, self.kcov, self.kcenter,
+                                     self.kradius, self.count, self.mean, self.cov),
+                                    (kcount, kmean, kcov, self.rot @ center / self.L + self.shift,
+                                     radius / self.L, count, mean, cov)):
                 store.append(value)
 
 
 class _Classes(NamedTuple):
     """Cell pairs (a, b) of one level, one row each, with a <= b: 41 bytes on 3-D maps."""
 
-    a: np.ndarray            # mask of a
-    b: np.ndarray            # mask of b
+    a: np.ndarray            # weight pattern of a
+    b: np.ndarray            # weight pattern of b
     same: np.ndarray         # a = b, summed over its unordered pairs
     r: np.ndarray            # radius index
     g: np.ndarray            # its orthogonal part psi_a^-1 psi_b, index in _Space.orth
@@ -209,7 +200,7 @@ class _Classes(NamedTuple):
 
 def _placements(pairs: _Classes, c0: float) -> tuple[_Classes, np.ndarray]:
     """The placement classes of ``pairs`` and each pair's int32 class, keyed by one
-    mixed-radix column (masks, self flag, radius, part) and the rounded offset."""
+    mixed-radix column (patterns, self flag, radius, part) and the rounded offset."""
     key = np.zeros((len(pairs.a), 1 + pairs.shift.shape[1]), dtype=np.int64)
     for column in (pairs.a, pairs.b, pairs.same, pairs.r, pairs.g):
         key[:, 0] = key[:, 0] * (int(column.max(initial=0)) + 1) + column
@@ -224,25 +215,24 @@ def _placements(pairs: _Classes, c0: float) -> tuple[_Classes, np.ndarray]:
 
 def _ball_tests(space: _Space, classes: _Classes, cutoff: np.ndarray,
                 d: int) -> tuple[np.ndarray, np.ndarray]:
-    """The walk's tests of each class's live child pairs (k, l) at depth d,
-    k <= l in a self class: wholly inside the cutoff, and straddling it."""
-    a, b, M = classes.a, classes.b, space.M
-    near_a = space.kcenter[d][a]
-    near_b = space.kcenter[d][b] @ space.orth[classes.g].transpose(0, 2, 1) + classes.shift[:, None]
-    gap = np.zeros((len(a), M, M))
-    for axis in range(near_a.shape[2]):
-        gap += np.square(near_a[:, :, None, axis] - near_b[:, None, :, axis])
+    """The walk's tests of each class's child pairs (k, l) at depth d, k <= l
+    in a self class: wholly inside the cutoff, and straddling it.  Every child
+    at depth d has the ball of all its points, so the tests read no pattern."""
+    near, M = space.kcenter[d], space.M
+    moved = near @ space.orth[classes.g].transpose(0, 2, 1) + classes.shift[:, None]
+    gap = np.zeros((len(classes.g), M, M))
+    for axis in range(near.shape[1]):
+        gap += np.square(near[:, None, axis] - moved[:, None, :, axis])
     np.sqrt(gap, out=gap)
-    reach = space.kradius[d][a][:, :, None] + space.kradius[d][b][:, None]
-    live = (space.kcount[d][a] > 0)[:, :, None] & (space.kcount[d][b] > 0)[:, None]
-    live[classes.same] &= np.triu(np.ones((M, M), dtype=bool))
+    reach = 2.0 * space.kradius[d]
+    live = ~classes.same[:, None, None] | np.triu(np.ones((M, M), dtype=bool))
     inside = gap + reach < cutoff[:, None, None] * (1.0 - TIE_BAND)
     return inside & live, ~inside & live & (gap - reach < cutoff[:, None, None] * (1.0 + TIE_BAND))
 
 
 def _descend(space: _Space, classes: _Classes, cutoff: np.ndarray, d: int,
              c0: float) -> tuple[tuple, _Classes]:
-    """One level down from ``classes``: (d, masks and self flags, inside
+    """One level down from ``classes``: (d, patterns and self flags, inside
     child pairs, int32 and uint8 edges (parent, k, l, child) of straddling
     ones), and their placement classes.  A child pair (k, l) of a class with
     part G and offset t has part R_k' G R_l and offset L (G t_l + t - t_k) R_k."""
@@ -267,10 +257,11 @@ def _inside_forms(space: _Space, d: int, a: np.ndarray, b: np.ndarray, inside: n
     parent's frame: n_k n_l (delta + mu_k.g_a - mu_l.g_b)^2 + n_l g_a'C_k g_a
     + n_k g_b'C_l g_b, _block_sum's formula as a quadratic form in
     z = (delta, g_a, g_b), with the constant difference delta, from the
-    count, mean and centred moments of each mask's children at depth d;
-    ``a`` and ``b`` are the parents' masks and ``inside`` is (parents, k,
-    l).  A self parent sums k <= l, and its form, in the a-block, uses the
-    child means less the parent's mean, which leaves its value unchanged."""
+    weighted count, mean and centred moments of each pattern's children at
+    depth d; ``a`` and ``b`` are the parents' patterns and ``inside`` is
+    (parents, k, l).  A self parent sums k <= l, and its form, in the
+    a-block, uses the child means less the parent's mean, which leaves its
+    value unchanged."""
     count, kmean, kcov = space.kcount[d], space.kmean[d], space.kcov[d]
     s1 = kmean.shape[2]
     forms = np.zeros((len(a), 2 * s1 + 1, 2 * s1 + 1))
@@ -310,28 +301,27 @@ def _inside_forms(space: _Space, d: int, a: np.ndarray, b: np.ndarray, inside: n
     return forms
 
 
-def _mixed(weight: np.ndarray, kcov: np.ndarray, masks: np.ndarray) -> np.ndarray:
-    """sum_k weight[p, k] kcov[masks[p], k] for each parent p, one mask at a time."""
-    out = np.empty((len(masks),) + kcov.shape[2:])
-    for mask in np.flatnonzero(np.bincount(masks)):
-        pick = masks == mask
-        out[pick] = (weight[pick] @ kcov[mask].reshape(kcov.shape[1], -1)).reshape(
+def _mixed(weight: np.ndarray, kcov: np.ndarray, patterns: np.ndarray) -> np.ndarray:
+    """sum_k weight[p, k] kcov[patterns[p], k] for each parent p, one pattern at a time."""
+    out = np.empty((len(patterns),) + kcov.shape[2:])
+    for pattern in np.flatnonzero(np.bincount(patterns)):
+        pick = patterns == pattern
+        out[pick] = (weight[pick] @ kcov[pattern].reshape(kcov.shape[1], -1)).reshape(
             -1, *kcov.shape[2:])
     return out
 
 
 def _leaf_forms(space: _Space, classes: _Classes, limit: np.ndarray) -> np.ndarray:
-    """Forms of classes of level-(n-1) cell pairs, from their owned points of
-    local V_1 under the walk's rule: d2 < ``limit`` (per class, the
-    _below_sqrt of its inner cutoff in cell units).  With w the near pairs
-    (x of a, y of b): sum w (delta + phi_x.g_a - phi_y.g_b)^2, and for a
-    self pair, over its pairs x < y, (phi_x.g - phi_y.g)^2 = phi'(deg - w)phi.
-    Points a mask does not own are NaN, which compares as far.  Classes go
-    in blocks of at most PAIR_CHUNK point pairs, as the walk's leaf chunks,
-    self pairs apart."""
-    phi, nv = space.leaf_phi, len(space.leaf_phi)
+    """Forms of classes of level-(n-1) cell pairs, from the points of local
+    V_1 under the walk's rule: d2 < ``limit`` (per class, the _below_sqrt of
+    its inner cutoff in cell units).  With w the near pairs (x of a, y of b)
+    times the weights omega_a(x) omega_b(y): sum w (delta + phi_x.g_a -
+    phi_y.g_b)^2, and for a self pair, over its pairs x < y, (phi_x.g -
+    phi_y.g)^2 = phi'(deg - w)phi.  Classes go in blocks of at most
+    PAIR_CHUNK point pairs, as the walk's leaf chunks, self pairs apart."""
+    phi, nv, x = space.leaf_phi, len(space.leaf_phi), space.leaf_points
+    M0 = space.weight.shape[1]
     s1 = phi.shape[1]
-    points = np.where(space.leaf_owned[:, :, None], space.leaf_points, np.nan)
     outer = (phi[:, :, None] * phi[:, None, :]).reshape(nv, -1)
     centred = phi - phi.mean(axis=0)
     centred_outer = (centred[:, :, None] * centred[:, None, :]).reshape(nv, -1)
@@ -343,12 +333,13 @@ def _leaf_forms(space: _Space, classes: _Classes, limit: np.ndarray) -> np.ndarr
         for lo in range(0, len(picked), step):
             rows = picked[lo:lo + step]
             c = classes.take(rows)
-            x = points[c.a]
-            y = points[c.b] @ space.orth[c.g].transpose(0, 2, 1) + c.shift[:, None]
-            w = np.square(x[:, :, None, 0] - y[:, None, :, 0])
-            for axis in range(1, x.shape[2]):
-                w += np.square(x[:, :, None, axis] - y[:, None, :, axis])
+            y = x @ space.orth[c.g].transpose(0, 2, 1) + c.shift[:, None]
+            w = np.square(x[:, None, 0] - y[:, None, :, 0])
+            for axis in range(1, x.shape[1]):
+                w += np.square(x[:, None, axis] - y[:, None, :, axis])
             np.less(w, limit[rows, None, None], out=w)          # near pairs: 1
+            w[:, :M0] *= space.weight[c.a][:, :, None]
+            w[:, :, :M0] *= space.weight[c.b][:, None]
             if same:
                 w *= ordered
                 w += w.transpose(0, 2, 1).copy()
@@ -382,9 +373,9 @@ def _class_forms(space: _Space, system: FractalSystem, n: int,
     The forms then come back up, UP_CLASSES at a time and the leaves
     LEAF_CLASSES at a time: each class's form is its inside children's plus
     its straddling children's, pulled back through P (_pull_back).  A level
-    keeps its masks, self and inside flags, and 10 bytes a straddling child
-    pair, so the forms of two levels, D^2 float64 a class, are the largest
-    arrays held: gasket3 L9 at m = 1..6 peaks at 856 MiB RSS, not 1,867.
+    keeps its patterns, self and inside flags, and 10 bytes a straddling
+    child pair, so the forms of two levels, D^2 float64 a class, are the
+    largest arrays held: gasket3 L9 at m = 1..6 peaks at 357 MiB RSS.
     """
     M, L, D = space.M, space.L, 2 * space.s - 1
     ii, jj = np.triu_indices(M)
@@ -393,7 +384,7 @@ def _class_forms(space: _Space, system: FractalSystem, n: int,
     classes = _Classes(space.child[0][ii][pair], space.child[0][jj][pair], (ii == jj)[pair],
                        np.repeat(np.arange(scales, dtype=np.int32), len(ii)),
                        space.turn(ii, 0 * ii, jj)[pair], shift[pair, 0])
-    levels = []                      # (depth, masks and self flags, inside children, edges)
+    levels = []                      # (depth, patterns and self flags, inside children, edges)
     for j in range(1, n - 1):
         level, classes = _descend(space, classes, radii[classes.r] * L**j, n - j, system.c0)
         levels.append(level)

@@ -86,9 +86,8 @@ def _parse_levels(text: str) -> tuple[int, int]:
 
 
 def _cmd_describe(args) -> int:
-    level = max(3, args.level or 3)
     maps, name = load_maps(args.fractal)
-    system = build(maps, level, max_points=_max_points(args),
+    system = build(maps, 3, max_points=_max_points(args),
                    name=name or args.fractal, run_validation=False)
     report = validate(system)
     print(f"name: {system.name}")
@@ -96,8 +95,8 @@ def _cmd_describe(args) -> int:
     print(f"L: {_fmt(system.L)}")
     print(f"dimension: {system.dim}")
     print(f"c0: {_fmt(system.c0)}")
-    print(f"diameter (diam V_{min(3, system.max_level)}): {_fmt(system.diameter)}")
-    for m in range(min(3, system.max_level) + 1):
+    print(f"diameter (diam V_3): {_fmt(system.diameter)}")
+    for m in range(4):
         print(f"#V_{m}: {system.vertex_count(m)}")
     # build raised ConditionViolation(1) if fewer than two fixed points are essential.
     print("condition 1 (essential fixed points): pass")
@@ -233,7 +232,6 @@ def _make_parser() -> _Parser:
                     % "|".join(PRESET_NAMES))
 
     p = sub.add_parser("describe", help="print structure and condition report")
-    p.add_argument("--level", type=int, default=3, help="levels to enumerate (default 3)")
     p.add_argument("--with-ndhs", action="store_true", help="also solve and print dimensions")
     p.add_argument("--export", help="write the definition back to a JSON file")
     p.set_defaults(func=_cmd_describe)

@@ -12,14 +12,16 @@ import pytest
 from fel import classes, lipschitz
 from fel.classes import class_coefficient_table, spec_coefficient_table
 from fel.cli import main
-from fel.energy import energy_sequence, parse_function_spec, random_corpus
+from fel.energy import (VertexFunction, energy_m, energy_sequence, parse_function_spec,
+                        random_corpus)
 from fel.harmonic import solve_ndhs
 from fel.ifs import build
 from fel.lipschitz import (LipschitzParams, b_coefficient, batch_norm_reports,
                            coefficient_table, default_params, norm_report)
 from fel.presets import load_maps
 
-from helpers import brute_force_degrees, degrees_match, traced_peak, walk_degrees
+from helpers import (brute_force_coefficient, brute_force_degrees, degrees_match, traced_peak,
+                     walk_degrees)
 
 EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
 
@@ -104,12 +106,61 @@ def test_class_table_memory_is_bounded():
     # Per crossing child pair, the down pass holds an interned orthogonal part
     # and 10 bytes of edges, and its temporaries die with each level; the way
     # up goes in blocks.  With a (pairs, N, N) float64 part per pair, full
-    # int64 edges and one full-level up pass this call traced 106.6 MiB.
+    # int64 edges and one full-level up pass this call traced 106.6 MiB, and
+    # with classes keyed by lexicographic ownership masks 51.2 MiB.
     system, hs = solved("gasket3", 7)
     specs = random_corpus(system, 18, seed=1)
     peak = traced_peak(lambda: class_coefficient_table(system, hs, specs, 7, list(range(1, 7)),
                                                        default_params(system, hs)))
-    assert peak <= 64 * 2**20
+    assert peak <= 32 * 2**20
+
+
+SMALL_CASES = [("gasket2", 6), ("gasket3", 4), ("snowflake", 3), ("vicsek", 3),
+               ("pentagasket", 3), ("hexagasket", 3), ("flipped-gasket", 5)]
+
+
+@pytest.mark.parametrize("name, level", SMALL_CASES)
+def test_class_path_matches_exact_all_pairs_sum(name, level):
+    # The oracle adds every pair term exactly, so this bounds the class path's
+    # rounding whatever order it sums in.
+    system, hs = solved(name, level)
+    specs = random_corpus(system, 3, seed=level)
+    ms = list(range(1, level))
+    values = [spec.sample(system, hs, level) for spec in specs]
+    for base in ("L", 2.0):
+        params = default_params(system, hs, base)
+        exact = [[brute_force_coefficient(system, f, m, params) for f in values] for m in ms]
+        np.testing.assert_allclose(class_coefficient_table(system, hs, specs, level, ms, params),
+                                   exact, rtol=4e-15, atol=0.0)
+
+
+@pytest.mark.parametrize("name, level", SMALL_CASES)
+def test_reflected_harmonic_function_keeps_its_coefficients(name, level):
+    # A reflection R of the fractal permutes V_0 by perm, so harmonic data
+    # d[perm] give the harmonic function f o R, whose pair sums are f's.
+    system, hs = solved(name, level)
+    assert all(r.perm is not None for r in system.reflections)
+    data = random_corpus(system, 1, seed=level)[-1].data
+    specs = [parse_function_spec("harmonic:" + ",".join(f"{v:.17g}" for v in d))
+             for d in [data] + [data[r.perm] for r in system.reflections]]
+    ms = list(range(1, level))
+    table = class_coefficient_table(system, hs, specs, level, ms, default_params(system, hs))
+    np.testing.assert_allclose(table[:, 1:], np.repeat(table[:, :1], len(specs) - 1, axis=1),
+                               rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("name, level", [("gasket2", 6), ("gasket3", 4)])
+def test_gasket_b_squared_over_energy_is_one_number_on_harmonic_functions(name, level):
+    # The gasket's symmetry group acts irreducibly on V_0 data modulo
+    # constants, so each b_m^2, a symmetric quadratic form in those data, is
+    # a multiple of the energy.
+    system, hs = solved(name, level)
+    specs = random_corpus(system, 8, seed=level)[system.dim::2]
+    ratios = class_coefficient_table(system, hs, specs, level, list(range(1, level)),
+                                     default_params(system, hs)) ** 2 / [
+        energy_m(system, hs, VertexFunction(0, spec.data)) for spec in specs]
+    np.testing.assert_allclose(ratios, np.repeat(ratios[:, :1], len(specs), axis=1),
+                               rtol=1e-13, atol=0.0)
 
 
 # n = 2 makes the level-1 cell pairs the leaves, with no level between.

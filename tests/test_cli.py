@@ -522,7 +522,8 @@ def test_point_cap_env(capsys, monkeypatch):
 
 
 def test_point_cap_flag(capsys):
-    code, _, err = run(capsys, "describe", "gasket2", "--level", "9", "--max-points", "100")
+    code, _, err = run(capsys, "energy", "gasket2", "--function", "coord:0", "--levels", "0..9",
+                       "--max-points", "100")
     assert code == 3
     assert "error: level 4 needs 243 candidate points (cap 100)" in err
 
@@ -534,7 +535,7 @@ def test_int32_id_range_refused_whatever_the_cap(capsys, monkeypatch):
 
     monkeypatch.setattr(fel.ifs, "_merge", merge)
     monkeypatch.setenv("FEL_MAX_POINTS", str(10**12))
-    code, _, err = run(capsys, "describe", "gasket2", "--level", "20")
+    code, _, err = run(capsys, "energy", "gasket2", "--function", "coord:0", "--levels", "0..20")
     assert code == 3
     assert f"error: level 19 needs {3**20} candidate points; int32 vertex ids allow at most " \
         f"{2**31 - 1}" in err
