@@ -84,8 +84,8 @@ class _Space:
         s = self.s
         v1 = system.vertex_count(1)
         ext = np.zeros((v1, M0))                 # h_q on V_1, column q
-        ext[system.promote[0], np.arange(M0)] = 1.0
-        new = np.bincount(system.promote[0], minlength=v1) == 0
+        ext[system.v0_ids, np.arange(M0)] = 1.0
+        new = np.bincount(system.v0_ids, minlength=v1) == 0
         ext[new] = hs.extension_matrix
         p0 = system.points[0][0]
         self.P = np.zeros((M, s, s))
@@ -99,7 +99,7 @@ class _Space:
         self.rot = np.array([psi.rotation for psi in system.maps])
         self.shift = np.array([psi.translation for psi in system.maps])
         self.orth = np.eye(system.dim)[None]     # grown by turn
-        first = np.r_[system.promote[0], np.flatnonzero(new)]     # V_0, then the rest of V_1
+        first = np.r_[system.v0_ids, np.flatnonzero(new)]     # V_0, then the rest of V_1
         self.leaf_points = system.points[1][first]
         self.leaf_phi = np.concatenate([ext[:, 1:], system.points[1] - p0], axis=1)[first]
         self._patterns(system)
@@ -139,7 +139,7 @@ class _Space:
         cells = system.cells[1]
         share = np.bincount(cells.ravel())[cells]
         corner_of = np.full(system.vertex_count(1), -1)
-        corner_of[system.promote[0]] = np.arange(system.M0)
+        corner_of[system.v0_ids] = np.arange(system.M0)
         at = corner_of[cells]
         weights, index, child = [np.ones(system.M0)], {}, []
         index[weights[0].tobytes()] = 0
@@ -452,7 +452,7 @@ def _cell_coefficients(space: _Space, system: FractalSystem, spec: FunctionSpec,
     if level == 0:
         g[1:M0] = data[1:] - data[0]
         return space.P @ g, e
-    corner = data[system.cells[1]] - data[system.promote[0][0]]
+    corner = data[system.cells[1]] - data[system.v0_ids[0]]
     cells = np.zeros((system.M, space.s))
     cells[:, 0] = corner[:, 0]
     cells[:, 1:M0] = corner[:, 1:] - corner[:, :1]

@@ -161,47 +161,39 @@ def harmonic_extension(system: FractalSystem, hs: HarmonicStructure,
                        f: VertexFunction, n: int) -> VertexFunction:
     """Extend f from its level to level n with minimal-energy interior values.
 
-    Each level-k step is two scatters: the promoted level-k values keep their
-    vertices, and each level-k cell writes its interior values, the
-    extension matrix applied to its corner values, to its new vertices
-    system.new_vertices[k], one _corner_blocks block of cells at a time.
-    FractalSystem builds these int32 tables once, checks at construction
-    that the two scatters write every vertex of level k + 1 exactly once,
-    and keeps them, so no step rebuilds them.  The result never shares f's memory.
+    The result is one array for V_n, which never shares f's memory.  V_k is
+    its first #V_k values for k >= 1, and level-k cell w's new points are
+    the s = #V_1 - #V_0 ids from #V_k + w * s on, in the order of the
+    extension rows: each step writes the extension matrix applied to the
+    corner values of one _corner_blocks block of level-k cells straight into
+    the ids after V_k.  Only the step from V_0, whose ids interleave with the
+    new ones in V_1, scatters.
     """
     _check_level(system, f)
     if not f.level <= n <= system.max_level:
         raise ValueError(f"target level {n} out of range [{f.level}, {system.max_level}]")
-    values = f.values
-    for k in range(f.level, n):
-        values = _extend_one(system, hs, values, k)
-    return VertexFunction(level=n, values=values.copy() if n == f.level else values)
+    values = np.empty(system.vertex_count(n))
+    extension = hs.extension_matrix.T
+    if f.level == 0 < n:
+        level1 = values[:system.vertex_count(1)]
+        new = np.ones(len(level1), dtype=bool)
+        new[system.v0_ids] = False
+        level1[system.v0_ids] = f.values
+        level1[new] = (f.values[None, :] @ extension)[0]
+    else:
+        values[:len(f.values)] = f.values
+    for k in range(max(f.level, 1), n):
+        _refine(values, system.vertex_count(k), system.cells[k], extension)
+    return VertexFunction(level=n, values=values)
 
 
-def _extend_one(system: FractalSystem, hs: HarmonicStructure,
-                values: np.ndarray, k: int) -> np.ndarray:
-    """The harmonic extension of values from V_k to V_{k + 1}.  Both scatters
-    pass their int32 ids through one intp buffer: numpy casts any other
-    index dtype inside every fancy assignment, 1.7 times as slow on gasket2
-    L12.  Each block of interior values is freed before the next block's
-    corners are gathered."""
-    out = np.empty(system.vertex_count(k + 1))
-    index = np.empty(min(out.size, ENERGY_BLOCK), dtype=np.intp)
-    _scatter(out, system.promote[k], values, index)
-    for corners, new in zip(_corner_blocks(values, system.cells[k]),
-                            _row_blocks(system.new_vertices[k])):
-        # Flat index and value arrays: numpy scatters them about twice as
-        # fast as the same (cells, #new) pair.
-        _scatter(out, new.ravel(), (corners @ hs.extension_matrix.T).ravel(), index)
-    return out
-
-
-def _scatter(out: np.ndarray, ids: np.ndarray, values: np.ndarray, index: np.ndarray) -> None:
-    """out[ids] = values, through the intp buffer index a run of its length at a time."""
-    for start in range(0, len(ids), len(index)):
-        run = index[:len(ids) - start]
-        run[...] = ids[start:start + len(run)]
-        out[run] = values[start:start + len(run)]
+def _refine(values: np.ndarray, n: int, cells: np.ndarray, extension: np.ndarray) -> None:
+    """Write the interior values of the cells, rows of ids into values[:n],
+    to values[n:], s = extension.shape[1] per cell in cell order.  The block
+    buffer dies on return, before the next level's is made."""
+    tail = values[n:n + len(cells) * extension.shape[1]].reshape(len(cells), -1)
+    for corners, rows in zip(_corner_blocks(values[:n], cells), _row_blocks(tail)):
+        np.matmul(corners, extension, out=rows)
 
 
 @dataclass
@@ -217,22 +209,20 @@ def energy_sequence(system: FractalSystem, hs: HarmonicStructure, f: VertexFunct
                     m0: int = 0, tag: str = "") -> EnergySequence:
     """Evaluate E^(m) for m0 <= m <= f.level on the restrictions of f.
 
-    Each lower level restricts the values through promote, f on V_m being
-    f on V_{m+1} read at system.promote[m], so the sequence holds at most
-    the values of two levels beside its blocks.  Each level's energy is the
-    same blocked edge sum as energy_m, combined by the same nonnegative_sum,
-    so every entry equals energy_m of the restriction of f to V_m bit for
-    bit.
+    f on V_m is the first #V_m values of f for m >= 1, and f read at
+    system.v0_ids for m = 0, so the sequence copies no values past V_0.
+    Each level's energy is the same blocked edge sum as energy_m, combined
+    by the same nonnegative_sum, so every entry equals energy_m of the
+    restriction of f to V_m bit for bit.
     m0 outside [0, f.level] raises ValueError.
     """
     _check_level(system, f)
     if not 0 <= m0 <= f.level:
         raise ValueError(f"first level {m0} out of range [0, {f.level}]")
-    values = f.values
     entries = []
     for m in range(f.level, m0 - 1, -1):
-        if m < f.level:
-            values = values.take(system.promote[m])
+        values = (f.values[system.v0_ids] if m == 0 < f.level
+                  else f.values[:system.vertex_count(m)])
         entries.append((m, _cells_energy(hs, values, system.cells[m], m)))
     entries.reverse()
     monotone_ok = all(

@@ -133,7 +133,7 @@ class HarmonicStructure:
     def residual(self, system: FractalSystem) -> float:
         """Entrywise infinity-norm of rho * (De o R)(A) - A."""
         lifted = reproduce(system, self.matrix)
-        back, _ = decimate(lifted, system.promote[0])
+        back, _ = decimate(lifted, system.v0_ids)
         # decimate keeps the boundary rows in the order given: row p is V_0 point p.
         return float(np.abs(self.rho * back.entries - self.matrix.entries).max())
 
@@ -179,7 +179,7 @@ def _renormalize(system: FractalSystem, classes, values):
     """One step of T = De o R from the form with the given class values:
     that form, the class values of its image and the extension matrix."""
     matrix = from_off_diagonal(_class_matrix(system, classes, values))
-    back, extension = decimate(reproduce(system, matrix), system.promote[0])
+    back, extension = decimate(reproduce(system, matrix), system.v0_ids)
     return matrix, _class_values_of(back.entries, classes), extension
 
 

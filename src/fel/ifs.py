@@ -7,13 +7,19 @@ conditions at finite resolution.
 Geometry decides point identity only at level 1 and in the nesting check.
 Every level past 1 is built from the V_1 gluing table alone, which is exact
 for a nested fractal: psi_i(K) and psi_j(K) meet only in images of V_0, so
-two images of V_m points coincide iff they are the same V_1 point.
+the points of V_{m+1} off V_m are the images psi_w(u) of the V_1 points u
+off V_0 by the level-m cells w, each in one cell only.
 
 Conventions used throughout the package:
 
-* Level-m vertex ids are dense integers assigned in first-encounter order
-  while images are enumerated lexicographically by address, so builds are
-  reproducible bit-for-bit.
+* Level-1 vertex ids are dense integers in first-encounter order while the
+  M * #V_0 images psi_k(p) are enumerated by map, then by V_0 point.  Past
+  level 1 the numbering is nested: V_{m+1} is V_m followed by its new
+  points, psi_w(u) at id #V_m + w * s + slot(u), where s = #V_1 - #V_0 and
+  slot j is the j-th V_1 point off V_0 in ascending id order.  So a vertex
+  id names the same point at every level >= 1 that has it, V_m is the first
+  #V_m ids of V_n, and V_0 point p has id ``v0_ids[p]`` at every level >= 1.
+  Builds are reproducible bit-for-bit.
 * The level-m symplex with address (i_1, ..., i_m) (1-based map indices) is
   row ``sum((i_k - 1) * M**(m-k))`` of ``cells[m]``; each row holds the ids
   of its #V_0 vertices, slot p being the image of the p-th point of V_0.
@@ -156,24 +162,20 @@ class ValidationReport:
 class FractalSystem:
     """Validated similitude family with indexed vertex sets and symplex tables.
 
-    Construction derives one table and checks it, together with the fixing
-    maps, raising InvariantViolation if a check fails:
+    ``points[m]`` for m >= 1 are the first #V_m rows of one array, so a point
+    keeps the coordinates of the level that made it.  ``v0_ids`` holds the
+    id of each V_0 point at every level >= 1.  Harmonic extension and the
+    restrictions trust this numbering, so construction checks what it rests
+    on and raises InvariantViolation if a check fails:
 
-    * ``new_vertices``: for each level k < max_level, the (M**k, #V_1 - #V_0)
-      ids of the V_{k+1} points off V_k, per level-k cell.  Column j reads,
-      from the M child rows of the cell in cells[k + 1], the first slot of
-      the j-th V_1 point off V_0 in cells[1] (ascending id order, the order
-      of decimate's extension rows).  For every k, ``promote[k]`` and
-      ``new_vertices[k]`` together name each V_{k+1} id exactly once: they
-      hold #V_{k+1} ids, and a one-byte mask written through both is all
-      true (the per-id counts are taken only for the failure message).  The
-      tables are built once, for this check, and kept for harmonic
-      extension: one int32 per vertex of V_max_level off V_0.
-    * every V_0 point p is the fixed point psi_k(p) = p of some map k.
+    * ``v0_ids`` and ``cells[1]`` name ids of V_1 only, no two V_0 points
+      share an id, and every V_1 id lies in a level-1 cell;
+    * every V_0 point p is the fixed point psi_k(p) = p of some map k;
+    * #V_{m+1} = #V_m + M**m * (#V_1 - #V_0) for every m >= 1.
 
-    Every id table (``cells``, ``promote``, ``new_vertices``) is int32 from
-    the moment it is made: ``build`` refuses any level with more than
-    MAX_CANDIDATES candidates, so every id fits.
+    Every id table (``cells``, ``v0_ids``) is int32 from the moment it is
+    made: ``build`` refuses any level with more than MAX_CANDIDATES
+    candidates, so every id fits.
 
     The system holds no validation result: ``build`` raises on a failed
     condition, and ``validate(system)`` gives the report.  Immutable after
@@ -181,36 +183,29 @@ class FractalSystem:
     safe for shared concurrent reads.
     """
 
-    def __init__(self, maps, name, points, cells, promote, c0, reflections):
+    def __init__(self, maps, name, points, cells, v0_ids, c0, reflections):
         self.maps: list[Similitude] = maps
         self.name = name
         self.points: list[np.ndarray] = points          # level -> (n_m, N) coords
         self.cells: list[np.ndarray] = cells            # level -> (M**m, M0) vertex ids
-        self.promote: list[np.ndarray] = promote        # level m ids -> level m+1 ids
+        self.v0_ids: np.ndarray = v0_ids                # V_0 point -> id at levels >= 1
         self.c0 = c0
         self.reflections: list[Reflection] = reflections
 
-        first = np.full(self.vertex_count(1), cells[1].size)   # first slot of each V_1 id
-        np.minimum.at(first, cells[1].ravel(), np.arange(cells[1].size))
-        new_slots = first[np.bincount(promote[0], minlength=len(first)) == 0]
-        self.new_vertices: list[np.ndarray] = [
-            cells[k + 1].reshape(self.M**k, -1).take(new_slots, axis=1)
-            for k in range(self.max_level)]
-        for k, new in enumerate(self.new_vertices):
-            n = self.vertex_count(k + 1)
-            if any(t.min(initial=0) < 0 or t.max(initial=0) >= n for t in (promote[k], new)):
-                raise InvariantViolation(f"level {k} tables name ids outside V_{k + 1}")
-            seen = np.zeros(n, dtype=bool)
-            seen[promote[k]] = seen[new] = True
-            if len(promote[k]) + new.size != n or not seen.all():
-                counts = (np.bincount(promote[k], minlength=n)
-                          + np.bincount(new.ravel(), minlength=n))
-                raise InvariantViolation(
-                    f"level {k} tables write {(counts > 1).sum()} vertices of V_{k + 1} "
-                    f"more than once and leave {(counts == 0).sum()} unwritten"
-                )
-        if not (cells[1] == promote[0]).any(axis=0).all():
+        n = self.vertex_count(1)
+        if any(t.min(initial=0) < 0 or t.max(initial=0) >= n for t in (v0_ids, cells[1])):
+            raise InvariantViolation("the V_0 ids or cells[1] name ids outside V_1")
+        if np.bincount(v0_ids, minlength=n).max() > 1:
+            raise InvariantViolation("two V_0 points have one V_1 id")
+        uncovered = int((np.bincount(cells[1].ravel(), minlength=n) == 0).sum())
+        if uncovered:
+            raise InvariantViolation(f"{uncovered} vertices of V_1 lie in no level-1 cell")
+        if not (cells[1] == v0_ids).any(axis=0).all():
             raise InvariantViolation("a V_0 point is the fixed point of no map")
+        for m in range(1, self.max_level):
+            if self.vertex_count(m + 1) != self.vertex_count(m) + self.M**m * (n - self.M0):
+                raise InvariantViolation(f"V_{m + 1} does not have #V_{m} + "
+                                         f"{self.M**m} * (#V_1 - #V_0) vertices")
 
     # -- basic attributes -------------------------------------------------
 
@@ -272,32 +267,6 @@ def _match(a: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray:
     return np.where(hit.any(axis=1), hit.argmax(axis=1), -1)
 
 
-def _merge(maps, cells, points, dup, to) -> np.ndarray:
-    """Append the next level from the M map images of the last one; dup
-    (ascending) are the candidates that repeat the earlier candidates to.
-    The level's points are allocated once, and each map's image is made,
-    copied into them without its rows in dup, and freed before the next
-    one, so no more than one image is held.  Return the (M, #V_m)
-    candidate ids."""
-    M, n = len(maps), len(points[-1])
-    ids = np.arange(M * n, dtype=np.int32)
-    for before, (lo, hi) in enumerate(zip(dup + 1, np.append(dup[1:], M * n)), start=1):
-        ids[lo:hi] -= before
-    ids[dup] = ids[to]
-    ids = ids.reshape(M, n)
-    cells.append(ids.take(cells[-1], axis=1).reshape(-1, cells[0].shape[1]))
-    out, at = np.empty((M * n - len(dup), points[-1].shape[1])), 0
-    for k, s in enumerate(maps):
-        image = s.apply(points[-1])
-        cut = dup[(dup >= k * n) & (dup < k * n + n)] - k * n
-        for lo, hi in zip(np.append(0, cut + 1), np.append(cut, n)):
-            out[at:at + hi - lo] = image[lo:hi]
-            at += hi - lo
-        del image
-    points.append(out)
-    return ids
-
-
 def _reflections_of(v0: np.ndarray, c0: float) -> list[Reflection]:
     refs = []
     dim = v0.shape[1]
@@ -318,17 +287,11 @@ def build(maps: list[Similitude], max_level: int, *, max_points: int | None = No
           name: str | None = None, run_validation: bool = True) -> FractalSystem:
     """Enumerate V_m and symplex tables for m <= max_level and validate.
 
-    Candidate k*n + p of V_{m+1} is map k applied to point p of V_m.  A
-    candidate that repeats an earlier one is dropped, and every other one
-    takes as id its index minus the number of dropped candidates before it,
-    so ids are dense and in first-encounter order.  Level 1 finds its
-    repeats among the M*#V_0 candidates by distance within
-    c0 / (MERGE_BAND * L).  Every deeper level assumes nesting and drops the
-    images of the same (map, V_0 point) pairs (_glue_levels).  The nesting
-    check of validate, geometric to depth 3, is the gate for that assumption.
-    Each level's points are allocated once and filled one map image at a
-    time (_merge), so beyond its kept tables a build holds at most one map
-    image of V_{max_level - 1} and the candidate ids of V_max_level.
+    Level 1 merges the M*#V_0 candidates psi_k(p) by distance within
+    c0 / (MERGE_BAND * L); every deeper level assumes nesting and is numbered
+    in closed form from the level below and cells[1] (_tables).  The nesting
+    check of validate, geometric to depth 3, is the gate for that
+    assumption.  Each point cap is checked before any table is made.
 
     Validation failures raise ``ConditionViolation``; build with
     ``run_validation=False`` and call ``validate`` to inspect an invalid system.
@@ -354,27 +317,12 @@ def build(maps: list[Similitude], max_level: int, *, max_points: int | None = No
     diffs = v0[:, None, :] - v0[None, :, :]
     dists = np.linalg.norm(diffs, axis=2)
     c0 = dists[np.triu_indices(len(v0), k=1)].min()
-    M, M0 = len(maps), len(v0)
     for m in range(1, max_level + 1):
-        _check_cap(M, m, M0, cap)
+        _check_cap(len(maps), m, len(v0), cap)
 
-    tau = c0 / (MERGE_BAND * L)
-    cand = np.concatenate([s.apply(v0) for s in maps], axis=0)
-    label = _match(cand, cand, tau)
-    if (label[label] != label).any():
-        raise InvariantViolation("a level-1 point is within the merge tolerance of two "
-                                 "distinct points")
-    dup = np.flatnonzero(label != np.arange(M * M0))
-    points = [v0]
-    cells = [np.arange(M0, dtype=np.int32)[None, :]]
-    _merge(maps, cells, points, dup, label[dup])
-    promote = [_match(v0, points[1], tau).astype(np.int32)]
-    if (promote[0] < 0).any():
-        raise InvariantViolation("a vertex failed to persist to the next level")
-
-    _glue_levels(maps, max_level, dup, label[dup], points, cells, promote)
+    points, cells, v0_ids = _tables(maps, v0, c0 / (MERGE_BAND * L), max_level)
     system = FractalSystem(maps=list(maps), name=name, points=points, cells=cells,
-                           promote=promote, c0=float(c0), reflections=_reflections_of(v0, c0))
+                           v0_ids=v0_ids, c0=float(c0), reflections=_reflections_of(v0, c0))
     if run_validation:
         report = validate(system)
         number = report.first_violation()
@@ -383,26 +331,53 @@ def build(maps: list[Similitude], max_level: int, *, max_points: int | None = No
     return system
 
 
-def _glue_levels(maps, max_level, dup, to, points, cells, promote) -> None:
-    """Append levels 2..max_level from the V_1 gluing table: level-1
-    candidate dup[i] = k*M0 + a (map k applied to V_0 point a) repeats
-    candidate to[i].  Under nesting only images of V_0 points coincide, so at
-    level m + 1 candidate k*n + v0_at[a] (v0_at: the V_m ids of V_0) repeats
-    the image of to[i] in the same way, and no other candidate repeats one.
-    _merge holds one map image at a time; the deepest level's candidate ids
-    are freed on return, before FractalSystem builds and checks its tables.
+def _tables(maps, v0, tau, max_level):
+    """(points, cells, v0_ids) of V_0..V_max_level.
+
+    Level 1: candidate k*M0 + p is psi_k(p); one that lies within tau of an
+    earlier one repeats it, and every other one takes the next id.  Past
+    level 1, corner q of child i of level-m cell w is, for u = cells[1][i, q],
+    cells[m][w, r] if u is V_0 point r, else the new point #V_m + w*s +
+    slot(u).  The new points of level m + 1 are the M map images of those of
+    level m, made one image at a time into one array for V_max_level, whose
+    leading rows are every points[m], m >= 1.
     """
-    (k, a), (j, b) = np.divmod(dup, len(points[0])), np.divmod(to, len(points[0]))
-    v0_at = promote[0]
+    M, M0 = len(maps), len(v0)
+    cand = np.concatenate([s.apply(v0) for s in maps], axis=0)
+    label = _match(cand, cand, tau)
+    if (label[label] != label).any():
+        raise InvariantViolation("a level-1 point is within the merge tolerance of two "
+                                 "distinct points")
+    first = label == np.arange(M * M0)
+    n1 = int(first.sum())
+    s = n1 - M0
+    array = np.empty((n1 + s * (M**max_level - M) // (M - 1), v0.shape[1]))
+    array[:n1] = cand[first]
+    points = [v0, array[:n1]]
+    cells = [np.arange(M0, dtype=np.int32)[None, :],
+             (np.cumsum(first, dtype=np.int32) - 1)[label].reshape(M, M0)]
+    v0_ids = _match(v0, points[1], tau).astype(np.int32)
+    if (v0_ids < 0).any():
+        raise InvariantViolation("a vertex failed to persist to the next level")
+
+    column = np.empty(n1, dtype=np.intp)       # V_0 point r -> r, slot j -> M0 + j
+    new = np.ones(n1, dtype=bool)
+    new[v0_ids] = False
+    column[v0_ids], column[new] = np.arange(M0), M0 + np.arange(s)
+    column = column[cells[1]]
+    fresh = points[1][new]
     for m in range(1, max_level):
-        n = len(points[m])
-        glued, first = k * n + v0_at[a], j * n + v0_at[b]
-        order = np.argsort(glued)
-        ids = _merge(maps, cells, points, glued[order], first[order])
-        # V_m point i is candidate i of level m once that level's dup is dropped.
-        promote.append(np.delete(ids.take(promote[m - 1], axis=1), dup))
-        dup = glued[order]
-        v0_at = promote[m][v0_at]
+        n, count = len(points[m]), M**m
+        for k, psi in enumerate(maps):
+            array[n + k * len(fresh):n + (k + 1) * len(fresh)] = psi.apply(fresh)
+        fresh = array[n:n + count * s]
+        points.append(array[:n + count * s])
+        new_ids = np.arange(n, n + count * s, s, dtype=np.int32)
+        child = np.empty((count, M, M0), dtype=np.int32)
+        for (i, q), c in np.ndenumerate(column):
+            child[:, i, q] = cells[m][:, c] if c < M0 else new_ids + (c - M0)
+        cells.append(child.reshape(-1, M0))
+    return points, cells, v0_ids
 
 
 def validate(system: FractalSystem) -> ValidationReport:
@@ -417,14 +392,15 @@ def validate(system: FractalSystem) -> ValidationReport:
     depth = min(NESTING_DEPTH, system.max_level)
 
     nesting_ok = True
-    M, v0_at = system.M, np.arange(system.M0)
+    M = system.M
+    on_v0 = np.zeros(system.vertex_count(depth), dtype=bool)
+    on_v0[system.v0_ids] = True
     for k in range(1, depth + 1):
-        n, v0_at = system.vertex_count(k), system.promote[k - 1][v0_at]
+        n = system.vertex_count(k)
         tol = system.merge_tolerance(k + 1)
         images = np.concatenate([s.apply(system.points[k]) for s in system.maps])
         rows, other = _close_pairs(images, tol).T
         (i, p), (j, q) = np.divmod(rows, n), np.divmod(other, n)
-        on_v0 = np.bincount(v0_at, minlength=n) > 0
         pair = np.where(i < j, i * M + j, -1)
         allowed = on_v0[p] & on_v0[q]
         for ij in sorted(set(pair[pair >= 0].tolist())):

@@ -619,20 +619,17 @@ def hoelder_estimate(system: FractalSystem, f: VertexFunction, gamma: float) -> 
 
     Pairs are subsampled per symplex: all corner pairs of every cell at every
     level from f's down to 1, which spans separations from diam/L down to the
-    finest resolved scale.  The values and coordinates of V_m are those of
-    the level above read at system.promote[m], so every point keeps its
-    top-level coordinates.  A stability diagnostic, not a certified norm;
-    nan if a compared pair has a nan value.
+    finest resolved scale.  The values of V_m are the first #V_m values of
+    f, and its coordinates are system.points[m].  A stability diagnostic,
+    not a certified norm; nan if a compared pair has a nan value.
     """
     if not 0.0 < gamma < 1.0:
         raise ValueError("gamma must lie in (0, 1)")
     _check_level(system, f)
-    values, coords = f.values, system.points[f.level]
     best = 0.0
     for m in range(f.level, 0, -1):
-        if m < f.level:
-            values, coords = values.take(system.promote[m]), coords.take(system.promote[m], axis=0)
-        best = np.maximum(best, _cells_hoelder(values, coords, system.cells[m], gamma))
+        best = np.maximum(best, _cells_hoelder(f.values[:system.vertex_count(m)],
+                                               system.points[m], system.cells[m], gamma))
     return float(best)
 
 

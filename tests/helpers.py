@@ -41,13 +41,17 @@ def maps_of(name):
     return load_maps(path if path.exists() else name)[0]
 
 
-def build_digests(system):
-    """SHA-256 of each table of a build: the dtype, shape and C-order bytes
-    of every level's array in turn."""
+def build_digests(system, top=None):
+    """SHA-256 of each table of a build through level top (every level if
+    None): the dtype, shape and C-order bytes of every level's array in
+    turn, and of the V_0 ids as a one-array table."""
+    tables = {"points": system.points[:None if top is None else top + 1],
+              "cells": system.cells[:None if top is None else top + 1],
+              "v0_ids": [system.v0_ids]}
     out = {}
-    for table in ("points", "cells", "promote", "new_vertices"):
+    for table, arrays in tables.items():
         digest = hashlib.sha256()
-        for a in getattr(system, table):
+        for a in arrays:
             a = np.ascontiguousarray(a)
             digest.update(f"{a.dtype.str}{a.shape}".encode())
             digest.update(a.tobytes())
@@ -134,11 +138,9 @@ def edge_sum_energy(hs, cols, level):
 
 
 def lift_ids(system, m, n):
-    """Array mapping level-m ids to the ids of the same points at level n."""
-    ids = np.arange(system.vertex_count(m))
-    for k in range(m, n):
-        ids = system.promote[k][ids]
-    return ids
+    """Array mapping level-m ids to the ids of the same points at level n:
+    V_m is the head of V_n for m >= 1, and V_0 point p is v0_ids[p]."""
+    return system.v0_ids if m == 0 < n else np.arange(system.vertex_count(m))
 
 
 def neighbor_pair_hoelder(system, f, gamma):
@@ -479,18 +481,20 @@ def _merged_levels(maps, n):
 
 
 def geometric_levels(maps, n):
-    """(points, cells, promote) of V_0..V_n with every candidate merged geometrically."""
+    """(points, cells, tables) of V_0..V_n with every candidate merged
+    geometrically; tables[m - 1] is the merge table of V_m, whose lookup
+    gives the oracle's id of a point."""
     points = [essential_fixed_points(maps)]
     cells = [np.arange(len(points[0]), dtype=np.int64)[None, :]]
-    promote = []
+    tables = []
     for prev, ids, table in _merged_levels(maps, n):
         n_prev = prev.shape[0]
         cells.append(np.concatenate(
             [ids[k * n_prev : (k + 1) * n_prev][cells[-1]] for k in range(len(maps))], axis=0
         ))
-        promote.append(table.lookup(prev))
+        tables.append(table)
         points.append(table.point_array())
-    return points, cells, promote
+    return points, cells, tables
 
 
 def count_vertices(maps, up_to):
@@ -509,17 +513,26 @@ def count_vertices(maps, up_to):
     return counts
 
 
-def assert_matches_geometric(system):
-    """V_m, cells and promote of a build equal the geometric oracle's bit for
-    bit at every level from 1 up."""
-    points, cells, promote = geometric_levels(system.maps, system.max_level)
+def assert_matches_geometric(system, exact):
+    """A build equals the geometric oracle up to relabelling at every level
+    from 1 up.  The oracle's merge table gives each V_m point of the build
+    its oracle id; that map must be one-to-one, carry the build's cells onto
+    the oracle's row by row and its V_0 ids onto the oracle's V_0 points,
+    and the points must equal the oracle's bit for bit if exact, else lie
+    within the level's merge tolerance of them."""
+    points, cells, tables = geometric_levels(system.maps, system.max_level)
     for m in range(1, system.max_level + 1):
+        ids = tables[m - 1].lookup(system.points[m])
         assert system.vertex_count(m) == len(points[m])
-        got, want = system.points[m], points[m]
-        assert got.dtype == want.dtype and got.shape == want.shape
-        assert got.tobytes() == want.tobytes(), f"V_{m} coordinates differ"
-        np.testing.assert_array_equal(system.cells[m], cells[m])
-        np.testing.assert_array_equal(system.promote[m - 1], promote[m - 1])
+        assert np.array_equal(np.sort(ids), np.arange(len(points[m]))), f"V_{m} ids differ"
+        np.testing.assert_array_equal(ids[system.cells[m]], cells[m])
+        np.testing.assert_array_equal(ids[system.v0_ids], tables[m - 1].lookup(points[0]))
+        got, want = system.points[m], points[m][ids]
+        if exact:
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), \
+                f"V_{m} coordinates differ"
+        else:
+            assert np.linalg.norm(got - want, axis=1).max() <= system.merge_tolerance(m)
 
 
 def locate(system, pts, level):

@@ -74,7 +74,7 @@ def test_criterion_2_dimension_constants(gasket2_l8, gasket2_hs,
 def test_criterion_3_decimation_oracle(gasket2_l8):
     system = gasket2_l8
     b = reproduce(system, unit_matrix(3))
-    boundary = system.promote[0]
+    boundary = system.v0_ids
     dec, ext = decimate(b, boundary)
     matrix_gap = float(np.abs(dec.entries - 0.6 * unit_matrix(3).entries).max())
     ok = matrix_gap <= 1e-12

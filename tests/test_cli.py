@@ -533,7 +533,7 @@ def test_int32_id_range_refused_whatever_the_cap(capsys, monkeypatch):
     def merge(*args):
         raise AssertionError("a table was built past the id-range check")
 
-    monkeypatch.setattr(fel.ifs, "_merge", merge)
+    monkeypatch.setattr(fel.ifs, "_tables", merge)
     monkeypatch.setenv("FEL_MAX_POINTS", str(10**12))
     code, _, err = run(capsys, "energy", "gasket2", "--function", "coord:0", "--levels", "0..20")
     assert code == 3

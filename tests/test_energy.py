@@ -38,19 +38,19 @@ MULTI_WORD_SEEDS = [2**32 - 1, 2**32, 2**40 + 12345, 2**64 - 1, 2**64, 2**70 + 5
                     2**127 + 3, 2**200 + 7]
 
 
-def gasket2_with_promote(k, corrupt):
-    """FractalSystem from the gasket2 L2 tables with promote[k] passed through corrupt."""
+def gasket2_with(**tables):
+    """FractalSystem from the gasket2 L2 tables with some replaced."""
     system = make_system("gasket2", 2)
-    promote = list(system.promote)
-    promote[k] = corrupt(promote[k].copy())
-    return FractalSystem(maps=system.maps, name=system.name, points=system.points,
-                         cells=system.cells, promote=promote, c0=system.c0,
-                         reflections=system.reflections)
+    kw = dict(maps=system.maps, name=system.name, points=system.points, cells=system.cells,
+              v0_ids=system.v0_ids, c0=system.c0, reflections=system.reflections)
+    return FractalSystem(**{**kw, **tables})
 
 
-def glue_first_two(ids):
-    ids[1] = ids[0]
-    return ids
+def with_cells_1(corrupt):
+    """The gasket2 L2 cells with cells[1] passed through corrupt."""
+    cells = list(make_system("gasket2", 2).cells)
+    cells[1] = corrupt(cells[1].copy())
+    return cells
 
 
 class TestEnergyM:
@@ -162,30 +162,45 @@ class TestHarmonicExtension:
             en = energy_m(gasket2_l8, gasket2_hs, fn)
             assert en == pytest.approx(e0, rel=1e-9)
 
-    def test_conflicting_writes_detected(self):
-        # Two V_0 points promoted onto one V_1 vertex: the extension would
-        # write it twice, and FractalSystem rejects the tables at construction.
-        # (The V_1 vertex that lost its promotion counts as new, so it is
-        # still written.)
-        with pytest.raises(InvariantViolation, match="1 vertices of V_1 more than once"):
-            gasket2_with_promote(0, glue_first_two)
+    def test_repeated_v0_id_refused(self):
+        # Two V_0 points on one V_1 vertex: the step from V_0 would write it
+        # twice and leave a V_1 vertex unwritten.
+        v0_ids = make_system("gasket2", 2).v0_ids.copy()
+        v0_ids[1] = v0_ids[0]
+        with pytest.raises(InvariantViolation, match="two V_0 points have one V_1 id"):
+            gasket2_with(v0_ids=v0_ids)
 
-    def test_uncovered_vertex_detected(self):
-        # Glued one level down, the V_2 vertex that lost its promotion is in
-        # no slot table, so no write reaches it.
-        with pytest.raises(InvariantViolation, match="V_2 more than once and leave 1 unwritten"):
-            gasket2_with_promote(1, glue_first_two)
+    def test_v0_id_outside_v1_refused(self):
+        v0_ids = make_system("gasket2", 2).v0_ids.copy()
+        v0_ids[2] = 6
+        with pytest.raises(InvariantViolation, match="name ids outside V_1"):
+            gasket2_with(v0_ids=v0_ids)
 
-    def test_unwritten_vertex_detected_by_count(self):
-        # One extra row in V_2: every table names each id once, but the two
-        # tables together fall one write short of #V_2.
+    def test_cells_1_outside_v1_refused(self):
+        def corrupt(cells):
+            cells[0, 1] = -1
+            return cells
+
+        with pytest.raises(InvariantViolation, match="name ids outside V_1"):
+            gasket2_with(cells=with_cells_1(corrupt))
+
+    def test_v1_vertex_in_no_cell_refused(self):
+        # The midpoint shared by cells 1 and 2 renamed in both: no new point
+        # of a deeper level would take its slot.
+        def corrupt(cells):
+            cells[cells == cells[0, 1]] = cells[0, 2]
+            return cells
+
+        with pytest.raises(InvariantViolation, match="1 vertices of V_1 lie in no level-1 cell"):
+            gasket2_with(cells=with_cells_1(corrupt))
+
+    def test_vertex_count_off_the_closed_form_refused(self):
+        # One extra row in V_2: the extension from V_1 would leave it unwritten.
         system = make_system("gasket2", 2)
         points = [*system.points[:2], np.vstack([system.points[2], system.points[2][:1]])]
         with pytest.raises(InvariantViolation,
-                           match="write 0 vertices of V_2 more than once and leave 1 unwritten"):
-            FractalSystem(maps=system.maps, name=system.name, points=points,
-                          cells=system.cells, promote=system.promote, c0=system.c0,
-                          reflections=system.reflections)
+                           match=r"V_2 does not have #V_1 \+ 3 \* \(#V_1 - #V_0\) vertices"):
+            gasket2_with(points=points)
 
     def test_level_overflow(self, gasket2_l8, gasket2_hs):
         with pytest.raises(ValueError):
@@ -265,13 +280,13 @@ class TestEnergySequence:
         system = request.getfixturevalue(fixture)
         hs = request.getfixturevalue(fixture.split("_")[0] + "_hs")
         M, n = system.M, system.max_level
-        fixing = [int(np.flatnonzero(system.cells[1][:, p] == system.promote[0][p])[0])
+        fixing = [int(np.flatnonzero(system.cells[1][:, p] == system.v0_ids[p])[0])
                   for p in range(system.M0)]
         for m in range(n):
             cells, children = system.cells[m], system.cells[m + 1]
             w = np.arange(cells.shape[0])
             for p, k in enumerate(fixing):
-                assert np.array_equal(system.promote[m][cells[:, p]],
+                assert np.array_equal(lift_ids(system, m, m + 1)[cells[:, p]],
                                       children[w * M + k, p])
         f = VertexFunction(n, np.random.default_rng(25).normal(size=system.vertex_count(n)))
         for m0 in (0, 2):
@@ -314,7 +329,7 @@ class TestEnergySequence:
 
     def test_v0_point_without_fixing_map_rejected(self):
         with pytest.raises(InvariantViolation, match="fixed point of no map"):
-            gasket2_with_promote(0, lambda ids: np.roll(ids, 1))
+            gasket2_with(v0_ids=np.roll(make_system("gasket2", 2).v0_ids, 1))
 
 
 def energy_outcome(value):
@@ -397,9 +412,11 @@ class TestMemoryBounds:
         assert traced_peak(lambda: hoelder_estimate(system, f, 0.5)) < self.GATHER
 
     def test_sample_beyond_output_and_level_below(self, setup):
+        # The extension fills one array for V_n in place, so beside the
+        # output it holds no array for the level below, only blocks.
         system, hs, spec, _ = setup
-        levels = system.vertex_count(self.LEVEL) + system.vertex_count(self.LEVEL - 1)
-        assert traced_peak(lambda: spec.sample(system, hs, self.LEVEL)) - 8 * levels < 2**20
+        output = 8 * system.vertex_count(self.LEVEL)
+        assert traced_peak(lambda: spec.sample(system, hs, self.LEVEL)) - output < 2**20
 
 
 # The largest float, and the run length whose 2^1010 terms overflow their bin.
@@ -624,6 +641,22 @@ class TestFunctionSpecs:
         bumped = parse_function_spec("perturb:harmonic:1,0,0:0:8").sample(gasket2_l8, gasket2_hs, 0)
         assert np.array_equal(bumped.values, f.values)
         assert spec.data.tolist() == [1, 0, 0]
+
+    @pytest.mark.parametrize("fixture", ["gasket2_l8", "snowflake_l5"])
+    def test_perturbed_vertex_is_one_point_at_every_level(self, fixture, request):
+        # Vertex x names the same point at every level that has it, so the
+        # spec shifts that point, and only it, at levels n and n + 1.
+        system = request.getfixturevalue(fixture)
+        hs = request.getfixturevalue(fixture.split("_")[0] + "_hs")
+        x = system.vertex_count(2) - 1
+        spec = parse_function_spec(f"perturb:harmonic:{','.join(['1'] + ['0'] * (system.M0 - 1))}"
+                                   f":{x}:0.5")
+        for n in (2, 3):
+            shifted = [np.flatnonzero(spec.sample(system, hs, level).values
+                                      != spec.base.sample(system, hs, level).values)
+                       for level in (n, n + 1)]
+            assert [ids.tolist() for ids in shifted] == [[x], [x]]
+            assert system.points[n][x].tobytes() == system.points[n + 1][x].tobytes()
 
     def test_harmonic_data_length_checked(self, gasket2_l8, gasket2_hs):
         with pytest.raises(ValueError):

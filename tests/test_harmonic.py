@@ -108,15 +108,15 @@ class TestReproduce:
 class TestDecimate:
     def test_gasket_three_fifths(self, gasket2_l8):
         b = reproduce(gasket2_l8, unit_matrix(3))
-        dec, _ = decimate(b, gasket2_l8.promote[0])
+        dec, _ = decimate(b, gasket2_l8.v0_ids)
         expected = 0.6 * unit_matrix(3).entries
         assert np.abs(dec.entries - expected).max() <= 1e-12
 
     def test_extension_one_fifth_two_fifths(self, gasket2_l8):
         system = gasket2_l8
         b = reproduce(system, unit_matrix(3))
-        _, ext = decimate(b, system.promote[0])
-        interior = np.setdiff1d(np.arange(system.vertex_count(1)), system.promote[0])
+        _, ext = decimate(b, system.v0_ids)
+        interior = np.setdiff1d(np.arange(system.vertex_count(1)), system.v0_ids)
         got = ext @ np.array([1.0, 0.0, 0.0])
         v0 = system.points[0]
         mids = system.points[1][interior]
@@ -134,7 +134,7 @@ class TestDecimate:
         rng = np.random.default_rng(7)
         system = gasket2_l8
         b = reproduce(system, unit_matrix(3))
-        boundary = system.promote[0]
+        boundary = system.v0_ids
         interior = np.setdiff1d(np.arange(system.vertex_count(1)), boundary)
         dec, ext = decimate(b, boundary)
         for _ in range(10):
@@ -152,7 +152,7 @@ class TestDecimate:
         rng = np.random.default_rng(8)
         system = gasket2_l8
         b = reproduce(system, unit_matrix(3))
-        boundary = system.promote[0]
+        boundary = system.v0_ids
         interior = np.setdiff1d(np.arange(system.vertex_count(1)), boundary)
         lap = -b.entries
         lap_ii = lap[np.ix_(interior, interior)]
@@ -223,9 +223,9 @@ class TestSolveNdhs:
         nn = gasket2_hs.class_values[0]
         assert nn == pytest.approx(1.0, abs=1e-12)
         b7 = reproduce(gasket2_l8, from_off_diagonal(7.0 * np.ones((3, 3))))
-        dec7, _ = decimate(b7, gasket2_l8.promote[0])
+        dec7, _ = decimate(b7, gasket2_l8.v0_ids)
         b1 = reproduce(gasket2_l8, unit_matrix(3))
-        dec1, _ = decimate(b1, gasket2_l8.promote[0])
+        dec1, _ = decimate(b1, gasket2_l8.v0_ids)
         assert np.abs(dec7.entries - 7.0 * dec1.entries).max() <= 1e-12
 
     def test_no_convergence_carries_trace(self, snowflake_l5, monkeypatch):

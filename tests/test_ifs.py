@@ -27,10 +27,10 @@ INVALID_MAPS = {"perturbed": perturbed_gasket_maps, "rotated": rotated_gasket_ma
                 "overlapping": overlapping_interval_maps}
 # SHA-256 of the build tables (helpers.build_digests) of the presets at their
 # benchmark levels and of the examples/ systems at the deepest level under the
-# default point cap, computed by the gluing that labelled every candidate:
-# the gluing that slices out the few repeated ones must keep every bit.  The
-# cells, promote and new_vertices pins are those of the int64 tables that
-# gluing made, cast to int32.
+# default point cap, in the nested numbering.  The "level_1" pins, of the
+# tables through level 1 alone, are those of the first-encounter build that
+# numbered every level, whose V_1 ids and V_0 table ("promote" of a level-1
+# build) the nested numbering keeps.
 BUILD_DIGESTS = json.loads((Path(__file__).parent / "build_digests.json").read_text())
 # The examples/ systems at levels the geometric oracle merges in a few
 # seconds: the flipped gasket's maps have orthogonal parts and the
@@ -184,13 +184,10 @@ class TestBuild:
         assert addr[0] == (1, 1) and addr[-1] == (3, 3)
 
     def test_monotone_inclusion(self, gasket2_l8):
+        # V_0 lies in V_1 at v0_ids; past level 1 each V_m is the head of
+        # V_{m+1} (TestNestedNumbering).
         sys_ = gasket2_l8
-        for m in range(sys_.max_level):
-            lifted = sys_.promote[m]
-            assert lifted.shape == (sys_.vertex_count(m),)
-            np.testing.assert_allclose(
-                sys_.points[m + 1][lifted], sys_.points[m], atol=1e-12
-            )
+        np.testing.assert_allclose(sys_.points[1][sys_.v0_ids], sys_.points[0], atol=1e-12)
 
     def test_points_in_symplex_counts(self, snowflake_l5):
         # #(V_n ∩ S) = #V_{n-m} for every level-m symplex
@@ -211,14 +208,15 @@ class TestBuild:
         def merge(*args):
             raise AssertionError("a table was built past the id-range check")
 
-        monkeypatch.setattr(fel.ifs, "_merge", merge)
+        monkeypatch.setattr(fel.ifs, "_tables", merge)
         refused = f"level 19 needs {3**20} candidate points; .* at most {2**31 - 1}$"
         with pytest.raises(PointCapExceeded, match=refused):
             build(maps_of("gasket2"), 20, max_points=10**12)
 
     def test_build_retains_int32_ids(self):
-        # What build(gasket2, 11) leaves allocated is its points, 4 bytes per
-        # id of cells, promote and new_vertices, and under 64 KiB besides.
+        # What build(gasket2, 11) leaves allocated is V_0, the one array whose
+        # heads are V_1..V_11, 4 bytes per id of cells and the V_0 ids, and
+        # under 64 KiB besides.
         maps = maps_of("gasket2")
         tracemalloc.start()
         try:
@@ -227,15 +225,16 @@ class TestBuild:
             retained = tracemalloc.get_traced_memory()[0] - held
         finally:
             tracemalloc.stop()
-        points = sum(p.nbytes for p in system.points)
-        ids = sum(a.size for table in (system.cells, system.promote, system.new_vertices)
-                  for a in table)
+        assert all(p.base is system.points[-1].base for p in system.points[1:])
+        points = system.points[0].nbytes + system.points[-1].nbytes
+        ids = sum(a.size for a in system.cells) + system.v0_ids.size
         assert retained < points + 4 * ids + 2**16
 
     def test_build_peaks_at_its_tables(self):
-        # Beyond what it keeps, build(gasket2, 11) holds at most one map image
-        # of V_10 and the M * #V_10 int32 candidate ids of V_11, plus 256 KiB.
-        # Holding all M images, or bincounts of a level, breaks the bound.
+        # Beyond what it keeps, build(gasket2, 11) holds at most one map
+        # image of the new points of V_10 and two int32 ids per level-10
+        # cell, plus 256 KiB.  Holding all M images, or a candidate id per
+        # point of V_11, breaks the bound.
         maps = maps_of("gasket2")
         tracemalloc.start()
         try:
@@ -243,8 +242,8 @@ class TestBuild:
             retained, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        n = system.vertex_count(10)
-        assert peak - retained < 8 * system.dim * n + 4 * system.M * n + 2**18
+        image = (system.vertex_count(11) - system.vertex_count(10)) // system.M
+        assert peak - retained < 8 * system.dim * image + 8 * system.M**10 + 2**18
 
     def test_build_reproducible_bitwise(self):
         a = make_system("gasket2", 4)
@@ -257,9 +256,9 @@ class TestBuild:
     def test_build_digests_pinned(self, name):
         pinned = dict(BUILD_DIGESTS[name])
         system = build(maps_of(name), pinned.pop("level"))
-        assert build_digests(system) == pinned
-        for table in (system.cells, system.promote, system.new_vertices):
-            assert all(a.dtype == np.int32 for a in table)
+        level_1 = pinned.pop("level_1")
+        assert build_digests(system) == {**pinned, "v0_ids": level_1["v0_ids"]}
+        assert all(a.dtype == np.int32 for a in [*system.cells, system.v0_ids])
 
     def test_count_vertices_agrees_with_stored(self, gasket2_l8):
         # The geometric oracle's counts equal the combinatorial build's.
@@ -267,12 +266,54 @@ class TestBuild:
         assert counts == [gasket2_l8.vertex_count(m) for m in range(9)]
 
 
+class TestNestedNumbering:
+    """The numbering that extension and restriction rest on: V_m is the head
+    of V_{m+1}, and V_0 point p has id v0_ids[p] at every level >= 1."""
+
+    @pytest.mark.parametrize("name", ["gasket2", "gasket3", "snowflake", *EXAMPLE_LEVELS])
+    def test_points_are_heads_of_the_next_level(self, name):
+        system = build(maps_of(name), 4)
+        for m in range(1, 4):
+            head = system.points[m + 1][:system.vertex_count(m)]
+            assert head.tobytes() == system.points[m].tobytes()
+
+    @pytest.mark.parametrize("name", ["gasket2", "gasket3", "snowflake", *EXAMPLE_LEVELS])
+    def test_cells_follow_the_closed_form(self, name):
+        # Corner q of child i of cell w is the parent's corner r if
+        # cells[1][i, q] is V_0 point r, else #V_m + w * s + its slot.
+        system = build(maps_of(name), 4)
+        corner = {u: r for r, u in enumerate(system.v0_ids.tolist())}
+        off = sorted(set(range(system.vertex_count(1))) - set(corner))
+        slot, s = {u: j for j, u in enumerate(off)}, len(off)
+        for m in range(1, 4):
+            n, parent = system.vertex_count(m), system.cells[m].tolist()
+            want = [[parent[w][corner[u]] if u in corner else n + w * s + slot[u] for u in row]
+                    for w in range(system.M**m) for row in system.cells[1].tolist()]
+            np.testing.assert_array_equal(system.cells[m + 1], want)
+
+    @pytest.mark.parametrize("name", ["gasket2", "gasket3", "snowflake", *EXAMPLE_LEVELS])
+    def test_v0_ids_hold_at_every_level(self, name):
+        system = build(maps_of(name), 4)
+        for m in range(1, 5):
+            np.testing.assert_array_equal(locate(system, system.points[0], m), system.v0_ids)
+
+    @pytest.mark.parametrize("name", sorted(BUILD_DIGESTS))
+    def test_level_0_and_1_tables_keep_their_digests(self, name):
+        pinned = BUILD_DIGESTS[name]["level_1"]
+        assert build_digests(build(maps_of(name), 1)) == pinned
+        assert build_digests(build(maps_of(name), 3), top=1) == pinned
+
+
 class TestGeometricOracle:
     @pytest.mark.parametrize("name", ["gasket2", "gasket3", "snowflake", *EXAMPLE_LEVELS])
     def test_build_matches_oracle(self, name):
         # Levels past 1 come from the V_1 gluing table; the oracle merges
-        # every candidate by distance and must give the same bits.
-        assert_matches_geometric(build(maps_of(name), EXAMPLE_LEVELS.get(name, 6)))
+        # every candidate by distance and must give the same tables up to
+        # relabelling.  The gaskets' points are exact, so their bits agree;
+        # elsewhere a point keeps the coordinates of its first level, where
+        # the oracle recomputes it at every level.
+        assert_matches_geometric(build(maps_of(name), EXAMPLE_LEVELS.get(name, 6)),
+                                 exact=name in ("gasket2", "gasket3"))
 
     @pytest.mark.parametrize("add", [MergeTable.add_block, MergeTable.add_unordered])
     def test_boundary_split_copies_merge(self, add):

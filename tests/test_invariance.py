@@ -94,10 +94,13 @@ def test_rigid_motion_and_rescaling_invariance(preset, data):
 @given(data=st.data())
 def test_moved_build_matches_geometric_oracle(preset, data):
     # The gluing table is taken from the level-1 geometry of the moved IFS;
-    # every deeper level must still equal the all-candidates merge.
+    # every deeper level must still equal the all-candidates merge up to
+    # relabelling.  A moved point keeps the coordinates of its first level,
+    # which the oracle recomputes at every level, so the points agree within
+    # the merge tolerance.
     maps, _ = load_maps(preset)
     s, q, t = data.draw(motions(maps[0].dim))
-    assert_matches_geometric(build(conjugate(maps, s, q, t), LEVELS[preset]))
+    assert_matches_geometric(build(conjugate(maps, s, q, t), LEVELS[preset]), exact=False)
 
 
 # Placement classes key cell pairs by their relative similitude in cell

@@ -85,7 +85,7 @@ def test_fractal_system_keeps_only_what_fel_reads():
               and isinstance(node.ctx, ast.Store) and getattr(node.value, "id", None) == "self"}
     read = {node.attr for tree in trees.values() for node in ast.walk(tree)
             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
-    assert {"cells", "promote", "new_vertices"} <= stored
+    assert {"cells", "v0_ids"} <= stored
     assert not stored - read
 
 
@@ -214,3 +214,28 @@ def test_corpus_run_does_not_import_numpy_random(tmp_path):
     corpus, out = tmp_path / "corpus.txt", tmp_path / "out.csv"
     assert run_python(CORPUS_RUN_PROBE, str(corpus), str(out)) == "False"
     assert len(corpus.read_text().splitlines()) == 4 and out.exists()
+
+
+FAILING_PROPERTY = """
+from hypothesis import given, settings, strategies as st
+
+
+@settings(database=None, derandomize=True)
+@given(st.integers())
+def test_fails(x):
+    assert x < 0
+"""
+
+
+def test_failing_property_test_is_reported(tmp_path):
+    # Reporting a failing @given test imports libcst, whose import warns with
+    # a third-party DeprecationWarning; under the project's warning filters
+    # that must not abort the session with INTERNALERROR.
+    root = Path(__file__).resolve().parents[1]
+    (tmp_path / "test_property.py").write_text(FAILING_PROPERTY, encoding="utf-8")
+    result = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-c",
+         str(root / "pyproject.toml"), "--rootdir", str(tmp_path), "test_property.py"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert "INTERNALERROR" not in result.stdout + result.stderr
+    assert "1 failed" in result.stdout
