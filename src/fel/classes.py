@@ -13,10 +13,13 @@ relative similitude psi_a^-1 psi_b (orthogonal part and offset in cell
 units).  Each class is worked out once, from weighted moment forms where the
 pair lies inside the cutoff, from its child pairs' forms pulled back through
 the maps where it straddles, and from weighted point pairs of local V_1 at
-level n - 1, under the walk's tie rule.  So the cost follows the number of
-classes, not #V_n pairs or the number of functions, and the coefficients
-agree with the walk of fel.lipschitz to about 1e-15 relative, not bit for
-bit.  Raw vertex data and ``perturb:`` specs still take the walk.
+level n - 1, under the walk's tie rule.  The pairs within one cell are
+that cell paired with itself, a self class: every class takes the one pair
+formula, and a self class's form, at z = (0, g, g), is then folded into a
+form in the cell's g.  So the cost follows the number of classes, not #V_n
+pairs or the number of functions, and the coefficients agree with the walk
+of fel.lipschitz to about 1e-15 relative, not bit for bit.  Raw vertex data
+and ``perturb:`` specs still take the walk.
 """
 
 from __future__ import annotations
@@ -69,13 +72,14 @@ class _Space:
     up to 1 over the cells of any level.  On a nested fractal cells meet only
     in corners, so a cell's points weigh 1 but for its corners, whose
     weights, its pattern, follow from its parent's pattern and its map index
-    alone (``child``).  Per depth d and pattern (lists over d of arrays over
-    patterns) the space keeps the weighted count, mean and centred second
-    moments of the basis over local V_d, in the cell's frame; for d >= 1, the
-    same of each child in the parent's frame (``kcount``, ``kmean``,
-    ``kcov``, with a map axis) and each child's ball, which holds all its
-    points whatever its pattern (``kcenter``, ``kradius``); and local V_1,
-    its V_0 points first, for the leaf stage.
+    alone (``child``).  Per depth d >= 1 and pattern (lists over d of
+    arrays over patterns, with a map axis) the space keeps the weighted
+    count, mean and centred second moments of the basis over local V_{d-1}
+    of each child, in the parent's frame (``kcount``, ``kmean``, ``kcov``),
+    and each child's ball, which holds all its points whatever its pattern
+    (``kcenter``, ``kradius``); local V_1, its V_0 points first, for the
+    leaf stage; and ``lift``, the pull-backs of a child pair's form into its
+    parent's, one table for pair and self parents (_pull_back).
     """
 
     def __init__(self, system: FractalSystem, hs: HarmonicStructure, n: int):
@@ -105,16 +109,16 @@ class _Space:
         self._patterns(system)
         self._moments(system, n - 1)
         # Pullbacks of a child pair (k, l)'s z = (f_a - f_b constant, g_a', g_b')
-        # from its parent's z; a self parent's z is its g', its form the a-block.
+        # from its parent's z, lift[self parent, k, l]; a folded self parent
+        # reads g_a' alone, so lift[1] adds the b-block columns onto the a-block's.
         D, A, p = 2 * s - 1, self.P[:, 1:, 1:], self.P[:, 0, 1:]
-        self.pull_pair = np.zeros((M, M, D, D))
-        self.pull_self = np.zeros((M, M, D, s - 1))
-        for k in range(M):
-            for l in range(M):
-                self.pull_pair[k, l, 0] = np.r_[1.0, p[k], -p[l]]
-                self.pull_pair[k, l, 1:s, 1:s] = A[k]
-                self.pull_pair[k, l, s:, s:] = A[l]
-                self.pull_self[k, l] = np.concatenate([[p[k] - p[l]], A[k], A[l]])
+        self.lift = np.zeros((2, M, M, D, D))
+        self.lift[0, :, :, 0, 0] = 1.0
+        self.lift[0, :, :, 0, 1:s] = p[:, None]
+        self.lift[0, :, :, 0, s:] = -p[None, :]
+        self.lift[0, :, :, 1:s, 1:s] = A[:, None]
+        self.lift[0, :, :, s:, s:] = A[None, :]
+        self.lift[1, ..., 1:s] = self.lift[0, ..., 1:s] + self.lift[0, ..., s:]
 
     def turn(self, k: np.ndarray, g: np.ndarray, l: np.ndarray) -> np.ndarray:
         """Index of R_k' orth[g] R_l in ``orth``, the distinct orthogonal parts
@@ -154,33 +158,33 @@ class _Space:
         self.weight = np.array(weights)
 
     def _moments(self, system: FractalSystem, depth: int) -> None:
-        """Weighted moments by depth from depth 0 up, children combined as in
-        Chan, Golub & LeVeque; each child's ball from all points of V_{d-1},
-        as the walk's."""
+        """Each child's weighted moments by depth from depth 1 up, combined
+        from its children's as in Chan, Golub & LeVeque (a cell's own
+        moments feed only the next depth); each child's ball from all points
+        of V_{d-1}, as the walk's."""
         A, p, M0 = self.P[:, 1:, 1:], self.P[:, 0, 1:], system.M0
         w = self.weight
         phi = np.concatenate([np.eye(M0)[:, 1:], system.points[0] - system.points[0][0]], axis=1)
         count = w.sum(axis=1)
         mean = w @ phi / count[:, None]
         dev = phi - mean[:, None]
-        self.count, self.mean = [count], [mean]
-        self.cov = [np.einsum("mq,mqt,mqu->mtu", w, dev, dev)]
+        cov = np.einsum("mq,mqt,mqu->mtu", w, dev, dev)
         self.kcount, self.kmean, self.kcov, self.kcenter, self.kradius = ([None] for _ in range(5))
         for d in range(1, depth + 1):
             kids, pts = self.child, system.points[d - 1]
             center = pts.mean(axis=0)
             radius = np.sqrt(((pts - center) ** 2).sum(axis=1)).max()
-            kcount = self.count[-1][kids]
-            kmean = p + np.einsum("kut,mku->mkt", A, self.mean[-1][kids])
-            kcov = A.transpose(0, 2, 1) @ self.cov[-1][kids] @ A
+            kcount = count[kids]
+            kmean = p + np.einsum("kut,mku->mkt", A, mean[kids])
+            kcov = A.transpose(0, 2, 1) @ cov[kids] @ A
             count = kcount.sum(axis=1)
             mean = np.einsum("mk,mkt->mt", kcount, kmean) / count[:, None]
             dev = kmean - mean[:, None]
             cov = kcov.sum(axis=1) + np.einsum("mk,mkt,mku->mtu", kcount, dev, dev)
             for store, value in zip((self.kcount, self.kmean, self.kcov, self.kcenter,
-                                     self.kradius, self.count, self.mean, self.cov),
+                                     self.kradius),
                                     (kcount, kmean, kcov, self.rot @ center / self.L + self.shift,
-                                     radius / self.L, count, mean, cov)):
+                                     radius / self.L)):
                 store.append(value)
 
 
@@ -259,46 +263,43 @@ def _inside_forms(space: _Space, d: int, a: np.ndarray, b: np.ndarray, inside: n
     z = (delta, g_a, g_b), with the constant difference delta, from the
     weighted count, mean and centred moments of each pattern's children at
     depth d; ``a`` and ``b`` are the parents' patterns and ``inside`` is
-    (parents, k, l).  A self parent sums k <= l, and its form, in the
-    a-block, uses the child means less the parent's mean, which leaves its
-    value unchanged."""
+    (parents, k, l).  A self parent sums k <= l and is folded (_fold); its
+    pairs (k, k) count each point pair of child k once, so they take half
+    weight and no mean term, which would cancel."""
     count, kmean, kcov = space.kcount[d], space.kmean[d], space.kcov[d]
-    s1 = kmean.shape[2]
-    forms = np.zeros((len(a), 2 * s1 + 1, 2 * s1 + 1))
-    pair = np.flatnonzero(~same)
-    if len(pair):
-        hit = inside[pair].astype(float)
-        na, nb = count[a[pair]], count[b[pair]]
-        w = hit * na[:, :, None] * nb[:, None, :]
-        wa, wb = w.sum(axis=2), w.sum(axis=1)
-        mu_a, mu_b = kmean[a[pair]], kmean[b[pair]]
-        forms[pair, 0, 0] = wa.sum(axis=1)
-        forms[pair, 0, 1:s1 + 1] = np.einsum("pk,pkt->pt", wa, mu_a)
-        forms[pair, 0, s1 + 1:] = -np.einsum("pl,plt->pt", wb, mu_b)
-        forms[pair, 1:, 0] = forms[pair, 0, 1:]
-        forms[pair, 1:s1 + 1, 1:s1 + 1] = (
-            mu_a.transpose(0, 2, 1) @ (wa[:, :, None] * mu_a)
-            + _mixed(np.einsum("pkl,pl->pk", hit, nb), kcov, a[pair]))
-        forms[pair, s1 + 1:, s1 + 1:] = (
-            mu_b.transpose(0, 2, 1) @ (wb[:, :, None] * mu_b)
-            + _mixed(np.einsum("pk,pkl->pl", na, hit), kcov, b[pair]))
-        ab = -(mu_a.transpose(0, 2, 1) @ w @ mu_b)
-        forms[pair, 1:s1 + 1, s1 + 1:] = ab
-        forms[pair, s1 + 1:, 1:s1 + 1] = ab.transpose(0, 2, 1)
-    own = np.flatnonzero(same)
-    if len(own):
-        hit = inside[own].astype(float)
-        diag = np.arange(hit.shape[1])
-        hit = hit + np.triu(hit, 1).transpose(0, 2, 1)   # both orders of k < l
-        n = count[a[own]]
-        w = hit * n[:, :, None] * n[:, None, :]
-        w[:, diag, diag] = 0.0
-        mu = kmean[a[own]] - space.mean[d][a[own]][:, None]
-        forms[own, 1:s1 + 1, 1:s1 + 1] = (
-            mu.transpose(0, 2, 1) @ (w.sum(axis=2)[:, :, None] * mu)
-            - mu.transpose(0, 2, 1) @ w @ mu
-            + _mixed(np.einsum("pkl,pl->pk", hit, n), kcov, a[own]))
+    s1, own, diag = kmean.shape[2], np.flatnonzero(same)[:, None], np.arange(inside.shape[1])
+    hit = inside.astype(float)
+    hit[own, diag, diag] *= 0.5
+    na, nb = count[a], count[b]
+    w = hit * na[:, :, None] * nb[:, None, :]
+    w[own, diag, diag] = 0.0
+    wa, wb = w.sum(axis=2), w.sum(axis=1)
+    mu_a, mu_b = kmean[a], kmean[b]
+    forms = np.empty((len(a), 2 * s1 + 1, 2 * s1 + 1))
+    forms[:, 0, 0] = wa.sum(axis=1)
+    forms[:, 0, 1:s1 + 1] = np.einsum("pk,pkt->pt", wa, mu_a)
+    forms[:, 0, s1 + 1:] = -np.einsum("pl,plt->pt", wb, mu_b)
+    forms[:, 1:, 0] = forms[:, 0, 1:]
+    forms[:, 1:s1 + 1, 1:s1 + 1] = (mu_a.transpose(0, 2, 1) @ (wa[:, :, None] * mu_a)
+                                    + _mixed(np.einsum("pkl,pl->pk", hit, nb), kcov, a))
+    forms[:, s1 + 1:, s1 + 1:] = (mu_b.transpose(0, 2, 1) @ (wb[:, :, None] * mu_b)
+                                  + _mixed(np.einsum("pk,pkl->pl", na, hit), kcov, b))
+    ab = -(mu_a.transpose(0, 2, 1) @ w @ mu_b)
+    forms[:, 1:s1 + 1, s1 + 1:] = ab
+    forms[:, s1 + 1:, 1:s1 + 1] = ab.transpose(0, 2, 1)
+    _fold(forms, same)
     return forms
+
+
+def _fold(forms: np.ndarray, same: np.ndarray) -> None:
+    """Turn the forms of self classes, whose pairs lie in one cell, into forms
+    in that cell's g alone: at z = (0, g, g) the four g blocks add up in the
+    a-block, and the delta row and b-block are cleared."""
+    s = (forms.shape[1] + 1) // 2
+    q = forms[same]
+    folded = q[:, 1:s, 1:s] + q[:, s:, s:] + (q[:, 1:s, s:] + q[:, s:, 1:s])
+    forms[same] = 0.0
+    forms[same, 1:s, 1:s] = folded
 
 
 def _mixed(weight: np.ndarray, kcov: np.ndarray, patterns: np.ndarray) -> np.ndarray:
@@ -316,47 +317,38 @@ def _leaf_forms(space: _Space, classes: _Classes, limit: np.ndarray) -> np.ndarr
     V_1 under the walk's rule: d2 < ``limit`` (per class, the _below_sqrt of
     its inner cutoff in cell units).  With w the near pairs (x of a, y of b)
     times the weights omega_a(x) omega_b(y): sum w (delta + phi_x.g_a -
-    phi_y.g_b)^2, and for a self pair, over its pairs x < y, (phi_x.g -
-    phi_y.g)^2 = phi'(deg - w)phi.  Classes go in blocks of at most
-    PAIR_CHUNK point pairs, as the walk's leaf chunks, self pairs apart."""
+    phi_y.g_b)^2; a self class keeps its pairs x < y and is folded (_fold).
+    Classes go in blocks of at most PAIR_CHUNK point pairs, as the walk's
+    leaf chunks."""
     phi, nv, x = space.leaf_phi, len(space.leaf_phi), space.leaf_points
     M0 = space.weight.shape[1]
     s1 = phi.shape[1]
     outer = (phi[:, :, None] * phi[:, None, :]).reshape(nv, -1)
-    centred = phi - phi.mean(axis=0)
-    centred_outer = (centred[:, :, None] * centred[:, None, :]).reshape(nv, -1)
     ordered = np.triu(np.ones((nv, nv)), 1)
-    forms = np.zeros((len(classes.a), 2 * s1 + 1, 2 * s1 + 1))
+    forms = np.empty((len(classes.a), 2 * s1 + 1, 2 * s1 + 1))
     step = max(1, PAIR_CHUNK // nv**2)
-    for same in (False, True):
-        picked = np.flatnonzero(classes.same == same)
-        for lo in range(0, len(picked), step):
-            rows = picked[lo:lo + step]
-            c = classes.take(rows)
-            y = x @ space.orth[c.g].transpose(0, 2, 1) + c.shift[:, None]
-            w = np.square(x[:, None, 0] - y[:, None, :, 0])
-            for axis in range(1, x.shape[1]):
-                w += np.square(x[:, None, axis] - y[:, None, :, axis])
-            np.less(w, limit[rows, None, None], out=w)          # near pairs: 1
-            w[:, :M0] *= space.weight[c.a][:, :, None]
-            w[:, :, :M0] *= space.weight[c.b][:, None]
-            if same:
-                w *= ordered
-                w += w.transpose(0, 2, 1).copy()
-                forms[rows, 1:s1 + 1, 1:s1 + 1] = (
-                    (w.sum(axis=2) @ centred_outer).reshape(-1, s1, s1)
-                    - centred.T @ (w.reshape(-1, nv) @ centred).reshape(-1, nv, s1))
-                continue
-            wa, wb = w.sum(axis=2), w.sum(axis=1)
-            forms[rows, 0, 0] = wa.sum(axis=1)
-            forms[rows, 0, 1:s1 + 1] = wa @ phi
-            forms[rows, 0, s1 + 1:] = -(wb @ phi)
-            forms[rows, 1:, 0] = forms[rows, 0, 1:]
-            forms[rows, 1:s1 + 1, 1:s1 + 1] = (wa @ outer).reshape(-1, s1, s1)
-            forms[rows, s1 + 1:, s1 + 1:] = (wb @ outer).reshape(-1, s1, s1)
-            ab = -(phi.T @ (w.reshape(-1, nv) @ phi).reshape(-1, nv, s1))
-            forms[rows, 1:s1 + 1, s1 + 1:] = ab
-            forms[rows, s1 + 1:, 1:s1 + 1] = ab.transpose(0, 2, 1)
+    for lo in range(0, len(classes.a), step):
+        rows = slice(lo, lo + step)
+        c = classes.take(rows)
+        y = x @ space.orth[c.g].transpose(0, 2, 1) + c.shift[:, None]
+        w = np.square(x[:, None, 0] - y[:, None, :, 0])
+        for axis in range(1, x.shape[1]):
+            w += np.square(x[:, None, axis] - y[:, None, :, axis])
+        np.less(w, limit[rows, None, None], out=w)          # near pairs: 1
+        w[:, :M0] *= space.weight[c.a][:, :, None]
+        w[:, :, :M0] *= space.weight[c.b][:, None]
+        w[c.same] *= ordered
+        wa, wb = w.sum(axis=2), w.sum(axis=1)
+        forms[rows, 0, 0] = wa.sum(axis=1)
+        forms[rows, 0, 1:s1 + 1] = wa @ phi
+        forms[rows, 0, s1 + 1:] = -(wb @ phi)
+        forms[rows, 1:, 0] = forms[rows, 0, 1:]
+        forms[rows, 1:s1 + 1, 1:s1 + 1] = (wa @ outer).reshape(-1, s1, s1)
+        forms[rows, s1 + 1:, s1 + 1:] = (wb @ outer).reshape(-1, s1, s1)
+        ab = -(phi.T @ (w.reshape(-1, nv) @ phi).reshape(-1, nv, s1))
+        forms[rows, 1:s1 + 1, s1 + 1:] = ab
+        forms[rows, s1 + 1:, 1:s1 + 1] = ab.transpose(0, 2, 1)
+    _fold(forms, classes.same)
     return forms
 
 
@@ -372,10 +364,12 @@ def _class_forms(space: _Space, system: FractalSystem, n: int,
     the next level.  Classes at level n - 1 are the leaves (_leaf_forms).
     The forms then come back up, UP_CLASSES at a time and the leaves
     LEAF_CLASSES at a time: each class's form is its inside children's plus
-    its straddling children's, pulled back through P (_pull_back).  A level
-    keeps its patterns, self and inside flags, and 10 bytes a straddling
-    child pair, so the forms of two levels, D^2 float64 a class, are the
-    largest arrays held: gasket3 L9 at m = 1..6 peaks at 357 MiB RSS.
+    its straddling children's, pulled back through P (_pull_back).  A self
+    class's form is folded where it is made (_fold), so it reads only the
+    a-block, g_i' of the pair (i, i) at the root.  A level keeps its
+    patterns, self and inside flags, and 10 bytes a straddling child pair,
+    so the forms of two levels, D^2 float64 a class, are the largest arrays
+    held: gasket3 L9 at m = 1..6 peaks at 357 MiB RSS.
     """
     M, L, D = space.M, space.L, 2 * space.s - 1
     ii, jj = np.triu_indices(M)
@@ -415,24 +409,22 @@ def _pull_back(space: _Space, forms: np.ndarray, below: np.ndarray, parent: np.n
                k: np.ndarray, l: np.ndarray, self_parent: np.ndarray,
                child: np.ndarray) -> None:
     """Add each child form below[child], pulled back through maps k and l,
-    to forms[parent]: P' Q P with P = pull_pair[k, l], or pull_self[k, l]
-    into the a-block of a self parent; UP_CLASSES child pairs at a time."""
-    s = space.s
+    to forms[parent]: P' Q P with P = lift[self parent, k, l], UP_CLASSES
+    child pairs at a time."""
     group = (k.astype(np.int64) * space.M + l) * 2 + self_parent
     order = np.argsort(group, kind="stable")
     bounds = np.flatnonzero(np.diff(group[order], prepend=-1, append=-1))
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         for pick in np.split(order[lo:hi], np.arange(UP_CLASSES, hi - lo, UP_CLASSES)):
             first = pick[0]
-            lift = (space.pull_self if self_parent[first] else space.pull_pair)[k[first], l[first]]
+            lift = space.lift[int(self_parent[first]), k[first], l[first]]
             q = below[child[pick]]
             size, dim = q.shape[:2]
-            half = (q.reshape(-1, dim) @ lift).reshape(size, dim, -1).transpose(0, 2, 1)
-            pulled = (half.reshape(-1, dim) @ lift).reshape(size, lift.shape[1], -1)
-            if self_parent[first]:
-                forms[parent[pick], 1:s, 1:s] += pulled
-            else:
-                forms[parent[pick]] += pulled
+            half = (q.reshape(-1, dim) @ lift).reshape(size, dim, dim).transpose(0, 2, 1)
+            # Made before the +=, which gathers forms[parent[pick]] before its
+            # right side runs.
+            pulled = (half.reshape(-1, dim) @ lift).reshape(size, dim, dim)
+            forms[parent[pick]] += pulled
 
 
 def _cell_coefficients(space: _Space, system: FractalSystem, spec: FunctionSpec,

@@ -47,7 +47,7 @@ MERGE_BAND = 100.0
 _ORTHO_TOL = 1e-12
 
 # Fixed points and their images coincide within FIXED_POINT_RTOL times the
-# largest fixed-point norm (at least 1).
+# largest fixed-point norm, so a uniformly rescaled IFS keeps its V_0.
 FIXED_POINT_RTOL = 1e-9
 
 # Nesting is checked geometrically through V_min(NESTING_DEPTH, max_level).
@@ -101,7 +101,7 @@ def essential_fixed_points(maps: list[Similitude]) -> np.ndarray:
     ``ConditionViolation(1)`` when fewer than two points qualify.
     """
     fps = np.array([m.fixed_point() for m in maps])
-    tol = FIXED_POINT_RTOL * max(np.linalg.norm(fps, axis=1).max(), 1.0)
+    tol = FIXED_POINT_RTOL * np.linalg.norm(fps, axis=1).max()
     # Fixed points of different maps may coincide; keep a point unless it
     # lies within tol of a point kept before it.
     keep = [0]
@@ -307,9 +307,11 @@ def build(maps: list[Similitude], max_level: int, *, max_points: int | None = No
             raise ValueError("all similitudes must share the ambient dimension")
         if abs(s.scale - L) > 1e-12 * L:
             raise ValueError("all similitudes must share the scaling factor")
+    # Translations are compared relative to the largest, whatever the IFS's size.
+    size = max(np.abs(s.translation).max() for s in maps)
     for i, j in itertools.combinations(range(len(maps)), 2):
         if (np.abs(maps[i].rotation - maps[j].rotation).max() <= 1e-12
-                and np.abs(maps[i].translation - maps[j].translation).max() <= 1e-12):
+                and np.abs(maps[i].translation - maps[j].translation).max() <= 1e-12 * size):
             raise ValueError(f"maps {i + 1} and {j + 1} are identical")
     cap = DEFAULT_MAX_POINTS if max_points is None else max_points
 

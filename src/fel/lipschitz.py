@@ -621,11 +621,14 @@ def hoelder_estimate(system: FractalSystem, f: VertexFunction, gamma: float) -> 
     level from f's down to 1, which spans separations from diam/L down to the
     finest resolved scale.  The values of V_m are the first #V_m values of
     f, and its coordinates are system.points[m].  A stability diagnostic,
-    not a certified norm; nan if a compared pair has a nan value.
+    not a certified norm; nan if a compared pair has a nan value.  f must
+    lie at level 1 or deeper: V_0 has no cells of level >= 1.
     """
     if not 0.0 < gamma < 1.0:
         raise ValueError("gamma must lie in (0, 1)")
     _check_level(system, f)
+    if f.level < 1:
+        raise ValueError("hoelder_estimate needs f at level 1 or deeper")
     best = 0.0
     for m in range(f.level, 0, -1):
         best = np.maximum(best, _cells_hoelder(f.values[:system.vertex_count(m)],

@@ -134,3 +134,22 @@ def test_class_coefficients_are_invariant(source, data):
     s, q, t = data.draw(motions(maps[0].dim))
     moved = class_invariants(conjugate(maps, s, q, t), CLASS_LEVELS[source])
     np.testing.assert_allclose(moved, class_reference(source), rtol=1e-12, atol=0.0)
+
+
+@functools.cache
+def scaled_invariants(source, power):
+    """invariants and class_invariants of the IFS scaled by 2^power about the origin."""
+    maps, _ = load_maps(source)
+    dim, level = maps[0].dim, CLASS_LEVELS[source]
+    scaled = conjugate(maps, 2.0**power, np.eye(dim), np.zeros(dim))
+    return np.concatenate([invariants(scaled, level), class_invariants(scaled, level)])
+
+
+@pytest.mark.parametrize("power", [-40, 40])
+@pytest.mark.parametrize("source", sorted(CLASS_LEVELS), ids=lambda s: s.rsplit("/", 1)[-1])
+def test_power_of_two_rescaling_keeps_every_bit(source, power):
+    # Scaling by a power of two is exact in binary, so every tolerance that
+    # follows the IFS's own size takes the same decisions.  An absolute
+    # floor on the fixed-point tolerance, or an absolute test for identical
+    # maps, refused these systems at 2^-40.
+    assert np.array_equal(scaled_invariants(source, power), scaled_invariants(source, 0))

@@ -557,3 +557,6 @@ class TestHoelder:
             hoelder_estimate(gasket2_l8, VertexFunction(4, np.arange(200.0)), 0.5)
         with pytest.raises(ValueError, match="not built"):
             hoelder_estimate(gasket2_l8, VertexFunction(9, np.zeros(29526)), 0.5)
+        # At level 0 no cell pair was compared, and the estimate read 0.0.
+        with pytest.raises(ValueError, match="level 1 or deeper"):
+            hoelder_estimate(gasket2_l8, VertexFunction(0, np.array([0.0, 1.0, 5.0])), 0.5)

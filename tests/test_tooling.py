@@ -75,18 +75,35 @@ def test_examples_not_ignored_by_git():
 
 def test_fractal_system_keeps_only_what_fel_reads():
     # Every build keeps what FractalSystem.__init__ stores on self, so each
-    # stored attribute must be read somewhere in the package.
+    # stored attribute must be read somewhere in the package.  Every class
+    # table builds one fel.classes._Space, so what any of its methods stores
+    # must be read through a parameter annotated _Space: what only _Space
+    # itself reads belongs in a local.
     trees = {path.name: tree for path, tree in package_trees()}
     system = next(node for node in trees["ifs.py"].body
                   if isinstance(node, ast.ClassDef) and node.name == "FractalSystem")
     init = next(node for node in system.body
                 if isinstance(node, ast.FunctionDef) and node.name == "__init__")
-    stored = {node.attr for node in ast.walk(init) if isinstance(node, ast.Attribute)
-              and isinstance(node.ctx, ast.Store) and getattr(node.value, "id", None) == "self"}
     read = {node.attr for tree in trees.values() for node in ast.walk(tree)
             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
-    assert {"cells", "v0_ids"} <= stored
-    assert not stored - read
+    assert {"cells", "v0_ids"} <= stored_on_self(init)
+    assert not stored_on_self(init) - read
+    space = next(node for node in trees["classes.py"].body
+                 if isinstance(node, ast.ClassDef) and node.name == "_Space")
+    read = set()
+    for func in (node for tree in trees.values() for node in ast.walk(tree)
+                 if isinstance(node, ast.FunctionDef)):
+        names = {a.arg for a in func.args.args if getattr(a.annotation, "id", None) == "_Space"}
+        read |= {node.attr for node in ast.walk(func) if isinstance(node, ast.Attribute)
+                 and isinstance(node.ctx, ast.Load) and getattr(node.value, "id", None) in names}
+    assert {"kcount", "lift"} <= stored_on_self(space)
+    assert not stored_on_self(space) - read
+
+
+def stored_on_self(node):
+    """Names of the attributes stored on self anywhere in node."""
+    return {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)
+            and isinstance(n.ctx, ast.Store) and getattr(n.value, "id", None) == "self"}
 
 
 def test_readme_library_example_runs():
